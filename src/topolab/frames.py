@@ -17,7 +17,7 @@ from .spaces import ContinuousMap, FiniteSpace
 LATTICE_ENUM_CAP = 10
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FiniteFrame:
     """A bounded distributive lattice with order, join and meet tables."""
 
@@ -95,7 +95,7 @@ def frame_from_leq(k: int, leq_rows) -> FiniteFrame:
     return FiniteFrame(k, leq, join, meet, bottoms[0], tops[0])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FrameMap:
     """A map preserving finite meets, all joins, bottom and top."""
 

@@ -24,6 +24,7 @@ from .spaces import (
     ContinuousMap,
     FiniteSpace,
     compose,
+    composable_pairs,
     enumerate_continuous_maps,
     identity_map,
     is_homeomorphism,
@@ -262,18 +263,21 @@ def check_functor_laws(
     check_id: str = "functor-laws",
     corpus_desc: str = "",
 ) -> CheckReport:
+    """Identities on every corpus space, composition on every composable pair.
+
+    Composition is quantified over the pairs ``(f, g)`` of ``maps`` with
+    ``f.cod == g.dom`` only, f-major in corpus order, so the witness is the
+    first failing pair of the all-pairs scan.
+    """
     desc = corpus_desc or f"{len(spaces)} spaces, {len(maps)} maps"
     for space in spaces:
         if functor.mor(identity_map(space)).map != identity_map(functor.obj(space)).map:
             return failed(check_id, desc, f"{functor.name} breaks identities at {space!r}")
-    for f in maps:
-        for g in maps:
-            if f.cod != g.dom:
-                continue
-            if functor.mor(compose(g, f)).map != compose(functor.mor(g), functor.mor(f)).map:
-                return failed(
-                    check_id, desc, f"{functor.name} breaks composition at {f.map};{g.map}"
-                )
+    for f, g, gf in composable_pairs(maps):
+        if functor.mor(gf).map != compose(functor.mor(g), functor.mor(f)).map:
+            return failed(
+                check_id, desc, f"{functor.name} breaks composition at {f.map};{g.map}"
+            )
     return passed(check_id, desc)
 
 

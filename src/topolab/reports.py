@@ -4,6 +4,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .errors import InvalidInput
+
 PASS = "pass"
 FAIL = "fail"
 NOT_APPLICABLE = "not-applicable"
@@ -24,9 +26,10 @@ class CheckReport:
     note: str = ""
 
     def __post_init__(self) -> None:
-        assert (self.status == FAIL) == bool(self.witness), (
-            "witness must be present exactly on failure"
-        )
+        if self.status not in (PASS, FAIL, NOT_APPLICABLE):
+            raise InvalidInput(f"unknown report status {self.status!r}")
+        if (self.status == FAIL) != bool(self.witness):
+            raise InvalidInput("witness must be present exactly on failure")
 
     @property
     def ok(self) -> bool:

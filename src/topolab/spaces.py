@@ -9,9 +9,9 @@ which makes equality of spaces structural.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import BoundExceeded, InvalidInput, NotOpen
 
@@ -33,12 +33,18 @@ def mask_to_points(mask: int) -> tuple[int, ...]:
     return tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FiniteSpace:
-    """A topology on the points ``0 .. n-1``, opens as ascending bitmasks."""
+    """A topology on the points ``0 .. n-1``, opens as ascending bitmasks.
+
+    The open-set membership set and the hash are computed once at
+    construction; neither takes part in equality.
+    """
 
     n: int
     opens: tuple[int, ...]
+    _open_set: frozenset[int] = field(init=False, repr=False, compare=False)
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.n < 1:
@@ -48,13 +54,18 @@ class FiniteSpace:
             raise InvalidInput("opens must be strictly ascending and duplicate-free")
         if 0 not in self.opens or full not in self.opens:
             raise InvalidInput("opens must contain the empty and the full set")
-        family = set(self.opens)
+        family = frozenset(self.opens)
         for a in self.opens:
             if a & ~full:
                 raise InvalidInput(f"open {a:#x} mentions points outside the space")
             for b in self.opens:
                 if a | b not in family or a & b not in family:
                     raise InvalidInput("opens are not closed under union/intersection")
+        object.__setattr__(self, "_open_set", family)
+        object.__setattr__(self, "_hash", hash((self.n, self.opens)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def full(self) -> int:
@@ -65,17 +76,17 @@ class FiniteSpace:
         return tuple(sorted(self.full ^ o for o in self.opens))
 
     def is_open(self, mask: int) -> bool:
-        return mask in set(self.opens)
+        return mask in self._open_set
 
     def is_closed(self, mask: int) -> bool:
-        return self.full ^ mask in set(self.opens)
+        return self.full ^ mask in self._open_set
 
     def __repr__(self) -> str:  # compact; opens as point lists
         body = ",".join("{" + ",".join(map(str, mask_to_points(o))) + "}" for o in self.opens)
         return f"Space({self.n}; {body})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ContinuousMap:
     """A function between finite spaces with the open-preimage property."""
 
@@ -146,6 +157,25 @@ def compose(g: ContinuousMap, f: ContinuousMap) -> ContinuousMap:
     if f.cod != g.dom:
         raise InvalidInput("composition mismatch: cod of f differs from dom of g")
     return ContinuousMap(f.dom, g.cod, tuple(g.map[v] for v in f.map))
+
+
+def composable_pairs(
+    maps: Sequence[ContinuousMap],
+) -> Iterator[tuple[ContinuousMap, ContinuousMap, ContinuousMap]]:
+    """Every ``(f, g, g after f)`` with ``f.cod == g.dom``, f-major in input order.
+
+    When the composite is itself one of ``maps`` that (already validated)
+    object is returned; otherwise it is built by :func:`compose`.
+    """
+    by_dom: dict[FiniteSpace, list[ContinuousMap]] = {}
+    known: dict[tuple[FiniteSpace, FiniteSpace, tuple[int, ...]], ContinuousMap] = {}
+    for m in maps:
+        by_dom.setdefault(m.dom, []).append(m)
+        known.setdefault((m.dom, m.cod, m.map), m)
+    for f in maps:
+        for g in by_dom.get(f.cod, ()):
+            gf = known.get((f.dom, g.cod, tuple(g.map[v] for v in f.map)))
+            yield f, g, gf if gf is not None else compose(g, f)
 
 
 def build_space(n: int, generators: Sequence[Iterable[int]] = ()) -> FiniteSpace:
@@ -412,7 +442,7 @@ def enumerate_continuous_maps(dom: FiniteSpace, cod: FiniteSpace) -> tuple[Conti
 
 
 def _is_continuous(dom: FiniteSpace, cod: FiniteSpace, arr: Sequence[int]) -> bool:
-    opens = set(dom.opens)
+    opens = dom._open_set
     for o in cod.opens:
         pre = 0
         for x, fx in enumerate(arr):

@@ -10,6 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .corpus import (
+    MAX_POINTS,
     enumerate_lattices,
     enumerate_spaces,
     lattice_class_counts,
@@ -22,6 +23,7 @@ from .divergences import DIVERGENCES
 from .errors import InvalidInput, UnknownFault, UnknownSuite
 from .filters import CLOSED_PRIME, OPEN_PRIME, ULTRA, lift_space, member_set, unit
 from .frames import (
+    LATTICE_ENUM_CAP,
     chain_frame,
     check_compact_regular_coreflection,
     check_ideal_comonad_laws,
@@ -71,6 +73,7 @@ from .spaces import (
     build_space,
     classify,
     compose,
+    composable_pairs,
     enumerate_continuous_maps,
     find_homeomorphism,
     identity_map,
@@ -973,18 +976,17 @@ def _recount_classes(n: int) -> int:
 def suite_frame_bridge(bounds: RunBounds) -> list[CheckReport]:
     maps = _maps(bounds)
     desc = _map_desc(bounds)
+    frame_maps = {}
     for f in maps:
         lifted = opens_frame_map(f)
         if lifted.dom != opens_frame(f.cod) or lifted.cod != opens_frame(f.dom):
             return [failed("frame-bridge[contravariant]", desc, f"{f.map}")]
-    for f in maps:
-        for g in maps:
-            if f.cod != g.dom:
-                continue
-            once = opens_frame_map(compose(g, f))
-            twice = compose_frame_maps(opens_frame_map(f), opens_frame_map(g))
-            if once.map != twice.map:
-                return [failed("frame-bridge[functorial]", desc, f"{f.map};{g.map}")]
+        frame_maps[f] = lifted
+    for f, g, gf in composable_pairs(maps):
+        once = frame_maps.get(gf) or opens_frame_map(gf)
+        twice = compose_frame_maps(frame_maps[f], frame_maps[g])
+        if once.map != twice.map:
+            return [failed("frame-bridge[functorial]", desc, f"{f.map};{g.map}")]
     e1 = build_space(3, [{0}])
     if opens_frame(e1).k != 3:
         return [failed("frame-bridge[chain]", desc, "three-point example")]
@@ -1028,11 +1030,27 @@ SUITES = {
 }
 
 
+def _validate_bounds(bounds: RunBounds) -> None:
+    """Reject bounds that would quantify over nothing or past a corpus cap."""
+    caps = {
+        "max_points": MAX_POINTS,
+        "map_points": MAX_POINTS,
+        "epi_cap": MAX_POINTS,
+        "lattice_cap": LATTICE_ENUM_CAP,
+        "mono_lattice_cap": LATTICE_ENUM_CAP,
+    }
+    for name, cap in caps.items():
+        value = getattr(bounds, name)
+        if not 1 <= value <= cap:
+            raise InvalidInput(f"{name} must lie in 1..{cap}, got {value}")
+    if bounds.epi_cap < bounds.map_points:
+        raise InvalidInput("the epimorphism cap must cover the map corpus size")
+
+
 def run_suite(suite_id: str, bounds: RunBounds | None = None) -> list[CheckReport]:
     """Execute one registered suite (or ``all``) and return ordered reports."""
     bounds = bounds or RunBounds()
-    if bounds.epi_cap < bounds.map_points:
-        raise InvalidInput("the epimorphism cap must cover the map corpus size")
+    _validate_bounds(bounds)
     if bounds.fault is not None and bounds.fault not in FAULTS:
         raise UnknownFault(f"unknown fault {bounds.fault!r}; known: {sorted(FAULTS)}")
     if suite_id == "all":

@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -37,6 +38,8 @@ from topolab import (
 from topolab.corpus import lattice_class_counts, maps_between, recount_lattices, spaces_up_to
 from topolab.monadlab import count_descents, horizontal
 from topolab.suites import FAULT_TARGETS
+
+PINNED_CHECK_ALL = Path(__file__).resolve().parent.parent / "perfbench" / "check-all.stdout"
 
 
 def _verdict(number: int, description: str, ok: bool) -> None:
@@ -193,6 +196,10 @@ def test_criterion_10_corpus_and_determinism():
     elapsed = time.monotonic() - start
     second = [r.line() for r in run_suite("all")]
     deterministic = first == second and all("FAIL" not in line for line in first)
+    # the reports of the default run, pinned byte for byte (the file's last
+    # line is the CLI summary, which run_suite does not produce)
+    pinned = PINNED_CHECK_ALL.read_text(encoding="utf-8").splitlines()[:-1]
+    deterministic = deterministic and first == pinned
 
     env = dict(os.environ)
     outputs = []

@@ -6,6 +6,9 @@ import pytest
 
 from topolab.cli import main
 from topolab.serialization import dumps, space_to_json
+from topolab.errors import InvalidInput
+from topolab.frames import LATTICE_ENUM_CAP
+from topolab.suites import FAULT_TARGETS, RunBounds, run_suite
 from topolab import build_space
 
 
@@ -87,6 +90,44 @@ def test_check_unknown_suite(capsys):
 
 def test_check_unknown_fault(capsys):
     assert main(["check", "--suite", "monad-laws", "--inject-fault", "nope"]) == 2
+
+
+@pytest.mark.parametrize("fault,suite", sorted(FAULT_TARGETS.items()))
+def test_every_fault_is_caught_by_its_target_suite(fault, suite, capsys):
+    assert main(["check", "--suite", suite, "--inject-fault", fault]) == 1
+    out = capsys.readouterr().out
+    assert any(line.startswith("[FAIL]") for line in out.splitlines())
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--max-points", "0"],
+        ["--max-points", "-1"],
+        ["--max-points", "6"],
+        ["--epi-cap", "0"],
+        ["--epi-cap", "6"],
+    ],
+)
+def test_check_rejects_out_of_range_bounds(flags, capsys):
+    assert main(["check", "--suite", "monad-laws", *flags]) == 2
+    captured = capsys.readouterr()
+    assert "error:" in captured.err and "must lie in" in captured.err
+    assert "[PASS]" not in captured.out
+
+
+@pytest.mark.parametrize(
+    "bounds",
+    [
+        RunBounds(map_points=0),
+        RunBounds(lattice_cap=0),
+        RunBounds(lattice_cap=LATTICE_ENUM_CAP + 1),
+        RunBounds(mono_lattice_cap=LATTICE_ENUM_CAP + 1),
+    ],
+)
+def test_run_suite_rejects_out_of_range_bounds(bounds):
+    with pytest.raises(InvalidInput, match="must lie in"):
+        run_suite("lemma5.8", bounds)
 
 
 def test_check_output_is_reproducible(capsys):

@@ -4,6 +4,7 @@ import pytest
 
 from topolab import (
     CLOSED_PRIME,
+    ContinuousMap,
     OPEN_PRIME,
     ULTRA,
     HypothesisViolated,
@@ -35,7 +36,8 @@ from topolab import (
     unit,
     universal_separation,
 )
-from topolab.monadlab import count_descents, horizontal, monad_preserves_epis
+from topolab.corpus import maps_between, spaces_up_to
+from topolab.monadlab import EndofunctorSpec, count_descents, horizontal, monad_preserves_epis
 
 
 @pytest.fixture(scope="module")
@@ -364,3 +366,57 @@ def test_reflector_spec_round_trip(e1):
     t0 = reflector_spec("t0")
     assert t0.obj(e1).n == 2
     assert t0.unit_at(e1).map == (1, 0, 0)
+
+
+def _first_breaks(functor, maps):
+    """All-pairs scan: the first f that breaks composition, with every g it fails on."""
+    for f in maps:
+        bad = [
+            g
+            for g in maps
+            if f.cod == g.dom
+            and functor.mor(compose(g, f)).map != compose(functor.mor(g), functor.mor(f)).map
+        ]
+        if bad:
+            return f, bad
+    return None, []
+
+
+def _wrong_at(target):
+    """The identity functor, except on ``target``, which goes to another constant."""
+    value = (target.map[0] + 1) % target.cod.n
+    wrong = ContinuousMap(target.dom, target.cod, (value,) * target.dom.n)
+    return EndofunctorSpec("W", lambda s: s, lambda m: wrong if m == target else m)
+
+
+def test_functor_laws_witness_order_on_closed_corpus():
+    spaces = spaces_up_to(3, True)
+    maps = maps_between(spaces)
+    # a point of a three-point space: the first failing f then fails with
+    # several g, so the witness pins the order of g as well as of f
+    target = next(m for m in maps if m.dom.n == 1 and m.cod.n == 3)
+    functor = _wrong_at(target)
+    f, bad = _first_breaks(functor, maps)
+    assert len(bad) > 1
+    report = check_functor_laws(functor, spaces, maps)
+    assert report.witness == f"W breaks composition at {f.map};{bad[0].map}"
+
+
+def test_functor_laws_witness_on_composite_outside_the_list():
+    spaces = spaces_up_to(3, True)
+    maps = maps_between(spaces)[:400]
+    listed = set(maps)
+    # a composite that is not itself listed, so the pair scan has to build it
+    target = next(
+        h
+        for f in maps[len(maps) // 2 :]
+        for g in maps
+        if f.cod == g.dom and g.cod.n > 1
+        for h in (compose(g, f),)
+        if h not in listed
+    )
+    functor = _wrong_at(target)
+    f, bad = _first_breaks(functor, maps)
+    assert compose(bad[0], f) == target
+    report = check_functor_laws(functor, spaces, maps)
+    assert report.witness == f"W breaks composition at {f.map};{bad[0].map}"

@@ -1,7 +1,13 @@
 """Round trips and rejection diagnostics for the file formats."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import topolab
 from topolab import InvalidInput, chain_frame, lift_space
 from topolab.filters import OPEN_PRIME
 from topolab.reports import CheckReport, failed, passed
@@ -97,11 +103,32 @@ def test_report_json_shape():
 
 
 def test_report_witness_invariant():
-    with pytest.raises(AssertionError):
+    with pytest.raises(InvalidInput):
         CheckReport("x", "c", "fail")
-    with pytest.raises(AssertionError):
+    with pytest.raises(InvalidInput):
         CheckReport("x", "c", "pass", witness="spurious")
+    with pytest.raises(InvalidInput):
+        CheckReport("x", "c", "maybe")
     assert passed("x", "c").ok
+
+
+def test_report_invariant_survives_optimized_mode():
+    # the rule is enforced by raising, so ``python -O`` cannot strip it
+    src = str(Path(topolab.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = (
+        "from topolab.reports import CheckReport\n"
+        "from topolab.errors import InvalidInput\n"
+        "try:\n"
+        "    CheckReport('x', 'c', 'fail')\n"
+        "except InvalidInput:\n"
+        "    print('rejected')\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env, check=False
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "rejected"
 
 
 def test_dot_export(e1):
