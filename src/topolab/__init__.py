@@ -2,6 +2,8 @@
 and frame coreflections, verified by exhaustive checking over enumerated
 small spaces and lattices."""
 
+import types
+
 from .errors import (
     BoundExceeded,
     CoreflectionMismatch,
@@ -31,7 +33,6 @@ from .spaces import (
     inverse_map,
     is_homeomorphism,
     is_proper,
-    is_stably_compact,
     minimal_neighborhood,
     patch_topology,
     saturation,
@@ -103,9 +104,11 @@ from .frames import (
     reg_coreflect,
     way_below_lattice,
 )
-from .corpus import Corpus, enumerate_lattices, enumerate_spaces, recount_topologies
+from .corpus import enumerate_lattices, enumerate_spaces, recount_topologies
 from .reports import CheckReport
 from .suites import FAULTS, RunBounds, SUITES, run_suite
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    n for n in dir() if not n.startswith("_") and not isinstance(globals()[n], types.ModuleType)
+]
 __version__ = "0.1.0"

@@ -70,10 +70,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="codomain size bound for epimorphism quantification",
     )
     check.add_argument(
-        "--up-to-homeo", action="store_true", default=True,
-        help="run on homeomorphism-class representatives (the default)",
-    )
-    check.add_argument(
         "--inject-fault", default=None, metavar="ID",
         help=f"known faults: {', '.join(sorted(FAULTS))}",
     )
@@ -118,10 +114,18 @@ def cmd_analyze(args) -> int:
     return 0
 
 
-def _out_dir(args, fallback: Path) -> Path:
-    out = Path(args.out) if args.out else fallback
+def _write_results(args, tag: str, documents: dict, result) -> None:
+    """Write ``<stem>.<tag>.<key>.json`` per document, then profile the result space."""
+    src = Path(args.space)
+    out = Path(args.out) if args.out else src.parent
     out.mkdir(parents=True, exist_ok=True)
-    return out
+    for key, data in documents.items():
+        path = out / f"{src.stem}.{tag}.{key}.json"
+        path.write_text(dumps(data), encoding="utf-8")
+        print(f"wrote {path}")
+    print(f"result points: {result.n}")
+    for line in _profile_lines(result):
+        print("  " + line)
 
 
 def cmd_compactify(args) -> int:
@@ -129,41 +133,21 @@ def cmd_compactify(args) -> int:
     kind = MONAD_KINDS[args.monad]
     lifted = lift_space(kind, space)
     e = unit(kind, space)
-    src = Path(args.space)
-    out = _out_dir(args, src.parent)
-    stem = src.stem
-    space_path = out / f"{stem}.{args.monad}.space.json"
-    unit_path = out / f"{stem}.{args.monad}.unit.json"
-    sidecar_path = out / f"{stem}.{args.monad}.points.json"
-    space_path.write_text(dumps(space_to_json(lifted.space)), encoding="utf-8")
-    unit_path.write_text(dumps(map_to_json(e)), encoding="utf-8")
-    sidecar_path.write_text(dumps(lifted_sidecar_to_json(lifted)), encoding="utf-8")
-    print(f"wrote {space_path}")
-    print(f"wrote {unit_path}")
-    print(f"wrote {sidecar_path}")
-    print(f"result points: {lifted.space.n}")
-    for line in _profile_lines(lifted.space):
-        print("  " + line)
-    embedding = e.is_injective
-    print(f"unit injective (embedding iff input is T0): {embedding}")
+    documents = {
+        "space": space_to_json(lifted.space),
+        "unit": map_to_json(e),
+        "points": lifted_sidecar_to_json(lifted),
+    }
+    _write_results(args, args.monad, documents, lifted.space)
+    print(f"unit injective (embedding iff input is T0): {e.is_injective}")
     return 0
 
 
 def cmd_reflect(args) -> int:
     space = load_space(args.space)
     reflected, r = REFLECT_OPS[args.via](space)
-    src = Path(args.space)
-    out = _out_dir(args, src.parent)
-    stem = src.stem
-    space_path = out / f"{stem}.{args.via}.space.json"
-    map_path = out / f"{stem}.{args.via}.map.json"
-    space_path.write_text(dumps(space_to_json(reflected)), encoding="utf-8")
-    map_path.write_text(dumps(map_to_json(r)), encoding="utf-8")
-    print(f"wrote {space_path}")
-    print(f"wrote {map_path}")
-    print(f"result points: {reflected.n}")
-    for line in _profile_lines(reflected):
-        print("  " + line)
+    documents = {"space": space_to_json(reflected), "map": map_to_json(r)}
+    _write_results(args, args.via, documents, reflected)
     return 0
 
 
@@ -172,7 +156,6 @@ def cmd_check(args) -> int:
         max_points=args.max_points,
         map_points=min(3, args.max_points),
         epi_cap=args.epi_cap,
-        up_to_homeo=args.up_to_homeo,
         fault=args.inject_fault,
     )
     reports: list[CheckReport] = run_suite(args.suite, bounds)

@@ -10,7 +10,6 @@ with its own brute-force recount.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import BoundExceeded, InvalidInput
@@ -121,16 +120,17 @@ def _poset_canonical(m: int, leq: tuple[tuple[bool, ...], ...]) -> tuple[bool, .
     return best
 
 
-def _downset_count(m: int, leq) -> int:
-    count = 0
-    for mask in range(1 << m):
+def _downsets(m: int, leq) -> list[int]:
+    """The down-closed subsets of an m-element poset, as ascending masks."""
+    return [
+        mask
+        for mask in range(1 << m)
         if all(
             not (mask >> a & 1) or not leq[b][a] or (mask >> b & 1)
             for a in range(m)
             for b in range(m)
-        ):
-            count += 1
-    return count
+        )
+    ]
 
 
 def _grow_posets(max_downsets: int, max_elements: int):
@@ -144,22 +144,13 @@ def _grow_posets(max_downsets: int, max_elements: int):
         grown: dict[tuple, tuple] = {}
         for leq in seen.values():
             prev = len(leq)
-            downsets = [
-                mask
-                for mask in range(1 << prev)
-                if all(
-                    not (mask >> a & 1) or not leq[b][a] or (mask >> b & 1)
-                    for a in range(prev)
-                    for b in range(prev)
-                )
-            ]
-            for below in downsets:
+            for below in _downsets(prev, leq):
                 rows = [
                     tuple(list(leq[a]) + [bool(below >> a & 1)]) for a in range(prev)
                 ]
                 rows.append(tuple([False] * prev + [True]))
                 cand = tuple(rows)
-                if _downset_count(m, cand) > max_downsets:
+                if len(_downsets(m, cand)) > max_downsets:
                     continue
                 canon = _poset_canonical(m, cand)
                 grown.setdefault(canon, cand)
@@ -177,16 +168,7 @@ def enumerate_lattices(max_size: int = 8) -> tuple[FiniteFrame, ...]:
         raise BoundExceeded("lattice corpus capped at 12 elements")
     frames = [frame_from_leq(1, [[True]])]  # downsets of the empty poset
     for leq in _grow_posets(max_size, max_size - 1):
-        m = len(leq)
-        downsets = sorted(
-            mask
-            for mask in range(1 << m)
-            if all(
-                not (mask >> a & 1) or not leq[b][a] or (mask >> b & 1)
-                for a in range(m)
-                for b in range(m)
-            )
-        )
+        downsets = _downsets(len(leq), leq)
         rows = [[a & ~b == 0 for b in downsets] for a in downsets]
         frames.append(frame_from_leq(len(downsets), rows))
     frames.sort(key=lambda f: (f.k, f.leq))
@@ -225,41 +207,3 @@ def lattice_class_counts(max_size: int = 8) -> dict[int, int]:
     for f in enumerate_lattices(max_size):
         counts[f.k] = counts.get(f.k, 0) + 1
     return counts
-
-
-# ---------------------------------------------------------------------------
-# corpus container
-
-
-@dataclass(frozen=True)
-class Corpus:
-    """A deterministic bundle of spaces, maps, and lattices for suite runs."""
-
-    max_points: int
-    up_to_homeo: bool = True
-    lattice_cap: int = 8
-
-    @property
-    def spaces(self) -> tuple[FiniteSpace, ...]:
-        return spaces_up_to(self.max_points, self.up_to_homeo)
-
-    @property
-    def maps(self) -> tuple[ContinuousMap, ...]:
-        return maps_between(self.spaces)
-
-    @property
-    def lattices(self) -> tuple[FiniteFrame, ...]:
-        return enumerate_lattices(self.lattice_cap)
-
-    def spaces_of(self, *, at_most: int) -> tuple[FiniteSpace, ...]:
-        return tuple(s for s in self.spaces if s.n <= at_most)
-
-    def describe(self) -> str:
-        kind = "classes" if self.up_to_homeo else "labeled"
-        return f"spaces<={self.max_points} ({kind}: {len(self.spaces)})"
-
-    def describe_maps(self, at_most: int | None = None) -> str:
-        if at_most is None:
-            return f"{self.describe()}, maps: {len(self.maps)}"
-        sub = tuple(s for s in self.spaces if s.n <= at_most)
-        return f"spaces<={at_most} ({len(sub)}), maps: {len(maps_between(sub))}"

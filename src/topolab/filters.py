@@ -145,6 +145,21 @@ def member_set(kind: str, space: FiniteSpace, subset: int) -> int:
     return _member_mask(lift_space(kind, space).points, subset)
 
 
+def _principal_index(lifted: LiftedSpace, elements: tuple[int, ...], what: str) -> int:
+    """Index of the lifted point whose filter is exactly ``elements``.
+
+    The generator is the meet of the family; the point it names must carry
+    the same family, or the construction produced a non-principal filter.
+    """
+    gen = lifted.base.full
+    for m in elements:
+        gen &= m
+    idx = lifted.index_of(gen)
+    if lifted.points[idx].elements != elements:
+        raise FilterNotWellFormed(f"{what} is not principal-consistent")
+    return idx
+
+
 def lift_map(kind: str, f: ContinuousMap) -> ContinuousMap:
     """Functor action: push a filter forward along the preimage formula."""
     dom_l = lift_space(kind, f.dom)
@@ -154,13 +169,7 @@ def lift_map(kind: str, f: ContinuousMap) -> ContinuousMap:
     for p in dom_l.points:
         elems = frozenset(p.elements)
         image_elems = tuple(sorted(b for b in ambient_cod if f.preimage(b) in elems))
-        gen = f.cod.full
-        for m in image_elems:
-            gen &= m
-        idx = cod_l.index_of(gen)
-        if cod_l.points[idx].elements != image_elems:
-            raise FilterNotWellFormed("pushforward filter is not principal-consistent")
-        arr.append(idx)
+        arr.append(_principal_index(cod_l, image_elems, "pushforward filter"))
     return ContinuousMap(dom_l.space, cod_l.space, tuple(arr))
 
 
@@ -183,24 +192,12 @@ def mult(kind: str, space: FiniteSpace) -> ContinuousMap:
     """Flatten a filter of filters: keep the sets whose member-set it contains."""
     l1 = lift_space(kind, space)
     l2 = lift_space(kind, l1.space)
-    if kind == ULTRA:
-        base_sets = tuple(range(space.full + 1))
-    elif kind == OPEN_PRIME:
-        base_sets = space.opens
-    else:
-        base_sets = tuple(h for h in space.closeds if h != 0)  # empty set excluded
+    ambient = ambient_lattice(kind, space)
     arr = []
     for big in l2.points:
         big_elems = frozenset(big.elements)
-        flat = tuple(
-            sorted(a for a in base_sets if _member_mask(l1.points, a) in big_elems)
-        )
-        gen = space.full
-        for m in flat:
-            gen &= m
-        idx = l1.index_of(gen)
-        if l1.points[idx].elements != flat:
-            raise FilterNotWellFormed("flattened filter fails the principal check")
+        flat = tuple(sorted(a for a in ambient if _member_mask(l1.points, a) in big_elems))
+        idx = _principal_index(l1, flat, "flattened filter")
         check_filter_point(l1.points[idx], space)
         arr.append(idx)
     return ContinuousMap(l2.space, l1.space, tuple(arr))
@@ -216,11 +213,5 @@ def alpha(target_kind: str, space: FiniteSpace) -> ContinuousMap:
     arr = []
     for p in src.points:
         restricted = tuple(sorted(m for m in p.elements if m in keep))
-        gen = space.full
-        for m in restricted:
-            gen &= m
-        idx = dst.index_of(gen)
-        if dst.points[idx].elements != restricted:
-            raise FilterNotWellFormed("restricted filter fails the principal check")
-        arr.append(idx)
+        arr.append(_principal_index(dst, restricted, "restricted filter"))
     return ContinuousMap(src.space, dst.space, tuple(arr))

@@ -28,19 +28,10 @@ class FiniteFrame:
     bottom: int
     top: int
 
-    def le(self, a: int, b: int) -> bool:
-        return self.leq[a][b]
-
     def join_of(self, items) -> int:
         out = self.bottom
         for a in items:
             out = self.join[out][a]
-        return out
-
-    def meet_of(self, items) -> int:
-        out = self.top
-        for a in items:
-            out = self.meet[out][a]
         return out
 
     def __repr__(self) -> str:

@@ -28,6 +28,7 @@ from .spaces import (
     enumerate_continuous_maps,
     identity_map,
     is_homeomorphism,
+    restriction_counts,
 )
 
 
@@ -37,26 +38,21 @@ def _cached(fn):
 
 @dataclass(frozen=True)
 class EndofunctorSpec:
+    """A functor given by its actions: ``F.obj(space)`` and ``F.mor(f)``."""
+
     name: str
-    on_object: Callable[[FiniteSpace], FiniteSpace]
-    on_morphism: Callable[[ContinuousMap], ContinuousMap]
-
-    def obj(self, space: FiniteSpace) -> FiniteSpace:
-        return self.on_object(space)
-
-    def mor(self, f: ContinuousMap) -> ContinuousMap:
-        return self.on_morphism(f)
+    obj: Callable[[FiniteSpace], FiniteSpace]
+    mor: Callable[[ContinuousMap], ContinuousMap]
 
 
 @dataclass(frozen=True)
 class NatTransSpec:
+    """A transformation given by its components: ``nt.at(space)``."""
+
     name: str
     source: EndofunctorSpec
     target: EndofunctorSpec
-    component: Callable[[FiniteSpace], ContinuousMap]
-
-    def at(self, space: FiniteSpace) -> ContinuousMap:
-        return self.component(space)
+    at: Callable[[FiniteSpace], ContinuousMap]
 
 
 @dataclass(frozen=True)
@@ -89,9 +85,6 @@ class ReflectorSpec:
         _, r_dom = self.reflect(f.dom)
         _, r_cod = self.reflect(f.cod)
         return factor_through_reflection(compose(r_cod, f), r_dom, self.in_class)
-
-    def endofunctor(self) -> EndofunctorSpec:
-        return EndofunctorSpec(self.name, _cached(self.obj), _cached(self.mor))
 
 
 IDENTITY_FUNCTOR = EndofunctorSpec("Id", lambda s: s, lambda f: f)
@@ -178,21 +171,33 @@ def find_splitting(m: ContinuousMap) -> ContinuousMap | None:
     return None
 
 
-def compose_reflector_monad(reflector: str | ReflectorSpec, monad: MonadSpec) -> MonadSpec:
-    """Build the composite monad of a reflector after a monad.
+def algebra_structure(R: ReflectorSpec, T: MonadSpec, space: FiniteSpace) -> ContinuousMap:
+    """The algebra structure b: T.RTX -> RTX on the reflected free object.
 
-    The unit is the horizontal composite of the two units.  The
-    multiplication at X is assembled from a splitting of the unit at the
-    reflected double-free object: the splitting is massaged into the unique
-    algebra structure b on the reflected free object, and b then descends
-    along the reflection of the free step.
+    A splitting of the unit at the reflected double-free object RTTX is
+    massaged into b; raises NoSplitting when that unit has no retraction.
     """
-    R = reflector_spec(reflector) if isinstance(reflector, str) else reflector
-    return _compose_reflector_monad(R, monad)
+    tx = T.obj(space)
+    eta_tx = T.unit.at(tx)  # TX -> TTX
+    r_eta = R.mor(eta_tx)  # RTX -> RTTX
+    t_r_eta = T.mor(r_eta)  # T.RTX -> T.RTTX
+    rttx = R.obj(T.obj(tx))
+    beta = find_splitting(T.unit.at(rttx))  # T.RTTX -> RTTX
+    if beta is None:
+        raise NoSplitting(f"unit of {T.name} at {rttx!r} admits no continuous retraction")
+    r_mu = R.mor(T.mult.at(space))  # RTTX -> RTX
+    return compose(r_mu, compose(beta, t_r_eta))
 
 
 @lru_cache(maxsize=None)
-def _compose_reflector_monad(R: ReflectorSpec, monad: MonadSpec) -> MonadSpec:
+def compose_reflector_monad(R: ReflectorSpec, monad: MonadSpec) -> MonadSpec:
+    """Build the composite monad of a reflector after a monad.
+
+    The unit is the horizontal composite of the two units.  The
+    multiplication at X is the algebra structure b on the reflected free
+    object (:func:`algebra_structure`), descended along the reflection of
+    the free step.
+    """
     T = monad
     functor = EndofunctorSpec(
         f"{R.name}.{T.name}",
@@ -211,22 +216,8 @@ def _compose_reflector_monad(R: ReflectorSpec, monad: MonadSpec) -> MonadSpec:
         return first
 
     def mult_component(space: FiniteSpace) -> ContinuousMap:
-        tx = T.obj(space)
-        rtx = R.obj(tx)
-        eta_tx = T.unit.at(tx)  # TX -> TTX
-        r_eta = R.mor(eta_tx)  # RTX -> RTTX
-        t_r_eta = T.mor(r_eta)  # T.RTX -> T.RTTX
-        rttx = R.obj(T.obj(tx))
-        eta_rttx = T.unit.at(rttx)  # RTTX -> T.RTTX
-        beta = find_splitting(eta_rttx)
-        if beta is None:
-            raise NoSplitting(
-                f"unit of {T.name} at {rttx!r} admits no continuous retraction"
-            )
-        r_mu = R.mor(T.mult.at(space))  # RTTX -> RTX
-        b = compose(r_mu, compose(beta, t_r_eta))  # T.RTX -> RTX
-        _, r_free = R.reflect(T.obj(rtx))  # T.RTX -> RT.RTX
-        return factor_through_reflection(b, r_free, R.in_class)
+        _, r_free = R.reflect(T.obj(R.obj(T.obj(space))))  # T.RTX -> RT.RTX
+        return factor_through_reflection(algebra_structure(R, T, space), r_free, R.in_class)
 
     unit = NatTransSpec(
         f"unit[{functor.name}]", IDENTITY_FUNCTOR, functor, _cached(unit_component)
@@ -240,9 +231,8 @@ def _compose_reflector_monad(R: ReflectorSpec, monad: MonadSpec) -> MonadSpec:
     return MonadSpec(functor.name, functor, unit, mult)
 
 
-def reflection_onto_composite(reflector: str | ReflectorSpec, monad: MonadSpec) -> NatTransSpec:
+def reflection_onto_composite(R: ReflectorSpec, monad: MonadSpec) -> NatTransSpec:
     """The componentwise reflection unit r_TX, as a transformation T -> RT."""
-    R = reflector_spec(reflector) if isinstance(reflector, str) else reflector
     composite = compose_reflector_monad(R, monad)
     return NatTransSpec(
         f"r{monad.name}",
@@ -347,21 +337,13 @@ def check_monad_morphism(
     return passed(check_id, desc)
 
 
-def _restriction_injective(
-    pre: ContinuousMap, dom: FiniteSpace, codomain: FiniteSpace
-) -> bool:
-    """Is g -> g . pre injective over all continuous g: dom -> codomain?"""
-    seen: dict[tuple[int, ...], tuple[int, ...]] = {}
-    for g in enumerate_continuous_maps(dom, codomain):
-        restricted = compose(g, pre).map
-        if restricted in seen and seen[restricted] != g.map:
-            return False
-        seen[restricted] = g.map
-    return True
+def _restriction_injective(pre: ContinuousMap, codomain: FiniteSpace) -> bool:
+    """Is g -> g . pre injective over all continuous g: pre.cod -> codomain?"""
+    return all(n == 1 for n in restriction_counts(pre, codomain).values())
 
 
 def check_unit_transition_epi(
-    reflector: str | ReflectorSpec,
+    R: ReflectorSpec,
     monad: MonadSpec,
     spaces: tuple[FiniteSpace, ...],
     codomains: tuple[FiniteSpace, ...],
@@ -376,15 +358,13 @@ def check_unit_transition_epi(
     quantification over the supplied codomains.  Both are evaluated and must
     agree instance by instance.
     """
-    R = reflector_spec(reflector) if isinstance(reflector, str) else reflector
     desc = corpus_desc or f"{len(spaces)} spaces, {len(codomains)} codomains"
     targets = tuple(z for z in codomains if R.in_class(z))
     for space in spaces:
-        tx = monad.obj(space)
         eta = monad.unit.at(space)
         r_eta = R.mor(eta)  # RX -> RTX
-        parallel = all(_restriction_injective(eta, tx, z) for z in targets)
-        epi = all(_restriction_injective(r_eta, r_eta.cod, z) for z in targets)
+        parallel = all(_restriction_injective(eta, z) for z in targets)
+        epi = all(_restriction_injective(r_eta, z) for z in targets)
         if parallel != epi:
             return failed(
                 check_id, desc, f"formulations disagree at {space!r}: {parallel} vs {epi}"
@@ -430,9 +410,7 @@ def fakir_test(
         e = monad.unit.at(space)
         if not e.is_injective:
             continue  # hypothesis empty at this instance
-        bounded_epi = all(
-            _restriction_injective(e, e.cod, z) for z in codomains
-        )
+        bounded_epi = all(_restriction_injective(e, z) for z in codomains)
         if bounded_epi != e.is_surjective:
             return failed(
                 check_id, desc, f"epi readings disagree at {space!r}"
@@ -454,7 +432,7 @@ def monad_preserves_epis(
 
 def universal_separation(
     gamma: NatTransSpec,
-    reflector: str | ReflectorSpec,
+    R: ReflectorSpec,
     source: MonadSpec,
     target: MonadSpec,
     spaces: tuple[FiniteSpace, ...],
@@ -465,7 +443,6 @@ def universal_separation(
     Hypotheses are tested, not assumed: the target monad must take values in
     the reflective class, and T must preserve epimorphisms on the corpus.
     """
-    R = reflector_spec(reflector) if isinstance(reflector, str) else reflector
     for space in spaces:
         if not R.in_class(target.obj(space)):
             raise HypothesisViolated(
@@ -491,8 +468,4 @@ def count_descents(
     gamma_component: ContinuousMap, r: ContinuousMap
 ) -> int:
     """How many continuous maps out of the reflection restrict to the given one."""
-    return sum(
-        1
-        for phi in enumerate_continuous_maps(r.cod, gamma_component.cod)
-        if compose(phi, r).map == gamma_component.map
-    )
+    return restriction_counts(r, gamma_component.cod).get(gamma_component.map, 0)

@@ -1,5 +1,5 @@
 """File formats: spaces, maps, lifted spaces with generator sidecars,
-frames, check reports, and DOT export.
+frames, and DOT export.
 
 Parsers insist on canonical form and answer malformed input with a
 diagnostic rather than repairing it.
@@ -13,7 +13,6 @@ from typing import Any
 from .errors import InvalidInput
 from .filters import LiftedSpace
 from .frames import FiniteFrame, frame_from_leq
-from .reports import CheckReport
 from .spaces import (
     ContinuousMap,
     FiniteSpace,
@@ -116,24 +115,12 @@ def frame_from_json(data: Any) -> FiniteFrame:
         raise InvalidInput(f"not a bounded distributive lattice: {exc}") from exc
 
 
-def report_to_json(report: CheckReport) -> dict[str, Any]:
-    return report.to_json()
-
-
 def dumps(data: Any) -> str:
     return json.dumps(data, indent=2, sort_keys=True) + "\n"
 
 
 def load_space(path: str) -> FiniteSpace:
     return space_from_json(_load(path))
-
-
-def load_map(path: str) -> ContinuousMap:
-    return map_from_json(_load(path))
-
-
-def load_frame(path: str) -> FiniteFrame:
-    return frame_from_json(_load(path))
 
 
 def _load(path: str) -> Any:
@@ -150,30 +137,27 @@ def _load(path: str) -> Any:
 # DOT export
 
 
-def specialization_dot(space: FiniteSpace, name: str = "specialization") -> str:
-    """The specialization order as a digraph (non-reflexive arrows)."""
-    order = specialization(space)
+def _order_dot(name: str, space: FiniteSpace, prefix: str, labels: list[str]) -> str:
+    """The specialization order of ``space`` as a digraph (non-reflexive arrows)."""
+    leq = specialization(space).leq
     lines = [f"digraph {name} {{"]
-    for x in range(space.n):
-        lines.append(f'  p{x} [label="{x}"];')
+    lines += [f'  {prefix}{x} [label="{label}"];' for x, label in enumerate(labels)]
     for x in range(space.n):
         for y in range(space.n):
-            if x != y and order.leq[x][y]:
-                lines.append(f"  p{x} -> p{y};")
+            if x != y and leq[x][y]:
+                lines.append(f"  {prefix}{x} -> {prefix}{y};")
     lines.append("}")
     return "\n".join(lines) + "\n"
+
+
+def specialization_dot(space: FiniteSpace, name: str = "specialization") -> str:
+    """The specialization order as a digraph (non-reflexive arrows)."""
+    return _order_dot(name, space, "p", [str(x) for x in range(space.n)])
 
 
 def lifted_dot(lifted: LiftedSpace, name: str = "lifted") -> str:
     """Lifted-space specialization digraph with generator labels."""
-    order = specialization(lifted.space)
-    lines = [f"digraph {name} {{"]
-    for i, p in enumerate(lifted.points):
-        gen = ",".join(map(str, mask_to_points(p.generator)))
-        lines.append(f'  f{i} [label="^{{{gen}}}"];')
-    for x in range(lifted.space.n):
-        for y in range(lifted.space.n):
-            if x != y and order.leq[x][y]:
-                lines.append(f"  f{x} -> f{y};")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    labels = [
+        "^{" + ",".join(map(str, mask_to_points(p.generator))) + "}" for p in lifted.points
+    ]
+    return _order_dot(name, lifted.space, "f", labels)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import BoundExceeded, InvalidInput, NotOpen
 
@@ -31,6 +31,15 @@ def mask_of(points: Iterable[int], n: int) -> int:
 
 def mask_to_points(mask: int) -> tuple[int, ...]:
     return tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
+
+
+def image_under(arr: Sequence[int], mask: int) -> int:
+    """Image of the subset ``mask`` under the point map ``arr``."""
+    m = 0
+    for x, fx in enumerate(arr):
+        if mask >> x & 1:
+            m |= 1 << fx
+    return m
 
 
 @dataclass(frozen=True, slots=True)
@@ -78,9 +87,6 @@ class FiniteSpace:
     def is_open(self, mask: int) -> bool:
         return mask in self._open_set
 
-    def is_closed(self, mask: int) -> bool:
-        return self.full ^ mask in self._open_set
-
     def __repr__(self) -> str:  # compact; opens as point lists
         body = ",".join("{" + ",".join(map(str, mask_to_points(o))) + "}" for o in self.opens)
         return f"Space({self.n}; {body})"
@@ -116,11 +122,7 @@ class ContinuousMap:
         return m
 
     def image(self, mask: int) -> int:
-        m = 0
-        for x, fx in enumerate(self.map):
-            if mask >> x & 1:
-                m |= 1 << fx
-        return m
+        return image_under(self.map, mask)
 
     @property
     def is_injective(self) -> bool:
@@ -427,10 +429,6 @@ def _interior_of(space: FiniteSpace, mask: int) -> int:
     return m
 
 
-def is_stably_compact(space: FiniteSpace) -> bool:
-    return classify(space).is_stably_compact
-
-
 @lru_cache(maxsize=None)
 def enumerate_continuous_maps(dom: FiniteSpace, cod: FiniteSpace) -> tuple[ContinuousMap, ...]:
     """All continuous maps dom -> cod, in lexicographic order of the map array."""
@@ -439,6 +437,25 @@ def enumerate_continuous_maps(dom: FiniteSpace, cod: FiniteSpace) -> tuple[Conti
         if _is_continuous(dom, cod, arr):
             out.append(ContinuousMap(dom, cod, arr))
     return tuple(out)
+
+
+def restriction_counts(
+    pre: ContinuousMap,
+    cod: FiniteSpace,
+    keep: Callable[[ContinuousMap], bool] | None = None,
+) -> dict[tuple[int, ...], int]:
+    """How many continuous phi: pre.cod -> cod restrict along ``pre`` to each map.
+
+    Every phi is enumerated once and tallied under the map array of
+    ``phi . pre``; ``keep``, when given, admits only the phi it accepts.  A
+    map f: pre.dom -> cod has ``counts.get(f.map, 0)`` mediators.
+    """
+    counts: dict[tuple[int, ...], int] = {}
+    for phi in enumerate_continuous_maps(pre.cod, cod):
+        if keep is None or keep(phi):
+            key = tuple(phi.map[v] for v in pre.map)
+            counts[key] = counts.get(key, 0) + 1
+    return counts
 
 
 def _is_continuous(dom: FiniteSpace, cod: FiniteSpace, arr: Sequence[int]) -> bool:
@@ -467,21 +484,9 @@ def find_homeomorphism(a: FiniteSpace, b: FiniteSpace) -> ContinuousMap | None:
         return None
     opens_b = set(b.opens)
     for perm in itertools.permutations(range(b.n)):
-        if {_image_under(perm, o) for o in a.opens} == opens_b:
+        if {image_under(perm, o) for o in a.opens} == opens_b:
             return ContinuousMap(a, b, perm)
     return None
-
-
-def _image_under(perm: Sequence[int], mask: int) -> int:
-    m = 0
-    for x in range(len(perm)):
-        if mask >> x & 1:
-            m |= 1 << perm[x]
-    return m
-
-
-def are_homeomorphic(a: FiniteSpace, b: FiniteSpace) -> bool:
-    return find_homeomorphism(a, b) is not None
 
 
 def inverse_map(f: ContinuousMap) -> ContinuousMap:

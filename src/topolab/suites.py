@@ -7,7 +7,9 @@ reproducible run to run.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
+from typing import Iterable
 
 from .corpus import (
     MAX_POINTS,
@@ -20,7 +22,14 @@ from .corpus import (
     spaces_up_to,
 )
 from .divergences import DIVERGENCES
-from .errors import InvalidInput, UnknownFault, UnknownSuite
+from .errors import (
+    HypothesisViolated,
+    InvalidInput,
+    NoSplitting,
+    NotWellDefined,
+    UnknownFault,
+    UnknownSuite,
+)
 from .filters import CLOSED_PRIME, OPEN_PRIME, ULTRA, lift_space, member_set, unit
 from .frames import (
     LATTICE_ENUM_CAP,
@@ -38,6 +47,7 @@ from .monadlab import (
     MonadSpec,
     NatTransSpec,
     ReflectorSpec,
+    algebra_structure,
     alpha_transformation,
     check_functor_laws,
     check_idempotent,
@@ -56,11 +66,10 @@ from .monadlab import (
     universal_separation,
 )
 from .reflectors import (
+    REFLECT_OPS,
     check_patch_couniversal,
     check_reflector_universal,
     hausdorff_reflect,
-    in_hausdorff,
-    in_sober,
     in_t0,
     sobrify,
     t0_reflect,
@@ -82,6 +91,7 @@ from .spaces import (
     is_proper,
     minimal_neighborhood,
     patch_topology,
+    restriction_counts,
     specialization,
     way_below_open,
     way_below_via_subset,
@@ -90,12 +100,11 @@ from .spaces import (
 
 @dataclass(frozen=True)
 class RunBounds:
-    """Corpus bounds for one suite invocation."""
+    """Corpus bounds for one suite invocation; spaces are homeomorphism classes."""
 
     max_points: int = 4  # law-style checks run on classes up to this size
     map_points: int = 3  # map-quantified checks use this smaller corpus
     epi_cap: int = 4  # codomain size bound for epimorphism quantification
-    up_to_homeo: bool = True
     lattice_cap: int = 8
     mono_lattice_cap: int = 6
     fault: str | None = None
@@ -123,6 +132,10 @@ _FAULT_KIND = {
     "ultra-mult-swap": ULTRA,
     "pcf-mult-swap": CLOSED_PRIME,
 }
+
+# a suite that cannot build the objects its claim is about fails with this
+# exception as its witness instead of ending the run
+_CONSTRUCTION_FAILURES = (NotWellDefined, HypothesisViolated, NoSplitting)
 
 
 def _swap_first_two(space: FiniteSpace) -> ContinuousMap:
@@ -153,15 +166,10 @@ def _monad(kind: str, bounds: RunBounds) -> MonadSpec:
     return base
 
 
-def _coarsened_t0(space: FiniteSpace):
-    return hausdorff_reflect(space)
-
-
 def _reflector(name: str, bounds: RunBounds) -> ReflectorSpec:
-    base = reflector_spec(name)
     if bounds.fault == "t0-coarsen" and name == "t0":
-        return ReflectorSpec("t0!", _coarsened_t0, in_t0)
-    return base
+        return ReflectorSpec("t0!", hausdorff_reflect, in_t0)
+    return reflector_spec(name)
 
 
 def _composite(reflector: str, kind: str, bounds: RunBounds) -> MonadSpec:
@@ -176,24 +184,38 @@ def _constant_at_closed_point(space: FiniteSpace) -> ContinuousMap:
     return ContinuousMap(space, space, tuple(0 for _ in range(space.n)))
 
 
-def _spaces(bounds: RunBounds, points: int) -> tuple[FiniteSpace, ...]:
-    return spaces_up_to(points, bounds.up_to_homeo)
-
-
-def _maps(bounds: RunBounds) -> tuple[ContinuousMap, ...]:
-    return maps_between(_spaces(bounds, bounds.map_points))
-
-
 def _class_spaces(bounds: RunBounds, predicate) -> tuple[FiniteSpace, ...]:
-    return tuple(s for s in spaces_up_to(bounds.epi_cap, True) if predicate(s))
+    return tuple(s for s in spaces_up_to(bounds.epi_cap) if predicate(s))
 
 
-def _desc(bounds: RunBounds, points: int) -> str:
-    return f"classes<={points} ({len(_spaces(bounds, points))})"
+def _desc(points: int) -> str:
+    return f"classes<={points} ({len(spaces_up_to(points))})"
 
 
-def _map_desc(bounds: RunBounds) -> str:
-    return f"{_desc(bounds, bounds.map_points)}, maps={len(_maps(bounds))}"
+def _map_corpus(bounds: RunBounds):
+    """The classes the map-quantified checks run on, every map between them, and a description."""
+    spaces = spaces_up_to(bounds.map_points)
+    maps = maps_between(spaces)
+    return spaces, maps, f"{_desc(bounds.map_points)}, maps={len(maps)}"
+
+
+def _verdict(
+    check_id: str, corpus: str, witnesses: Iterable[str], note: str = ""
+) -> CheckReport:
+    """FAIL with the first non-empty witness, or PASS when there is none.
+
+    ``witnesses`` is consumed lazily and dropped at the first failure: a
+    generator that yields a witness is never resumed, so it need not stop.
+    """
+    for witness in witnesses:
+        if witness:
+            return failed(check_id, corpus, witness)
+    return passed(check_id, corpus, note=note)
+
+
+def _noted(report: CheckReport, note: str) -> CheckReport:
+    """A passing report with the note on the finite-scale divergence it rests on."""
+    return passed(report.check_id, report.corpus, note=note) if report.ok else report
 
 
 # ---------------------------------------------------------------------------
@@ -201,8 +223,8 @@ def _map_desc(bounds: RunBounds) -> str:
 
 
 def suite_monad_laws(bounds: RunBounds) -> list[CheckReport]:
-    spaces = _spaces(bounds, bounds.max_points)
-    desc = _desc(bounds, bounds.max_points)
+    spaces = spaces_up_to(bounds.max_points)
+    desc = _desc(bounds.max_points)
     return [
         check_monad_laws(_monad(kind, bounds), spaces, f"monad-laws[{label}]", desc)
         for kind, label in ((ULTRA, "U"), (OPEN_PRIME, "S"), (CLOSED_PRIME, "P"))
@@ -210,41 +232,48 @@ def suite_monad_laws(bounds: RunBounds) -> list[CheckReport]:
 
 
 def suite_prop_3_4(bounds: RunBounds) -> list[CheckReport]:
-    spaces = _spaces(bounds, bounds.map_points)
-    maps = _maps(bounds)
-    desc = _map_desc(bounds)
+    spaces, maps, desc = _map_corpus(bounds)
     u = _monad(ULTRA, bounds)
-    out = []
-    for kind, label in ((OPEN_PRIME, "S"), (CLOSED_PRIME, "P")):
-        out.append(
-            check_monad_morphism(
-                alpha_transformation(kind), u, _monad(kind, bounds), spaces, maps,
-                f"prop3.4[alpha->{label}]", desc,
-            )
+    out = [
+        check_monad_morphism(
+            alpha_transformation(kind), u, _monad(kind, bounds), spaces, maps,
+            f"prop3.4[alpha->{label}]", desc,
         )
-    surj = all(
-        alpha_transformation(CLOSED_PRIME).at(s).is_surjective for s in spaces
-    )
+        for kind, label in ((OPEN_PRIME, "S"), (CLOSED_PRIME, "P"))
+    ]
+    onto = alpha_transformation(CLOSED_PRIME)
     out.append(
-        passed("prop3.4[alpha-onto-P]", desc)
-        if surj
-        else failed("prop3.4[alpha-onto-P]", desc, "comparison not surjective")
+        _verdict(
+            "prop3.4[alpha-onto-P]", desc,
+            ("comparison not surjective" for s in spaces if not onto.at(s).is_surjective),
+        )
     )
     return out
 
 
+def _descent(
+    gamma: NatTransSpec, reflector: str, target: MonadSpec, bounds: RunBounds
+) -> NatTransSpec:
+    """The descent of gamma: U -> target through the reflector, by universal separation."""
+    spaces, maps, _ = _map_corpus(bounds)
+    return universal_separation(
+        gamma, _reflector(reflector, bounds), _monad(ULTRA, bounds), target, spaces, maps
+    )
+
+
 def _natural_homeo_reports(
-    lam: NatTransSpec,
-    source: MonadSpec,
-    target: MonadSpec,
     gamma: NatTransSpec,
-    runit: NatTransSpec,
+    reflector: str,
+    target: MonadSpec,
     bounds: RunBounds,
     prefix: str,
 ) -> list[CheckReport]:
-    spaces = _spaces(bounds, bounds.map_points)
-    maps = _maps(bounds)
-    desc = _map_desc(bounds)
+    """The descent of gamma is a monad morphism out of the composite and a
+    natural homeomorphism, and it is the only map through which gamma descends."""
+    spaces, maps, desc = _map_corpus(bounds)
+    lam = _descent(gamma, reflector, target, bounds)
+    runit = reflection_onto_composite(_reflector(reflector, bounds), _monad(ULTRA, bounds))
+    source = _composite(reflector, ULTRA, bounds)
     out = [
         check_monad_morphism(lam, source, target, spaces, maps, f"{prefix}[monad-morphism]", desc)
     ]
@@ -264,30 +293,19 @@ def _natural_homeo_reports(
 
 
 def suite_prop_3_6(bounds: RunBounds) -> list[CheckReport]:
-    spaces = _spaces(bounds, bounds.map_points)
-    maps = _maps(bounds)
-    desc = _map_desc(bounds)
-    u = _monad(ULTRA, bounds)
-    s_monad = _monad(OPEN_PRIME, bounds)
     composite = _composite("t0", ULTRA, bounds)
-    out = [check_monad_laws(composite, spaces, "prop3.6[composite-laws]", desc)]
-    lam = universal_separation(
-        alpha_transformation(OPEN_PRIME), "t0", u, s_monad, spaces, maps
-    )
-    out.extend(
-        _natural_homeo_reports(
-            lam, composite, s_monad,
-            alpha_transformation(OPEN_PRIME),
-            reflection_onto_composite("t0", u),
-            bounds, "prop3.6",
-        )
-    )
-    return out
+    spaces, _, desc = _map_corpus(bounds)
+    return [
+        check_monad_laws(composite, spaces, "prop3.6[composite-laws]", desc),
+        *_natural_homeo_reports(
+            alpha_transformation(OPEN_PRIME), "t0", _monad(OPEN_PRIME, bounds), bounds, "prop3.6"
+        ),
+    ]
 
 
 def suite_prop_3_7(bounds: RunBounds) -> list[CheckReport]:
-    spaces = _spaces(bounds, bounds.max_points)
-    desc = _desc(bounds, bounds.max_points)
+    spaces = spaces_up_to(bounds.max_points)
+    desc = _desc(bounds.max_points)
     reflect = _reflector("t0", bounds).reflect
     for space in spaces:
         rx, r = reflect(space)
@@ -304,66 +322,45 @@ def suite_prop_3_7(bounds: RunBounds) -> list[CheckReport]:
 
 def suite_thm_4_1(bounds: RunBounds) -> list[CheckReport]:
     """The componentwise reflection is a morphism of monads onto the composite."""
-    spaces = _spaces(bounds, bounds.map_points)
-    maps = _maps(bounds)
-    desc = _map_desc(bounds)
+    spaces, maps, desc = _map_corpus(bounds)
+    t0 = _reflector("t0", bounds)
     out = []
     for kind, label in ((ULTRA, "U"), (OPEN_PRIME, "S"), (CLOSED_PRIME, "P")):
         monad = _monad(kind, bounds)
-        composite = compose_reflector_monad(_reflector("t0", bounds), monad)
         out.append(
             check_monad_morphism(
-                reflection_onto_composite(_reflector("t0", bounds), monad),
-                monad, composite, spaces, maps, f"thm4.1[r{label}]", desc,
+                reflection_onto_composite(t0, monad),
+                monad, compose_reflector_monad(t0, monad), spaces, maps,
+                f"thm4.1[r{label}]", desc,
             )
         )
     return out
 
 
 def suite_thm_4_6(bounds: RunBounds) -> list[CheckReport]:
-    spaces = _spaces(bounds, bounds.map_points)
-    desc = _desc(bounds, bounds.map_points)
-    out = []
+    spaces = spaces_up_to(bounds.map_points)
     t0 = _reflector("t0", bounds)
-    for kind, label in ((ULTRA, "U"), (OPEN_PRIME, "S"), (CLOSED_PRIME, "P")):
-        monad = _monad(kind, bounds)
+
+    def witnesses(monad: MonadSpec):
         for space in spaces:
             rtx = t0.obj(monad.obj(space))
             eta = monad.unit.at(rtx)
-            beta = find_splitting(eta)
-            if beta is None:
-                out.append(
-                    failed(f"thm4.6[{label}]", desc, f"unit at {rtx!r} does not split")
-                )
-                break
-            b = _algebra_structure(t0, monad, space)
+            if find_splitting(eta) is None:
+                yield f"unit at {rtx!r} does not split"
+            b = algebra_structure(t0, monad, space)
             if compose(b, eta).map != identity_map(rtx).map:
-                out.append(failed(f"thm4.6[{label}]", desc, f"b.unit != id at {space!r}"))
-                break
-            lhs = compose(b, monad.mor(b))
-            rhs = compose(b, monad.mult.at(rtx))
-            if lhs.map != rhs.map:
-                out.append(failed(f"thm4.6[{label}]", desc, f"b not a structure at {space!r}"))
-                break
-        else:
-            out.append(passed(f"thm4.6[{label}]", desc))
-    return out
+                yield f"b.unit != id at {space!r}"
+            if compose(b, monad.mor(b)).map != compose(b, monad.mult.at(rtx)).map:
+                yield f"b not a structure at {space!r}"
 
-
-def _algebra_structure(R: ReflectorSpec, T: MonadSpec, space: FiniteSpace) -> ContinuousMap:
-    """Structure morphism on the reflected free object, per the splitting recipe."""
-    tx = T.obj(space)
-    eta_tx = T.unit.at(tx)
-    r_eta = R.mor(eta_tx)
-    t_r_eta = T.mor(r_eta)
-    rttx = R.obj(T.obj(tx))
-    beta = find_splitting(T.unit.at(rttx))
-    r_mu = R.mor(T.mult.at(space))
-    return compose(r_mu, compose(beta, t_r_eta))
+    return [
+        _verdict(f"thm4.6[{label}]", _desc(bounds.map_points), witnesses(_monad(kind, bounds)))
+        for kind, label in ((ULTRA, "U"), (OPEN_PRIME, "S"), (CLOSED_PRIME, "P"))
+    ]
 
 
 def suite_lemma_4_5(bounds: RunBounds) -> list[CheckReport]:
-    spaces = _spaces(bounds, bounds.map_points)
+    spaces = spaces_up_to(bounds.map_points)
     out = []
     for rname, kind, label in (
         ("t0", ULTRA, "t0,U"),
@@ -376,76 +373,67 @@ def suite_lemma_4_5(bounds: RunBounds) -> list[CheckReport]:
             check_unit_transition_epi(
                 reflector, _monad(kind, bounds), spaces, codomains,
                 f"lemma4.5[{label}]",
-                f"{_desc(bounds, bounds.map_points)}, codomains<={bounds.epi_cap}",
+                f"{_desc(bounds.map_points)}, codomains<={bounds.epi_cap}",
             )
         )
     return out
 
 
 def suite_lemma_4_8(bounds: RunBounds) -> list[CheckReport]:
-    spaces = _spaces(bounds, bounds.map_points)
-    desc = _desc(bounds, bounds.map_points)
+    spaces = spaces_up_to(bounds.map_points)
+    desc = _desc(bounds.map_points)
     composite = _composite("t0", ULTRA, bounds)
     out = [
         check_idempotent(composite, spaces, "lemma4.8[t0.U-idempotent]", desc),
-        check_idempotent(
-            _monad(ULTRA, bounds), spaces, "lemma4.8[U-idempotent]", desc,
+        _noted(
+            check_idempotent(_monad(ULTRA, bounds), spaces, "lemma4.8[U-idempotent]", desc),
+            DIVERGENCES["ultra-idempotent"][:64] + "...",
         ),
     ]
-    if out[-1].ok:
-        out[-1] = passed(
-            "lemma4.8[U-idempotent]", desc, note=DIVERGENCES["ultra-idempotent"][:64] + "..."
-        )
-    for kind, label in ((OPEN_PRIME, "S"), (CLOSED_PRIME, "P")):
-        monad = _monad(kind, bounds)
+
+    def moved(monad: MonadSpec):
         for space in spaces:
             value = monad.obj(space)
-            rx, r = t0_reflect(value)
-            if rx != value or r.map != identity_map(value).map:
-                out.append(
-                    failed(f"lemma4.8[{label}-fixed-point]", desc, f"at {space!r}")
-                )
-                break
-        else:
-            out.append(passed(f"lemma4.8[{label}-fixed-point]", desc))
+            if t0_reflect(value) != (value, identity_map(value)):
+                yield f"at {space!r}"
+
+    out += [
+        _verdict(f"lemma4.8[{label}-fixed-point]", desc, moved(_monad(kind, bounds)))
+        for kind, label in ((OPEN_PRIME, "S"), (CLOSED_PRIME, "P"))
+    ]
     return out
 
 
 def suite_prop_4_9(bounds: RunBounds) -> list[CheckReport]:
-    spaces = _spaces(bounds, bounds.map_points)
-    desc = _desc(bounds, bounds.map_points)
+    spaces = spaces_up_to(bounds.map_points)
     composite = _composite("t0", ULTRA, bounds)
     t0 = _reflector("t0", bounds)
-    for x_space in spaces:
-        rx = t0.obj(x_space)
-        unit_rx = composite.unit.at(rx)
-        free_rx = composite.obj(rx)
-        struct_rx = composite.mult.at(rx)
-        for z_space in spaces:
-            algebra = composite.obj(z_space)
-            struct_z = composite.mult.at(z_space)
-            for f in enumerate_continuous_maps(rx, algebra):
-                mediators = [
-                    phi
-                    for phi in enumerate_continuous_maps(free_rx, algebra)
-                    if compose(phi, unit_rx).map == f.map
-                    and compose(phi, struct_rx).map
-                    == compose(struct_z, composite.mor(phi)).map
-                ]
-                if len(mediators) != 1:
-                    return [
-                        failed(
-                            "prop4.9", desc,
-                            f"{len(mediators)} mediators for f={f.map} on {x_space!r}->{z_space!r}",
-                        )
-                    ]
-    return [passed("prop4.9", desc)]
+
+    def witnesses():
+        for x_space in spaces:
+            rx = t0.obj(x_space)
+            unit_rx = composite.unit.at(rx)
+            struct_rx = composite.mult.at(rx)
+            for z_space in spaces:
+                algebra = composite.obj(z_space)
+                struct_z = composite.mult.at(z_space)
+                counts = restriction_counts(
+                    unit_rx, algebra,
+                    keep=lambda phi: compose(phi, struct_rx).map
+                    == compose(struct_z, composite.mor(phi)).map,
+                )
+                for f in enumerate_continuous_maps(rx, algebra):
+                    n = counts.get(f.map, 0)
+                    if n != 1:
+                        yield f"{n} mediators for f={f.map} on {x_space!r}->{z_space!r}"
+
+    return [_verdict("prop4.9", _desc(bounds.map_points), witnesses())]
 
 
 def suite_prop_4_10(bounds: RunBounds) -> list[CheckReport]:
-    spaces = _spaces(bounds, bounds.map_points)
-    codomains = spaces_up_to(bounds.epi_cap, True)
-    desc = f"{_desc(bounds, bounds.map_points)}, codomains<={bounds.epi_cap}"
+    spaces = spaces_up_to(bounds.map_points)
+    codomains = spaces_up_to(bounds.epi_cap)
+    desc = f"{_desc(bounds.map_points)}, codomains<={bounds.epi_cap}"
     return [
         fakir_test(_composite("t0", ULTRA, bounds), spaces, codomains, "prop4.10[t0.U]", desc),
         fakir_test(identity_monad(), spaces, codomains, "prop4.10[Id]", desc),
@@ -454,189 +442,150 @@ def suite_prop_4_10(bounds: RunBounds) -> list[CheckReport]:
 
 
 def suite_thm_4_11(bounds: RunBounds) -> list[CheckReport]:
-    spaces = _spaces(bounds, bounds.map_points)
-    maps = _maps(bounds)
-    u = _monad(ULTRA, bounds)
-    p = _monad(CLOSED_PRIME, bounds)
-    lam = universal_separation(
-        alpha_transformation(CLOSED_PRIME), "t0", u, p, spaces, maps
-    )
     return _natural_homeo_reports(
-        lam, _composite("t0", ULTRA, bounds), p,
-        alpha_transformation(CLOSED_PRIME),
-        reflection_onto_composite("t0", u),
-        bounds, "thm4.11",
+        alpha_transformation(CLOSED_PRIME), "t0", _monad(CLOSED_PRIME, bounds), bounds, "thm4.11"
     )
 
 
 def suite_prop_5_1(bounds: RunBounds) -> list[CheckReport]:
-    spaces = _spaces(bounds, bounds.map_points)
-    desc = _desc(bounds, bounds.map_points)
+    spaces = spaces_up_to(bounds.map_points)
     u = _monad(ULTRA, bounds)
-    for x_space in spaces:
-        eta_x = u.unit.at(x_space)
-        for y_space in spaces:
-            struct = inverse_map(u.unit.at(y_space))  # the unique algebra structure
-            for f in enumerate_continuous_maps(x_space, y_space):
-                homs = [
-                    phi
-                    for phi in enumerate_continuous_maps(u.obj(x_space), y_space)
-                    if compose(phi, eta_x).map == f.map
-                    and compose(phi, u.mult.at(x_space)).map
-                    == compose(struct, u.mor(phi)).map
-                ]
-                if len(homs) != 1:
-                    return [
-                        failed("prop5.1", desc, f"{len(homs)} algebra maps for f={f.map}")
-                    ]
-    return [passed("prop5.1", desc)]
+
+    def witnesses():
+        for x_space in spaces:
+            eta_x = u.unit.at(x_space)
+            mu_x = u.mult.at(x_space)
+            for y_space in spaces:
+                struct = inverse_map(u.unit.at(y_space))  # the unique algebra structure
+                counts = restriction_counts(
+                    eta_x, y_space,
+                    keep=lambda phi: compose(phi, mu_x).map == compose(struct, u.mor(phi)).map,
+                )
+                for f in enumerate_continuous_maps(x_space, y_space):
+                    n = counts.get(f.map, 0)
+                    if n != 1:
+                        yield f"{n} algebra maps for f={f.map}"
+
+    return [_verdict("prop5.1", _desc(bounds.map_points), witnesses())]
 
 
 def suite_prop_5_2(bounds: RunBounds) -> list[CheckReport]:
-    spaces = _spaces(bounds, bounds.map_points)
+    spaces = spaces_up_to(bounds.map_points)
     targets = _class_spaces(bounds, lambda s: classify(s).is_stably_compact)
-    desc = f"{_desc(bounds, bounds.map_points)}, stably compact targets<={bounds.epi_cap}"
-    out = []
-    for x_space in spaces:
-        e = unit(OPEN_PRIME, x_space)
-        for y_space in targets:
-            by_restriction: dict[tuple[int, ...], int] = {}
-            for phi in enumerate_continuous_maps(e.cod, y_space):
-                key = compose(phi, e).map
-                by_restriction[key] = by_restriction.get(key, 0) + 1
-                if not is_proper(phi):
-                    out.append(
-                        failed("prop5.2[universal]", desc, f"mediator not proper at {x_space!r}")
-                    )
-                    return out
-            for f in enumerate_continuous_maps(x_space, y_space):
-                if by_restriction.get(f.map, 0) != 1:
-                    out.append(
-                        failed(
-                            "prop5.2[universal]", desc,
-                            f"{by_restriction.get(f.map, 0)} mediators for f={f.map} "
-                            f"on {x_space!r} -> {y_space!r}",
-                        )
-                    )
-                    return out
-    out.append(passed("prop5.2[universal]", desc))
-    for x_space in spaces:
-        e = unit(OPEN_PRIME, x_space)
-        initial = {e.preimage(o) for o in e.cod.opens} == set(x_space.opens)
-        embedding = e.is_injective and initial
-        if embedding != classify(x_space).is_T0:
-            out.append(
-                failed("prop5.2[embedding-iff-T0]", desc, f"at {x_space!r}")
-            )
-            return out
-    out.append(passed("prop5.2[embedding-iff-T0]", desc))
-    return out
+    desc = f"{_desc(bounds.map_points)}, stably compact targets<={bounds.epi_cap}"
+
+    def universal():
+        for x_space in spaces:
+            e = unit(OPEN_PRIME, x_space)
+            for y_space in targets:
+                if not all(map(is_proper, enumerate_continuous_maps(e.cod, y_space))):
+                    yield f"mediator not proper at {x_space!r}"
+                counts = restriction_counts(e, y_space)
+                for f in enumerate_continuous_maps(x_space, y_space):
+                    n = counts.get(f.map, 0)
+                    if n != 1:
+                        yield f"{n} mediators for f={f.map} on {x_space!r} -> {y_space!r}"
+
+    def embedding_iff_t0():
+        for x_space in spaces:
+            e = unit(OPEN_PRIME, x_space)
+            initial = {e.preimage(o) for o in e.cod.opens} == set(x_space.opens)
+            if (e.is_injective and initial) != classify(x_space).is_T0:
+                yield f"at {x_space!r}"
+
+    return [
+        _verdict("prop5.2[universal]", desc, universal()),
+        _verdict("prop5.2[embedding-iff-T0]", desc, embedding_iff_t0()),
+    ]
 
 
 def suite_prop_5_4(bounds: RunBounds) -> list[CheckReport]:
-    spaces = _spaces(bounds, bounds.map_points)
-    maps = _maps(bounds)
-    desc = _map_desc(bounds)
-    u = _monad(ULTRA, bounds)
+    spaces, maps, desc = _map_corpus(bounds)
     s_monad = _monad(OPEN_PRIME, bounds)
     p_monad = _monad(CLOSED_PRIME, bounds)
-    phi = universal_separation(
-        alpha_transformation(OPEN_PRIME), "t0", u, s_monad, spaces, maps
-    )
-    lam = universal_separation(
-        alpha_transformation(CLOSED_PRIME), "t0", u, p_monad, spaces, maps
-    )
+    phi = _descent(alpha_transformation(OPEN_PRIME), "t0", s_monad, bounds)
+    lam = _descent(alpha_transformation(CLOSED_PRIME), "t0", p_monad, bounds)
     psi = NatTransSpec(
         "open-to-closed", s_monad.functor, p_monad.functor,
         lambda s: compose(lam.at(s), inverse_map(phi.at(s))),
     )
-    out = [
-        check_monad_morphism(psi, s_monad, p_monad, spaces, maps, "prop5.4[morphism]", desc)
+    return [
+        check_monad_morphism(psi, s_monad, p_monad, spaces, maps, "prop5.4[morphism]", desc),
+        _verdict(
+            "prop5.4[iso]", desc,
+            (f"component at {s!r}" for s in spaces if not is_homeomorphism(psi.at(s))),
+        ),
     ]
-    if all(is_homeomorphism(psi.at(s)) for s in spaces):
-        out.append(passed("prop5.4[iso]", desc))
-    else:
-        bad = next(s for s in spaces if not is_homeomorphism(psi.at(s)))
-        out.append(failed("prop5.4[iso]", desc, f"component at {bad!r}"))
-    return out
 
 
 def suite_prop_5_7(bounds: RunBounds) -> list[CheckReport]:
-    spaces = _spaces(bounds, bounds.map_points)
-    maps = _maps(bounds)
-    desc = _map_desc(bounds)
-    u = _monad(ULTRA, bounds)
-    s_monad = _monad(OPEN_PRIME, bounds)
+    spaces, _, desc = _map_corpus(bounds)
     hu = _composite("hausdorff", ULTRA, bounds)
     hs = _composite("hausdorff", OPEN_PRIME, bounds)
-    h_sigma = reflection_onto_composite("hausdorff", s_monad)
+    hausdorff = _reflector("hausdorff", bounds)
+    h_sigma = reflection_onto_composite(hausdorff, _monad(OPEN_PRIME, bounds))
     gamma = NatTransSpec(
-        "h-alpha", u.functor, hs.functor,
+        "h-alpha", _monad(ULTRA, bounds).functor, hs.functor,
         lambda s: compose(h_sigma.at(s), alpha_transformation(OPEN_PRIME).at(s)),
     )
-    lam = universal_separation(gamma, "hausdorff", u, hs, spaces, maps)
-    out = _natural_homeo_reports(
-        lam, hu, hs, gamma, reflection_onto_composite("hausdorff", u), bounds, "prop5.7"
+    out = _natural_homeo_reports(gamma, "hausdorff", hs, bounds, "prop5.7")
+
+    def components():
+        for space in spaces:
+            parts, quotient = hausdorff_reflect(space)
+            for monad in (hu, hs):
+                if find_homeomorphism(monad.obj(space), parts) is None:
+                    yield f"{monad.name} at {space!r}"
+            unit_map = hu.unit.at(space)
+            fibers = {}
+            for x in range(space.n):
+                fibers.setdefault(unit_map(x), set()).add(quotient(x))
+            if any(len(v) != 1 for v in fibers.values()):
+                yield f"unit fibers at {space!r}"
+
+    def not_compact_hausdorff(space: FiniteSpace) -> bool:
+        value = classify(hu.obj(space))
+        return not (value.is_hausdorff and value.is_stably_compact)
+
+    out.append(_verdict("prop5.7[components]", desc, components()))
+    out.append(
+        _verdict(
+            "prop5.7[compact-hausdorff]", desc,
+            (f"at {s!r}" for s in spaces if not_compact_hausdorff(s)),
+        )
     )
-    for space in spaces:
-        components, quotient = hausdorff_reflect(space)
-        for monad in (hu, hs):
-            obj = monad.obj(space)
-            if find_homeomorphism(obj, components) is None:
-                out.append(
-                    failed("prop5.7[components]", desc, f"{monad.name} at {space!r}")
-                )
-                return out
-        value = hu.obj(space)
-        if not (classify(value).is_hausdorff and classify(value).is_stably_compact):
-            out.append(failed("prop5.7[compact-hausdorff]", desc, f"at {space!r}"))
-            return out
-        unit_map = hu.unit.at(space)
-        fibers = {}
-        for x in range(space.n):
-            fibers.setdefault(unit_map(x), set()).add(quotient(x))
-        if any(len(v) != 1 for v in fibers.values()):
-            out.append(failed("prop5.7[components]", desc, f"unit fibers at {space!r}"))
-            return out
-    out.append(passed("prop5.7[components]", desc))
-    out.append(passed("prop5.7[compact-hausdorff]", desc))
     return out
 
 
 def suite_lemma_2_6(bounds: RunBounds) -> list[CheckReport]:
-    spaces = tuple(
-        s for s in _spaces(bounds, bounds.map_points) if classify(s).is_stably_compact
-    )
-    sources = tuple(
-        s for s in _spaces(bounds, bounds.map_points) if classify(s).is_hausdorff
-    )
+    small = spaces_up_to(bounds.map_points)
+    spaces = tuple(s for s in small if classify(s).is_stably_compact)
+    sources = tuple(s for s in small if classify(s).is_hausdorff)
     desc = f"{len(spaces)} stably compact spaces, {len(sources)} compact Hausdorff sources"
-    for space in spaces:
-        report = check_patch_couniversal(space, sources)
-        if not report.ok:
-            return [failed("lemma2.6", desc, report.witness)]
-    return [passed("lemma2.6", desc)]
+    return [
+        _verdict("lemma2.6", desc, (check_patch_couniversal(s, sources).witness for s in spaces))
+    ]
 
 
 def suite_lemma_5_3(bounds: RunBounds) -> list[CheckReport]:
-    spaces = _spaces(bounds, bounds.map_points)
-    desc = _desc(bounds, bounds.map_points)
-    for space in spaces:
-        lifted = lift_space(ULTRA, space)
-        _, r = t0_reflect(lifted.space)
-        closeds = set(space.closeds)
-        for i, p in enumerate(lifted.points):
-            for j, q in enumerate(lifted.points):
-                same_class = r(i) == r(j)
-                closed_parts_equal = (
-                    tuple(m for m in p.elements if m in closeds)
-                    == tuple(m for m in q.elements if m in closeds)
-                )
-                if same_class != closed_parts_equal:
-                    return [
-                        failed("lemma5.3", desc, f"filters {i},{j} on {space!r}")
-                    ]
-    return [passed("lemma5.3", desc)]
+    spaces = spaces_up_to(bounds.map_points)
+
+    def witnesses():
+        for space in spaces:
+            lifted = lift_space(ULTRA, space)
+            _, r = t0_reflect(lifted.space)
+            closeds = set(space.closeds)
+            for i, p in enumerate(lifted.points):
+                for j, q in enumerate(lifted.points):
+                    same_class = r(i) == r(j)
+                    closed_parts_equal = (
+                        tuple(m for m in p.elements if m in closeds)
+                        == tuple(m for m in q.elements if m in closeds)
+                    )
+                    if same_class != closed_parts_equal:
+                        yield f"filters {i},{j} on {space!r}"
+
+    return [_verdict("lemma5.3", _desc(bounds.map_points), witnesses())]
 
 
 def suite_lemma_5_8(bounds: RunBounds) -> list[CheckReport]:
@@ -660,31 +609,29 @@ def suite_prop_5_9(bounds: RunBounds) -> list[CheckReport]:
 def suite_ideal_comonad(bounds: RunBounds) -> list[CheckReport]:
     lattices = enumerate_lattices(bounds.lattice_cap)
     desc = f"{len(lattices)} frames<= {bounds.lattice_cap}"
-    out = [check_ideal_comonad_laws(lattices, "ideal-comonad[laws]", desc)]
-    for frame in lattices:
-        sup = ideal_supremum(frame)
-        if not (len(set(sup.map)) == frame.k == sup.dom.k):
-            out.append(
-                failed("ideal-comonad[principal]", desc, f"counit not iso on {frame!r}")
-            )
-            break
-    else:
-        out.append(passed("ideal-comonad[principal]", desc))
     reg, incl = reg_coreflect(chain_frame(3))
-    if reg.k == 2 and incl.map == (0, 2):
-        out.append(passed("ideal-comonad[reg-3chain]", "three-element chain"))
-    else:
-        out.append(
-            failed("ideal-comonad[reg-3chain]", "three-element chain", f"got {incl.map}")
-        )
-    return out
+    return [
+        check_ideal_comonad_laws(lattices, "ideal-comonad[laws]", desc),
+        _verdict(
+            "ideal-comonad[principal]", desc,
+            (
+                f"counit not iso on {frame!r}"
+                for frame in lattices
+                for sup in [ideal_supremum(frame)]
+                if not len(set(sup.map)) == frame.k == sup.dom.k
+            ),
+        ),
+        _verdict(
+            "ideal-comonad[reg-3chain]", "three-element chain",
+            ["" if reg.k == 2 and incl.map == (0, 2) else f"got {incl.map}"],
+        ),
+    ]
 
 
 def suite_example_2_2(bounds: RunBounds) -> list[CheckReport]:
-    spaces = _spaces(bounds, bounds.max_points)
-    desc = _desc(bounds, bounds.max_points)
-    example = build_space(3, [{0}])
-    profile = classify(example)
+    spaces = spaces_up_to(bounds.max_points)
+    desc = _desc(bounds.max_points)
+    profile = classify(build_space(3, [{0}]))
     good = (
         profile.is_stable
         and profile.is_locally_compact
@@ -692,105 +639,103 @@ def suite_example_2_2(bounds: RunBounds) -> list[CheckReport]:
         and not profile.is_T0
         and profile.irreducible_closed_sets == (0b110, 0b111)
     )
-    out = [
-        passed("example2.2[classification]", "the three-point witness")
-        if good
-        else failed("example2.2[classification]", "the three-point witness", f"{profile}")
+    sierpinski = classify(build_space(2, [{1}]))
+    profiles = [(space, classify(space)) for space in spaces]
+    return [
+        _verdict(
+            "example2.2[classification]", "the three-point witness",
+            ["" if good else f"{profile}"],
+        ),
+        _verdict(
+            "example2.2[sierpinski]", "two-point chain",
+            ["" if sierpinski.is_stably_compact else "not stably compact"],
+        ),
+        _verdict(
+            "example2.2[all-weakly-sober]", desc,
+            (f"{s!r}" for s, p in profiles if not (p.is_weakly_sober and p.is_salbany)),
+        ),
+        _verdict(
+            "example2.2[stably-compact-iff-T0]", desc,
+            (f"{s!r}" for s, p in profiles if p.is_stably_compact != p.is_T0),
+        ),
     ]
-    sierpinski = build_space(2, [{1}])
-    out.append(
-        passed("example2.2[sierpinski]", "two-point chain")
-        if classify(sierpinski).is_stably_compact
-        else failed("example2.2[sierpinski]", "two-point chain", "not stably compact")
-    )
-    for space in spaces:
-        p = classify(space)
-        if not (p.is_weakly_sober and p.is_salbany):
-            out.append(failed("example2.2[all-weakly-sober]", desc, f"{space!r}"))
-            return out
-        if p.is_stably_compact != p.is_T0:
-            out.append(failed("example2.2[stably-compact-iff-T0]", desc, f"{space!r}"))
-            return out
-    out.append(passed("example2.2[all-weakly-sober]", desc))
-    out.append(passed("example2.2[stably-compact-iff-T0]", desc))
-    return out
 
 
 def suite_topo_invariants(bounds: RunBounds) -> list[CheckReport]:
-    spaces = _spaces(bounds, bounds.max_points)
-    desc = _desc(bounds, bounds.max_points)
-    out = []
-    for space in spaces:
-        if len(space.opens) > SUBFAMILY_ENUM_LIMIT:
-            continue  # the definitional route refuses; shortcut-only beyond
-        for o in space.opens:
-            for under in space.opens:
-                if way_below_open(space, o, under) != way_below_via_subset(space, o, under):
-                    out.append(
-                        failed("invariants[way-below]", desc, f"({o},{under}) on {space!r}")
+    spaces = spaces_up_to(bounds.max_points)
+    desc = _desc(bounds.max_points)
+    # the definitional route refuses past the subfamily limit; shortcut-only beyond
+    way_below = (
+        f"({o},{under}) on {space!r}"
+        for space in spaces
+        if len(space.opens) <= SUBFAMILY_ENUM_LIMIT
+        for o in space.opens
+        for under in space.opens
+        if way_below_open(space, o, under) != way_below_via_subset(space, o, under)
+    )
+    patch = (
+        f"{space!r}"
+        for space in spaces
+        if classify(space).is_stably_compact
+        for patched in [patch_topology(space)]
+        if not classify(patched).is_hausdorff or patch_topology(patched) != patched
+    )
+    order_t0 = (
+        f"{space!r}"
+        for space in spaces
+        if specialization(space).is_antisymmetric != classify(space).is_T0
+    )
+    out = [
+        _verdict(
+            "invariants[way-below]", desc, way_below,
+            note=DIVERGENCES["way-below-is-inclusion"][:60],
+        ),
+        _verdict("invariants[patch]", desc, patch),
+        _verdict("invariants[specialization-T0]", desc, order_t0),
+    ]
+    small = spaces_up_to(bounds.map_points)
+
+    def monotone_vs_continuous():
+        for a in small:
+            order_a = specialization(a).leq
+            for b in small:
+                order_b = specialization(b).leq
+                monotone = [
+                    arr
+                    for arr in itertools.product(range(b.n), repeat=a.n)
+                    if all(
+                        not order_a[x][y] or order_b[arr[x]][arr[y]]
+                        for x in range(a.n)
+                        for y in range(a.n)
                     )
-                    return out
-    out.append(passed("invariants[way-below]", desc, note=DIVERGENCES["way-below-is-inclusion"][:60]))
-    for space in spaces:
-        if classify(space).is_stably_compact:
-            patched = patch_topology(space)
-            if not classify(patched).is_hausdorff or patch_topology(patched) != patched:
-                out.append(failed("invariants[patch]", desc, f"{space!r}"))
-                return out
-        if specialization(space).is_antisymmetric != classify(space).is_T0:
-            out.append(failed("invariants[specialization-T0]", desc, f"{space!r}"))
-            return out
-    out.append(passed("invariants[patch]", desc))
-    out.append(passed("invariants[specialization-T0]", desc))
-    small = _spaces(bounds, bounds.map_points)
-    for a in small:
-        order_a = specialization(a).leq
-        for b in small:
-            order_b = specialization(b).leq
-            monotone = [
-                arr
-                for arr in _all_functions(a.n, b.n)
-                if all(
-                    not order_a[x][y] or order_b[arr[x]][arr[y]]
-                    for x in range(a.n)
-                    for y in range(a.n)
-                )
-            ]
-            continuous = [f.map for f in enumerate_continuous_maps(a, b)]
-            if monotone != continuous:
-                out.append(failed("invariants[continuous=monotone]", desc, f"{a!r}->{b!r}"))
-                return out
-    out.append(passed("invariants[continuous=monotone]", _desc(bounds, bounds.map_points)))
+                ]
+                if monotone != [f.map for f in enumerate_continuous_maps(a, b)]:
+                    yield f"{a!r}->{b!r}"
+
+    out.append(
+        _verdict(
+            "invariants[continuous=monotone]", _desc(bounds.map_points), monotone_vs_continuous()
+        )
+    )
     return out
 
 
-def _all_functions(n: int, m: int) -> list[tuple[int, ...]]:
-    import itertools
-
-    return [arr for arr in itertools.product(range(m), repeat=n)]
-
-
 def suite_reflector_universal(bounds: RunBounds) -> list[CheckReport]:
-    spaces = _spaces(bounds, bounds.map_points)
-    desc = _desc(bounds, bounds.map_points)
-    t0 = _reflector("t0", bounds)
-    return [
-        check_reflector_universal(
-            t0.reflect, spaces, in_t0, "reflector-universal[t0]", desc
-        ),
-        check_reflector_universal(
-            sobrify, spaces, in_sober, "reflector-universal[sober]", desc
-        ),
-        check_reflector_universal(
-            hausdorff_reflect, spaces, in_hausdorff, "reflector-universal[hausdorff]", desc
-        ),
-    ]
+    spaces = spaces_up_to(bounds.map_points)
+    desc = _desc(bounds.map_points)
+    out = []
+    for name in REFLECT_OPS:
+        R = _reflector(name, bounds)
+        out.append(
+            check_reflector_universal(
+                R.reflect, spaces, R.in_class, f"reflector-universal[{name}]", desc
+            )
+        )
+    return out
 
 
 def suite_filter_naturality(bounds: RunBounds) -> list[CheckReport]:
-    spaces = _spaces(bounds, bounds.map_points)
-    maps = _maps(bounds)
-    desc = _map_desc(bounds)
+    spaces, maps, desc = _map_corpus(bounds)
     out = []
     for kind, label in ((ULTRA, "U"), (OPEN_PRIME, "S"), (CLOSED_PRIME, "P")):
         monad = _monad(kind, bounds)
@@ -809,104 +754,83 @@ def suite_filter_naturality(bounds: RunBounds) -> list[CheckReport]:
                 alpha_transformation(kind), maps, f"filters[alpha-natural-{label}]", desc
             )
         )
-    for space in spaces:
-        eta = unit(ULTRA, space)
-        if any(eta.preimage(member_set(ULTRA, space, o)) != o for o in space.opens):
-            out.append(failed("filters[unit-preimage]", desc, f"at {space!r}"))
-            return out
-        for kind in (OPEN_PRIME, CLOSED_PRIME):
-            if not classify(lift_space(kind, space).space).is_stably_compact:
-                out.append(failed("filters[lift-stably-compact]", desc, f"{kind} at {space!r}"))
-                return out
-        gens = {p.generator for p in lift_space(OPEN_PRIME, space).points}
-        hoods = {minimal_neighborhood(space, x) for x in range(space.n)}
-        if gens != hoods:
-            out.append(failed("filters[minimal-neighborhoods]", desc, f"at {space!r}"))
-            return out
-    out.append(passed("filters[unit-preimage]", desc))
-    out.append(passed("filters[lift-stably-compact]", desc))
-    out.append(passed("filters[minimal-neighborhoods]", desc))
+    unit_preimage = (
+        f"at {space!r}"
+        for space in spaces
+        for eta in [unit(ULTRA, space)]
+        if any(eta.preimage(member_set(ULTRA, space, o)) != o for o in space.opens)
+    )
+    stably_compact = (
+        f"{kind} at {space!r}"
+        for space in spaces
+        for kind in (OPEN_PRIME, CLOSED_PRIME)
+        if not classify(lift_space(kind, space).space).is_stably_compact
+    )
+    hoods = (
+        f"at {space!r}"
+        for space in spaces
+        if {p.generator for p in lift_space(OPEN_PRIME, space).points}
+        != {minimal_neighborhood(space, x) for x in range(space.n)}
+    )
+    out.append(_verdict("filters[unit-preimage]", desc, unit_preimage))
+    out.append(_verdict("filters[lift-stably-compact]", desc, stably_compact))
+    out.append(_verdict("filters[minimal-neighborhoods]", desc, hoods))
     return out
 
 
 def suite_prop_3_1(bounds: RunBounds) -> list[CheckReport]:
-    spaces = _spaces(bounds, bounds.map_points)
-    desc = _desc(bounds, bounds.map_points)
-    for space in spaces:
-        lifted = lift_space(ULTRA, space)
-        if not classify(lifted.space).is_salbany:
-            return [failed("prop3.1[salbany]", desc, f"at {space!r}")]
-        eta = unit(ULTRA, space)
-        if find_splitting(eta) is None:
-            return [failed("prop3.1[retraction]", desc, f"at {space!r}")]
-        if not eta.is_surjective:
-            return [failed("prop3.1[patch-dense]", desc, f"at {space!r}")]
+    spaces = spaces_up_to(bounds.map_points)
+    desc = _desc(bounds.map_points)
     return [
-        passed("prop3.1[salbany]", desc),
-        passed("prop3.1[retraction]", desc),
-        passed(
+        _verdict(
+            "prop3.1[salbany]", desc,
+            (f"at {s!r}" for s in spaces if not classify(lift_space(ULTRA, s).space).is_salbany),
+        ),
+        _verdict(
+            "prop3.1[retraction]", desc,
+            (f"at {s!r}" for s in spaces if find_splitting(unit(ULTRA, s)) is None),
+        ),
+        _verdict(
             "prop3.1[patch-dense]", desc,
+            (f"at {s!r}" for s in spaces if not unit(ULTRA, s).is_surjective),
             note=DIVERGENCES["patch-density-vacuous"][:60],
         ),
     ]
 
 
+def _sober_differs(space: FiniteSpace) -> bool:
+    """The sobrification of ``space`` and its T0 quotient are not homeomorphic."""
+    return find_homeomorphism(sobrify(space)[0], t0_reflect(space)[0]) is None
+
+
 def suite_sobriety(bounds: RunBounds) -> list[CheckReport]:
-    spaces = _spaces(bounds, bounds.max_points)
-    desc = _desc(bounds, bounds.max_points)
-    for space in spaces:
-        sx, smap = sobrify(space)
-        rx, _ = t0_reflect(space)
-        if not classify(sx).is_sober:
-            return [failed("sobriety[result-sober]", desc, f"at {space!r}")]
-        if find_homeomorphism(sx, rx) is None:
-            return [failed("sobriety[matches-t0]", desc, f"at {space!r}")]
-        if not smap.is_surjective:
-            return [failed("sobriety[unit-epi]", desc, f"at {space!r}")]
-    small = _spaces(bounds, bounds.map_points)
-    for space in small:
-        ux = lift_space(ULTRA, space).space
-        if find_homeomorphism(sobrify(ux)[0], t0_reflect(ux)[0]) is None:
-            return [failed("sobriety[filter-space]", desc, f"at {space!r}")]
+    spaces = spaces_up_to(bounds.max_points)
+    desc = _desc(bounds.max_points)
+    small = spaces_up_to(bounds.map_points)
     return [
-        passed("sobriety[result-sober]", desc),
-        passed("sobriety[matches-t0]", desc, note=DIVERGENCES["sobrification-is-t0"][:60]),
-        passed("sobriety[unit-epi]", desc),
-        passed("sobriety[filter-space]", _desc(bounds, bounds.map_points)),
+        _verdict(
+            "sobriety[result-sober]", desc,
+            (f"at {s!r}" for s in spaces if not classify(sobrify(s)[0]).is_sober),
+        ),
+        _verdict(
+            "sobriety[matches-t0]", desc,
+            (f"at {s!r}" for s in spaces if _sober_differs(s)),
+            note=DIVERGENCES["sobrification-is-t0"][:60],
+        ),
+        _verdict(
+            "sobriety[unit-epi]", desc,
+            (f"at {s!r}" for s in spaces if not sobrify(s)[1].is_surjective),
+        ),
+        _verdict(
+            "sobriety[filter-space]", _desc(bounds.map_points),
+            (f"at {s!r}" for s in small if _sober_differs(lift_space(ULTRA, s).space)),
+        ),
     ]
 
 
 def suite_divergences(bounds: RunBounds) -> list[CheckReport]:
-    spaces = _spaces(bounds, bounds.map_points)
-    maps = _maps(bounds)
-    desc = _map_desc(bounds)
-    out = []
-    if all(is_proper(f) for f in maps):
-        out.append(passed("divergence[proper]", desc, note=DIVERGENCES["proper-constant-true"][:60]))
-    else:
-        bad = next(f for f in maps if not is_proper(f))
-        out.append(failed("divergence[proper]", desc, f"{bad.map}"))
-    big = _spaces(bounds, bounds.max_points)
-    if all(is_homeomorphism(unit(ULTRA, s)) for s in big):
-        out.append(
-            passed(
-                "divergence[ultra-identity]", _desc(bounds, bounds.max_points),
-                note=DIVERGENCES["ultra-space-identity"][:60],
-            )
-        )
-    else:
-        out.append(failed("divergence[ultra-identity]", desc, "unit not a homeomorphism"))
-    if all(
-        find_homeomorphism(sobrify(s)[0], t0_reflect(s)[0]) is not None for s in big
-    ):
-        out.append(
-            passed(
-                "divergence[sobrify-t0]", _desc(bounds, bounds.max_points),
-                note=DIVERGENCES["sobrification-is-t0"][:60],
-            )
-        )
-    else:
-        out.append(failed("divergence[sobrify-t0]", desc, "sobrification differs"))
+    spaces, maps, desc = _map_corpus(bounds)
+    big = spaces_up_to(bounds.max_points)
     reflector = _reflector("t0", bounds)
     report = check_unit_transition_epi(
         reflector, _monad(ULTRA, bounds), spaces,
@@ -914,53 +838,59 @@ def suite_divergences(bounds: RunBounds) -> list[CheckReport]:
         "divergence[reflected-unit-epi]",
         f"{desc}, codomains<={bounds.epi_cap}",
     )
-    if report.ok:
-        report = passed(
-            report.check_id, report.corpus, note=DIVERGENCES["reflected-unit-epi"][:60]
-        )
-    out.append(report)
-    return out
+    return [
+        _verdict(
+            "divergence[proper]", desc,
+            (f"{f.map}" for f in maps if not is_proper(f)),
+            note=DIVERGENCES["proper-constant-true"][:60],
+        ),
+        _verdict(
+            "divergence[ultra-identity]", _desc(bounds.max_points),
+            ("unit not a homeomorphism" for s in big if not is_homeomorphism(unit(ULTRA, s))),
+            note=DIVERGENCES["ultra-space-identity"][:60],
+        ),
+        _verdict(
+            "divergence[sobrify-t0]", _desc(bounds.max_points),
+            ("sobrification differs" for s in big if _sober_differs(s)),
+            note=DIVERGENCES["sobrification-is-t0"][:60],
+        ),
+        _noted(report, DIVERGENCES["reflected-unit-epi"][:60]),
+    ]
 
 
 def suite_corpus_counts(bounds: RunBounds) -> list[CheckReport]:
-    expected_labeled = {1: 1, 2: 4, 3: 29, 4: 355}
-    expected_classes = {1: 1, 2: 3, 3: 9, 4: 33}
-    out = []
-    for n in range(1, 5):
-        labeled = len(enumerate_spaces(n))
-        recount = recount_topologies(n)
-        classes = len(enumerate_spaces(n, up_to_homeo=True))
-        canonical = _recount_classes(n)
-        if labeled != recount or labeled != expected_labeled[n]:
-            out.append(
-                failed("corpus[labeled]", f"n={n}", f"{labeled} vs recount {recount}")
-            )
-            return out
-        if classes != canonical or classes != expected_classes[n]:
-            out.append(
-                failed("corpus[classes]", f"n={n}", f"{classes} vs recount {canonical}")
-            )
-            return out
-    out.append(passed("corpus[labeled]", "n=1..4 vs subset-family recount"))
-    out.append(passed("corpus[classes]", "n=1..4 vs canonical-form recount"))
+    def mismatches(count, recount, expected):
+        for n in range(1, 5):
+            got, again = count(n), recount(n)
+            if not got == again == expected[n]:
+                yield f"n={n}: {got} vs recount {again}"
+
+    labeled = mismatches(
+        lambda n: len(enumerate_spaces(n)), recount_topologies, {1: 1, 2: 4, 3: 29, 4: 355}
+    )
+    classes = mismatches(
+        lambda n: len(enumerate_spaces(n, up_to_homeo=True)), _recount_classes,
+        {1: 1, 2: 3, 3: 9, 4: 33},
+    )
     birkhoff = lattice_class_counts(6)
     direct = recount_lattices(6)
-    if birkhoff == direct:
-        out.append(passed("corpus[lattices]", "k<=6 vs order-matrix recount"))
-    else:
-        out.append(failed("corpus[lattices]", "k<=6", f"{birkhoff} vs {direct}"))
-    return out
+    return [
+        _verdict("corpus[labeled]", "n=1..4 vs subset-family recount", labeled),
+        _verdict("corpus[classes]", "n=1..4 vs canonical-form recount", classes),
+        _verdict(
+            "corpus[lattices]", "k<=6 vs order-matrix recount",
+            ["" if birkhoff == direct else f"{birkhoff} vs {direct}"],
+        ),
+    ]
 
 
 def _recount_classes(n: int) -> int:
     """Class count by permutation canonicalization, independent of the
     homeomorphism search."""
-    import itertools as it
-
     forms = set()
     for space in enumerate_spaces(n):
         best = None
-        for perm in it.permutations(range(n)):
+        for perm in itertools.permutations(range(n)):
             relabeled = tuple(
                 sorted(
                     sum(1 << perm[x] for x in range(n) if o >> x & 1)
@@ -974,26 +904,27 @@ def _recount_classes(n: int) -> int:
 
 
 def suite_frame_bridge(bounds: RunBounds) -> list[CheckReport]:
-    maps = _maps(bounds)
-    desc = _map_desc(bounds)
-    frame_maps = {}
-    for f in maps:
-        lifted = opens_frame_map(f)
-        if lifted.dom != opens_frame(f.cod) or lifted.cod != opens_frame(f.dom):
-            return [failed("frame-bridge[contravariant]", desc, f"{f.map}")]
-        frame_maps[f] = lifted
-    for f, g, gf in composable_pairs(maps):
-        once = frame_maps.get(gf) or opens_frame_map(gf)
-        twice = compose_frame_maps(frame_maps[f], frame_maps[g])
-        if once.map != twice.map:
-            return [failed("frame-bridge[functorial]", desc, f"{f.map};{g.map}")]
-    e1 = build_space(3, [{0}])
-    if opens_frame(e1).k != 3:
-        return [failed("frame-bridge[chain]", desc, "three-point example")]
+    _, maps, desc = _map_corpus(bounds)
+    frame_maps = {f: opens_frame_map(f) for f in maps}
+    contravariant = (
+        f"{f.map}"
+        for f, lifted in frame_maps.items()
+        if lifted.dom != opens_frame(f.cod) or lifted.cod != opens_frame(f.dom)
+    )
+    functorial = (
+        f"{f.map};{g.map}"
+        for f, g, gf in composable_pairs(maps)
+        if (frame_maps.get(gf) or opens_frame_map(gf)).map
+        != compose_frame_maps(frame_maps[f], frame_maps[g]).map
+    )
+    chain = opens_frame(build_space(3, [{0}])).k
     return [
-        passed("frame-bridge[contravariant]", desc),
-        passed("frame-bridge[functorial]", desc),
-        passed("frame-bridge[chain]", "three-point example"),
+        _verdict("frame-bridge[contravariant]", desc, contravariant),
+        _verdict("frame-bridge[functorial]", desc, functorial),
+        _verdict(
+            "frame-bridge[chain]", "three-point example",
+            ["" if chain == 3 else f"opens frame has {chain} elements"],
+        ),
     ]
 
 
@@ -1053,11 +984,12 @@ def run_suite(suite_id: str, bounds: RunBounds | None = None) -> list[CheckRepor
     _validate_bounds(bounds)
     if bounds.fault is not None and bounds.fault not in FAULTS:
         raise UnknownFault(f"unknown fault {bounds.fault!r}; known: {sorted(FAULTS)}")
-    if suite_id == "all":
-        reports: list[CheckReport] = []
-        for name in SUITES:
-            reports.extend(SUITES[name](bounds))
-        return reports
-    if suite_id not in SUITES:
+    if suite_id != "all" and suite_id not in SUITES:
         raise UnknownSuite(f"unknown suite {suite_id!r}; known: {sorted(SUITES)} or 'all'")
-    return SUITES[suite_id](bounds)
+    reports: list[CheckReport] = []
+    for name in SUITES if suite_id == "all" else [suite_id]:
+        try:
+            reports.extend(SUITES[name](bounds))
+        except _CONSTRUCTION_FAILURES as exc:
+            reports.append(failed(name, "construction", f"{type(exc).__name__}: {exc}"))
+    return reports

@@ -31,6 +31,7 @@ from topolab import (
     is_homeomorphism,
     recount_topologies,
     reflection_onto_composite,
+    reflector_spec,
     run_suite,
     RunBounds,
     universal_separation,
@@ -39,6 +40,8 @@ from topolab.corpus import lattice_class_counts, maps_between, recount_lattices,
 from topolab.monadlab import count_descents, horizontal
 from topolab.suites import FAULT_TARGETS
 
+T0 = reflector_spec("t0")
+HAUSDORFF = reflector_spec("hausdorff")
 PINNED_CHECK_ALL = Path(__file__).resolve().parent.parent / "perfbench" / "check-all.stdout"
 
 
@@ -99,8 +102,8 @@ def test_criterion_3_composite_matches_open_prime(map_corpus):
     spaces, maps = map_corpus
     u = filter_monad(ULTRA)
     s = filter_monad(OPEN_PRIME)
-    composite = compose_reflector_monad("t0", u)
-    phi = universal_separation(alpha_transformation(OPEN_PRIME), "t0", u, s, spaces, maps)
+    composite = compose_reflector_monad(T0, u)
+    phi = universal_separation(alpha_transformation(OPEN_PRIME), T0, u, s, spaces, maps)
     ok = check_monad_laws(composite, spaces).ok
     ok = ok and check_monad_morphism(phi, composite, s, spaces, maps).ok
     for space in spaces:
@@ -116,9 +119,9 @@ def test_criterion_4_universal_separation(map_corpus):
     spaces, maps = map_corpus
     u = filter_monad(ULTRA)
     p = filter_monad(CLOSED_PRIME)
-    lam = universal_separation(alpha_transformation(CLOSED_PRIME), "t0", u, p, spaces, maps)
-    composite = compose_reflector_monad("t0", u)
-    r_u = reflection_onto_composite("t0", u)
+    lam = universal_separation(alpha_transformation(CLOSED_PRIME), T0, u, p, spaces, maps)
+    composite = compose_reflector_monad(T0, u)
+    r_u = reflection_onto_composite(T0, u)
     ok = check_monad_morphism(lam, composite, p, spaces, maps).ok
     for space in spaces_up_to(4, True):  # descent targets up to four points
         alpha_x = alpha_transformation(CLOSED_PRIME).at(space)
@@ -150,8 +153,8 @@ def test_criterion_6_worked_example():
 def test_criterion_7_hausdorff_composites(map_corpus):
     spaces, _ = map_corpus
     ok = _suite_ok("prop5.7") and _suite_ok("lemma2.6")
-    hu = compose_reflector_monad("hausdorff", filter_monad(ULTRA))
-    hs = compose_reflector_monad("hausdorff", filter_monad(OPEN_PRIME))
+    hu = compose_reflector_monad(HAUSDORFF, filter_monad(ULTRA))
+    hs = compose_reflector_monad(HAUSDORFF, filter_monad(OPEN_PRIME))
     for space in spaces:
         components = hausdorff_reflect(space)[0]
         ok = ok and find_homeomorphism(hu.obj(space), components) is not None

@@ -1,14 +1,16 @@
 """Command-line contract: commands, flags, exit codes, reproducible output."""
 
 import json
+import types
 
 import pytest
 
+import topolab
 from topolab.cli import main
 from topolab.serialization import dumps, space_to_json
-from topolab.errors import InvalidInput
+from topolab.errors import InvalidInput, NotWellDefined
 from topolab.frames import LATTICE_ENUM_CAP
-from topolab.suites import FAULT_TARGETS, RunBounds, run_suite
+from topolab.suites import FAULT_TARGETS, SUITES, RunBounds, run_suite
 from topolab import build_space
 
 
@@ -97,6 +99,44 @@ def test_every_fault_is_caught_by_its_target_suite(fault, suite, capsys):
     assert main(["check", "--suite", suite, "--inject-fault", fault]) == 1
     out = capsys.readouterr().out
     assert any(line.startswith("[FAIL]") for line in out.splitlines())
+
+
+def test_t0_coarsen_fails_the_full_run_without_crashing(capsys):
+    # the faulted T0 quotient makes the descents of prop3.6, thm4.11 and prop5.4
+    # ill-defined; each such suite is one FAIL, and the run still completes
+    assert main(["check", "--suite", "all", "--inject-fault", "t0-coarsen"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    failing = {line.split()[1] for line in captured.out.splitlines() if line.startswith("[FAIL]")}
+    assert {"reflector-universal[t0]", "prop3.7[lattice-iso]"} <= failing
+    assert {"prop3.6", "thm4.11", "prop5.4"} <= failing
+
+
+def test_run_suite_reports_a_failed_construction_as_a_fail(monkeypatch):
+    def ill_defined(bounds):
+        raise NotWellDefined("fiber over 0 carries both values 0 and 1")
+
+    monkeypatch.setitem(SUITES, "ill-defined", ill_defined)
+    [report] = run_suite("ill-defined")
+    assert report.check_id == "ill-defined" and not report.ok
+    assert report.witness == "NotWellDefined: fiber over 0 carries both values 0 and 1"
+
+
+def test_run_suite_propagates_other_errors(monkeypatch):
+    def malformed(bounds):
+        raise InvalidInput("malformed")
+
+    monkeypatch.setitem(SUITES, "malformed", malformed)
+    with pytest.raises(InvalidInput, match="malformed"):
+        run_suite("malformed")
+
+
+def test_package_exports_no_submodules():
+    assert topolab.__all__
+    assert not [n for n in topolab.__all__ if isinstance(getattr(topolab, n), types.ModuleType)]
+    assert {"run_suite", "RunBounds", "FiniteSpace", "check_reflector_universal"} <= set(
+        topolab.__all__
+    )
 
 
 @pytest.mark.parametrize(

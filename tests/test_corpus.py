@@ -4,13 +4,12 @@ import pytest
 
 from topolab import (
     BoundExceeded,
-    Corpus,
     InvalidInput,
     enumerate_lattices,
     enumerate_spaces,
     recount_topologies,
 )
-from topolab.corpus import lattice_class_counts, maps_between, recount_lattices
+from topolab.corpus import lattice_class_counts, recount_lattices
 
 
 LABELED = {1: 1, 2: 4, 3: 29, 4: 355}
@@ -64,12 +63,3 @@ def test_lattice_counts_up_to_eight():
 def test_lattices_are_canonically_ordered():
     lattices = enumerate_lattices(8)
     assert list(lattices) == sorted(lattices, key=lambda f: (f.k, f.leq))
-
-
-def test_corpus_container():
-    corpus = Corpus(3)
-    assert len(corpus.spaces) == 13
-    assert len(corpus.maps) == len(maps_between(corpus.spaces))
-    assert corpus.describe().startswith("spaces<=3")
-    assert len(corpus.lattices) == 36
-    assert len(corpus.spaces_of(at_most=2)) == 4

@@ -39,6 +39,9 @@ from topolab import (
 from topolab.corpus import maps_between, spaces_up_to
 from topolab.monadlab import EndofunctorSpec, count_descents, horizontal, monad_preserves_epis
 
+T0 = reflector_spec("t0")
+HAUSDORFF = reflector_spec("hausdorff")
+
 
 @pytest.fixture(scope="module")
 def corpus(classes3):
@@ -182,13 +185,13 @@ def test_find_splitting_requires_injective(e1, sierpinski):
 
 def test_composite_t0_ultra_is_lawful(corpus):
     spaces, _ = corpus
-    composite = compose_reflector_monad("t0", filter_monad(ULTRA))
+    composite = compose_reflector_monad(T0, filter_monad(ULTRA))
     assert check_monad_laws(composite, spaces).ok
 
 
 def test_composite_objects_match_open_prime(corpus):
     spaces, _ = corpus
-    composite = compose_reflector_monad("t0", filter_monad(ULTRA))
+    composite = compose_reflector_monad(T0, filter_monad(ULTRA))
     s = filter_monad(OPEN_PRIME)
     for space in spaces:
         assert find_homeomorphism(composite.obj(space), s.obj(space)) is not None
@@ -196,7 +199,7 @@ def test_composite_objects_match_open_prime(corpus):
 
 def test_composite_with_identity_monad_is_reflector(corpus, e1):
     spaces, _ = corpus
-    composite = compose_reflector_monad("t0", identity_monad())
+    composite = compose_reflector_monad(T0, identity_monad())
     assert check_monad_laws(composite, spaces).ok
     assert check_idempotent(composite, spaces).ok
     from topolab import t0_reflect
@@ -207,7 +210,7 @@ def test_composite_with_identity_monad_is_reflector(corpus, e1):
 
 def test_composite_hausdorff_ultra_collapses_components(corpus):
     spaces, _ = corpus
-    composite = compose_reflector_monad("hausdorff", filter_monad(ULTRA))
+    composite = compose_reflector_monad(HAUSDORFF, filter_monad(ULTRA))
     for space in spaces:
         assert find_homeomorphism(composite.obj(space), hausdorff_reflect(space)[0])
 
@@ -215,7 +218,7 @@ def test_composite_hausdorff_ultra_collapses_components(corpus):
 def test_composite_unit_decompositions_agree(corpus):
     # built-in assertion: building the unit already compares both readings
     spaces, _ = corpus
-    composite = compose_reflector_monad("t0", filter_monad(OPEN_PRIME))
+    composite = compose_reflector_monad(T0, filter_monad(OPEN_PRIME))
     for space in spaces:
         composite.unit.at(space)
 
@@ -224,8 +227,8 @@ def test_reflection_onto_composite_is_monad_morphism(corpus):
     spaces, maps = corpus
     for kind in (ULTRA, OPEN_PRIME, CLOSED_PRIME):
         monad = filter_monad(kind)
-        composite = compose_reflector_monad("t0", monad)
-        r_t = reflection_onto_composite("t0", monad)
+        composite = compose_reflector_monad(T0, monad)
+        r_t = reflection_onto_composite(T0, monad)
         assert check_monad_morphism(r_t, monad, composite, spaces, maps).ok
 
 
@@ -239,7 +242,7 @@ def test_horizontal_composition_decompositions(corpus, e1):
 
 def test_composite_idempotent(corpus):
     spaces, _ = corpus
-    composite = compose_reflector_monad("t0", filter_monad(ULTRA))
+    composite = compose_reflector_monad(T0, filter_monad(ULTRA))
     assert check_idempotent(composite, spaces).ok
 
 
@@ -266,13 +269,13 @@ def test_idempotency_checker_catches_collapse(corpus):
             NatTransSpec("mult!", monad.mult.source, monad.mult.target, component),
         )
 
-    broken = collapse_mult(compose_reflector_monad("t0", filter_monad(ULTRA)))
+    broken = collapse_mult(compose_reflector_monad(T0, filter_monad(ULTRA)))
     assert not check_idempotent(broken, spaces).ok
 
 
 def test_fakir_on_idempotent_composite(corpus, classes4):
     spaces, _ = corpus
-    composite = compose_reflector_monad("t0", filter_monad(ULTRA))
+    composite = compose_reflector_monad(T0, filter_monad(ULTRA))
     assert fakir_test(composite, spaces, classes4).ok
 
 
@@ -297,7 +300,7 @@ def test_fakir_follows_computed_idempotency(corpus, classes4):
 
 def test_unit_transition_epi(corpus, classes4):
     spaces, _ = corpus
-    for reflector, kind in (("t0", ULTRA), ("t0", OPEN_PRIME), ("hausdorff", ULTRA)):
+    for reflector, kind in ((T0, ULTRA), (T0, OPEN_PRIME), (HAUSDORFF, ULTRA)):
         report = check_unit_transition_epi(
             reflector, filter_monad(kind), spaces, classes4
         )
@@ -312,11 +315,11 @@ def test_universal_separation_to_closed_prime(corpus):
     u = filter_monad(ULTRA)
     p = filter_monad(CLOSED_PRIME)
     lam = universal_separation(
-        alpha_transformation(CLOSED_PRIME), "t0", u, p, spaces, maps
+        alpha_transformation(CLOSED_PRIME), T0, u, p, spaces, maps
     )
-    composite = compose_reflector_monad("t0", u)
+    composite = compose_reflector_monad(T0, u)
     assert check_monad_morphism(lam, composite, p, spaces, maps).ok
-    r_u = reflection_onto_composite("t0", u)
+    r_u = reflection_onto_composite(T0, u)
     for space in spaces:
         assert is_homeomorphism(lam.at(space))
         assert (
@@ -335,7 +338,7 @@ def test_universal_separation_rejects_bad_target(corpus):
         "id", u.functor, u.functor, lambda space: identity_map(u.obj(space))
     )
     with pytest.raises(HypothesisViolated):
-        universal_separation(ident, "t0", u, u, spaces, maps)
+        universal_separation(ident, T0, u, u, spaces, maps)
 
 
 def test_monads_preserve_epis(corpus):
@@ -349,8 +352,8 @@ def test_open_to_closed_iso(corpus):
     u = filter_monad(ULTRA)
     s = filter_monad(OPEN_PRIME)
     p = filter_monad(CLOSED_PRIME)
-    phi = universal_separation(alpha_transformation(OPEN_PRIME), "t0", u, s, spaces, maps)
-    lam = universal_separation(alpha_transformation(CLOSED_PRIME), "t0", u, p, spaces, maps)
+    phi = universal_separation(alpha_transformation(OPEN_PRIME), T0, u, s, spaces, maps)
+    lam = universal_separation(alpha_transformation(CLOSED_PRIME), T0, u, p, spaces, maps)
     psi = NatTransSpec(
         "open-to-closed",
         s.functor,

@@ -15,8 +15,10 @@ from topolab import (
     build_space,
     classify,
     closure,
+    compose,
     enumerate_continuous_maps,
     find_homeomorphism,
+    hausdorff_reflect,
     identity_map,
     is_homeomorphism,
     is_proper,
@@ -27,6 +29,8 @@ from topolab import (
     way_below_open,
     way_below_via_subset,
 )
+from topolab.corpus import maps_between, spaces_up_to
+from topolab.spaces import restriction_counts
 
 
 # --- independent oracles ----------------------------------------------------
@@ -341,3 +345,59 @@ def test_random_space_t0_iff_antisymmetric(space):
 def test_random_space_closure_matches_oracle(space):
     for x in range(space.n):
         assert closure(space, 1 << x) == as_mask(oracle_closure(space, frozenset([x])))
+
+
+# --- the mediator-counting kernel ----------------------------------------------
+
+
+def _naive_counts(pre, cod, keep=None):
+    """Per map f: pre.dom -> cod, enumerate every phi, filter by phi . pre == f, count."""
+    return {
+        f.map: sum(
+            1
+            for phi in enumerate_continuous_maps(pre.cod, cod)
+            if (keep is None or keep(phi)) and compose(phi, pre).map == f.map
+        )
+        for f in enumerate_continuous_maps(pre.dom, cod)
+    }
+
+
+def _assert_matches_naive(pre, cod, keep=None):
+    counts = restriction_counts(pre, cod, keep)
+    naive = _naive_counts(pre, cod, keep)
+    assert set(counts) <= set(naive)
+    assert {f: counts.get(f, 0) for f in naive} == naive
+    return naive
+
+
+def test_restriction_counts_matches_naive_count_on_reflection_units():
+    corpus = spaces_up_to(3, True)
+    seen = set()
+    for space in corpus:
+        for reflect in (t0_reflect, hausdorff_reflect):
+            _, r = reflect(space)
+            for z in corpus:
+                seen.update(_assert_matches_naive(r, z).values())
+    assert {0, 1} <= seen
+
+
+def test_restriction_counts_sees_no_factorization_through_a_coarsened_t0():
+    # the component quotient of the three-point example identifies two points
+    # that a map into the Sierpinski space tells apart
+    e1 = build_space(3, [{0}])
+    sierpinski = build_space(2, [{1}])
+    _, r = hausdorff_reflect(e1)
+    naive = _assert_matches_naive(r, sierpinski)
+    assert 0 in naive.values()
+
+
+def test_restriction_counts_counts_several_extensions_along_a_non_injective_map():
+    corpus = spaces_up_to(3, True)
+    pres = [m for m in maps_between(corpus) if not m.is_injective and m.cod.n == 3][:12]
+    assert pres
+    seen = set()
+    for pre in pres:
+        for z in corpus:
+            seen.update(_assert_matches_naive(pre, z).values())
+            _assert_matches_naive(pre, z, keep=lambda phi: phi.is_surjective)
+    assert max(seen) >= 2
