@@ -24,6 +24,7 @@ from .spaces import (
     ContinuousMap,
     FiniteSpace,
     compose,
+    compose_onto,
     composable_pairs,
     enumerate_continuous_maps,
     identity_map,
@@ -151,8 +152,8 @@ def horizontal(beta: NatTransSpec, alpha: NatTransSpec, space: FiniteSpace) -> C
     left = compose(
         beta.at(alpha.target.obj(space)), beta.source.mor(alpha.at(space))
     )
-    right = compose(
-        beta.target.mor(alpha.at(space)), beta.at(alpha.source.obj(space))
+    right = compose_onto(
+        beta.target.mor(alpha.at(space)), beta.at(alpha.source.obj(space)), left
     )
     if left.map != right.map:
         raise HypothesisViolated(
@@ -208,7 +209,7 @@ def compose_reflector_monad(R: ReflectorSpec, monad: MonadSpec) -> MonadSpec:
     def unit_component(space: FiniteSpace) -> ContinuousMap:
         eta = T.unit.at(space)
         first = compose(R.unit_at(T.obj(space)), eta)  # r_TX . eta_X
-        second = compose(R.mor(eta), R.unit_at(space))  # R(eta_X) . r_X
+        second = compose_onto(R.mor(eta), R.unit_at(space), first)  # R(eta_X) . r_X
         if first.map != second.map:
             raise HypothesisViolated(
                 f"unit decompositions of {functor.name} differ at {space!r}"
@@ -257,14 +258,18 @@ def check_functor_laws(
 
     Composition is quantified over the pairs ``(f, g)`` of ``maps`` with
     ``f.cod == g.dom`` only, f-major in corpus order, so the witness is the
-    first failing pair of the all-pairs scan.
+    first failing pair of the all-pairs scan.  Each map is lifted once; the
+    lift of a listed composite is the one compared against.
     """
     desc = corpus_desc or f"{len(spaces)} spaces, {len(maps)} maps"
     for space in spaces:
         if functor.mor(identity_map(space)).map != identity_map(functor.obj(space)).map:
             return failed(check_id, desc, f"{functor.name} breaks identities at {space!r}")
-    for f, g, gf in composable_pairs(maps):
-        if functor.mor(gf).map != compose(functor.mor(g), functor.mor(f)).map:
+    lifted = [functor.mor(m) for m in maps]
+    for i, j, k in composable_pairs(maps):
+        f, g = maps[i], maps[j]
+        lifted_gf = lifted[k] if k is not None else functor.mor(compose(g, f))
+        if compose_onto(lifted[j], lifted[i], lifted_gf).map != lifted_gf.map:
             return failed(
                 check_id, desc, f"{functor.name} breaks composition at {f.map};{g.map}"
             )
@@ -280,8 +285,7 @@ def check_naturality(
     desc = corpus_desc or f"{len(maps)} maps"
     for f in maps:
         lhs = compose(nt.at(f.cod), nt.source.mor(f))
-        rhs = compose(nt.target.mor(f), nt.at(f.dom))
-        if lhs.map != rhs.map:
+        if compose_onto(nt.target.mor(f), nt.at(f.dom), lhs).map != lhs.map:
             return failed(
                 check_id, desc, f"{nt.name} square fails at {f.dom!r} -> {f.cod!r}, f={f.map}"
             )
@@ -331,8 +335,7 @@ def check_monad_morphism(
             return failed(check_id, desc, f"{nt.name} misses the unit at {space!r}")
         squared = horizontal(nt, nt, space)
         lhs = compose(nt.at(space), source.mult.at(space))
-        rhs = compose(target.mult.at(space), squared)
-        if lhs.map != rhs.map:
+        if compose_onto(target.mult.at(space), squared, lhs).map != lhs.map:
             return failed(check_id, desc, f"{nt.name} misses the multiplication at {space!r}")
     return passed(check_id, desc)
 

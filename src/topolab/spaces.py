@@ -11,13 +11,15 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
 from .errors import BoundExceeded, InvalidInput, NotOpen
 
 # Enumerating all subfamilies of a topology is exponential in the number of
 # opens; past this many opens the definitional routines refuse to run.
 SUBFAMILY_ENUM_LIMIT = 18
+
+M = TypeVar("M")  # a map kind with ``dom``, ``cod`` and ``map``
 
 
 def mask_of(points: Iterable[int], n: int) -> int:
@@ -161,23 +163,41 @@ def compose(g: ContinuousMap, f: ContinuousMap) -> ContinuousMap:
     return ContinuousMap(f.dom, g.cod, tuple(g.map[v] for v in f.map))
 
 
-def composable_pairs(
-    maps: Sequence[ContinuousMap],
-) -> Iterator[tuple[ContinuousMap, ContinuousMap, ContinuousMap]]:
-    """Every ``(f, g, g after f)`` with ``f.cod == g.dom``, f-major in input order.
+def compose_onto(g: M, f: M, known: M, build: Callable[[M, M], M] | None = None) -> M:
+    """``g`` after ``f``, as ``known`` itself when ``known`` is that composite.
 
-    When the composite is itself one of ``maps`` that (already validated)
-    object is returned; otherwise it is built by :func:`compose`.
+    For any map kind with ``dom``, ``cod`` and ``map``.  When ``f.cod ==
+    g.dom`` and ``known`` has the composite's domain, codomain and array, the
+    composite *is* ``known``, which was validated when it was built.  Any
+    other case goes to the kind's validating composition ``build`` (looked up
+    at call time, :func:`compose` when omitted), which also rejects a
+    mismatch of ``f.cod`` and ``g.dom``.
     """
-    by_dom: dict[FiniteSpace, list[ContinuousMap]] = {}
-    known: dict[tuple[FiniteSpace, FiniteSpace, tuple[int, ...]], ContinuousMap] = {}
-    for m in maps:
-        by_dom.setdefault(m.dom, []).append(m)
-        known.setdefault((m.dom, m.cod, m.map), m)
-    for f in maps:
-        for g in by_dom.get(f.cod, ()):
-            gf = known.get((f.dom, g.cod, tuple(g.map[v] for v in f.map)))
-            yield f, g, gf if gf is not None else compose(g, f)
+    if (
+        f.cod == g.dom
+        and known.dom == f.dom
+        and known.cod == g.cod
+        and known.map == tuple(g.map[v] for v in f.map)
+    ):
+        return known
+    return (build or compose)(g, f)
+
+
+def composable_pairs(maps: Sequence[ContinuousMap]) -> Iterator[tuple[int, int, int | None]]:
+    """Positions ``(i, j, k)`` of every composable pair, f-major in input order.
+
+    ``f = maps[i]`` and ``g = maps[j]`` with ``f.cod == g.dom``; ``k`` is the
+    position of ``g after f`` in ``maps``, or None when it is not listed.
+    """
+    by_dom: dict[FiniteSpace, list[int]] = {}
+    position: dict[tuple[FiniteSpace, FiniteSpace, tuple[int, ...]], int] = {}
+    for k, m in enumerate(maps):
+        by_dom.setdefault(m.dom, []).append(k)
+        position.setdefault((m.dom, m.cod, m.map), k)
+    for i, f in enumerate(maps):
+        for j in by_dom.get(f.cod, ()):
+            g = maps[j]
+            yield i, j, position.get((f.dom, g.cod, tuple(g.map[v] for v in f.map)))
 
 
 def build_space(n: int, generators: Sequence[Iterable[int]] = ()) -> FiniteSpace:

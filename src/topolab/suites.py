@@ -72,7 +72,6 @@ from .reflectors import (
     hausdorff_reflect,
     in_t0,
     sobrify,
-    t0_reflect,
 )
 from .reports import CheckReport, failed, passed
 from .spaces import (
@@ -82,6 +81,7 @@ from .spaces import (
     build_space,
     classify,
     compose,
+    compose_onto,
     composable_pairs,
     enumerate_continuous_maps,
     find_homeomorphism,
@@ -383,6 +383,7 @@ def suite_lemma_4_8(bounds: RunBounds) -> list[CheckReport]:
     spaces = spaces_up_to(bounds.map_points)
     desc = _desc(bounds.map_points)
     composite = _composite("t0", ULTRA, bounds)
+    t0 = _reflector("t0", bounds)
     out = [
         check_idempotent(composite, spaces, "lemma4.8[t0.U-idempotent]", desc),
         _noted(
@@ -394,7 +395,7 @@ def suite_lemma_4_8(bounds: RunBounds) -> list[CheckReport]:
     def moved(monad: MonadSpec):
         for space in spaces:
             value = monad.obj(space)
-            if t0_reflect(value) != (value, identity_map(value)):
+            if t0.reflect(value) != (value, identity_map(value)):
                 yield f"at {space!r}"
 
     out += [
@@ -569,11 +570,12 @@ def suite_lemma_2_6(bounds: RunBounds) -> list[CheckReport]:
 
 def suite_lemma_5_3(bounds: RunBounds) -> list[CheckReport]:
     spaces = spaces_up_to(bounds.map_points)
+    t0 = _reflector("t0", bounds)
 
     def witnesses():
         for space in spaces:
             lifted = lift_space(ULTRA, space)
-            _, r = t0_reflect(lifted.space)
+            _, r = t0.reflect(lifted.space)
             closeds = set(space.closeds)
             for i, p in enumerate(lifted.points):
                 for j, q in enumerate(lifted.points):
@@ -798,15 +800,16 @@ def suite_prop_3_1(bounds: RunBounds) -> list[CheckReport]:
     ]
 
 
-def _sober_differs(space: FiniteSpace) -> bool:
+def _sober_differs(space: FiniteSpace, t0: ReflectorSpec) -> bool:
     """The sobrification of ``space`` and its T0 quotient are not homeomorphic."""
-    return find_homeomorphism(sobrify(space)[0], t0_reflect(space)[0]) is None
+    return find_homeomorphism(sobrify(space)[0], t0.obj(space)) is None
 
 
 def suite_sobriety(bounds: RunBounds) -> list[CheckReport]:
     spaces = spaces_up_to(bounds.max_points)
     desc = _desc(bounds.max_points)
     small = spaces_up_to(bounds.map_points)
+    t0 = _reflector("t0", bounds)
     return [
         _verdict(
             "sobriety[result-sober]", desc,
@@ -814,7 +817,7 @@ def suite_sobriety(bounds: RunBounds) -> list[CheckReport]:
         ),
         _verdict(
             "sobriety[matches-t0]", desc,
-            (f"at {s!r}" for s in spaces if _sober_differs(s)),
+            (f"at {s!r}" for s in spaces if _sober_differs(s, t0)),
             note=DIVERGENCES["sobrification-is-t0"][:60],
         ),
         _verdict(
@@ -823,7 +826,7 @@ def suite_sobriety(bounds: RunBounds) -> list[CheckReport]:
         ),
         _verdict(
             "sobriety[filter-space]", _desc(bounds.map_points),
-            (f"at {s!r}" for s in small if _sober_differs(lift_space(ULTRA, s).space)),
+            (f"at {s!r}" for s in small if _sober_differs(lift_space(ULTRA, s).space, t0)),
         ),
     ]
 
@@ -851,7 +854,7 @@ def suite_divergences(bounds: RunBounds) -> list[CheckReport]:
         ),
         _verdict(
             "divergence[sobrify-t0]", _desc(bounds.max_points),
-            ("sobrification differs" for s in big if _sober_differs(s)),
+            ("sobrification differs" for s in big if _sober_differs(s, reflector)),
             note=DIVERGENCES["sobrification-is-t0"][:60],
         ),
         _noted(report, DIVERGENCES["reflected-unit-epi"][:60]),
@@ -905,22 +908,25 @@ def _recount_classes(n: int) -> int:
 
 def suite_frame_bridge(bounds: RunBounds) -> list[CheckReport]:
     _, maps, desc = _map_corpus(bounds)
-    frame_maps = {f: opens_frame_map(f) for f in maps}
+    frame_maps = [opens_frame_map(f) for f in maps]
     contravariant = (
         f"{f.map}"
-        for f, lifted in frame_maps.items()
+        for f, lifted in zip(maps, frame_maps)
         if lifted.dom != opens_frame(f.cod) or lifted.cod != opens_frame(f.dom)
     )
-    functorial = (
-        f"{f.map};{g.map}"
-        for f, g, gf in composable_pairs(maps)
-        if (frame_maps.get(gf) or opens_frame_map(gf)).map
-        != compose_frame_maps(frame_maps[f], frame_maps[g]).map
-    )
+
+    def functorial():
+        for i, j, k in composable_pairs(maps):
+            f, g = maps[i], maps[j]
+            o_gf = frame_maps[k] if k is not None else opens_frame_map(compose(g, f))
+            o_f_after_o_g = compose_onto(frame_maps[i], frame_maps[j], o_gf, compose_frame_maps)
+            if o_f_after_o_g.map != o_gf.map:
+                yield f"{f.map};{g.map}"
+
     chain = opens_frame(build_space(3, [{0}])).k
     return [
         _verdict("frame-bridge[contravariant]", desc, contravariant),
-        _verdict("frame-bridge[functorial]", desc, functorial),
+        _verdict("frame-bridge[functorial]", desc, functorial()),
         _verdict(
             "frame-bridge[chain]", "three-point example",
             ["" if chain == 3 else f"opens frame has {chain} elements"],

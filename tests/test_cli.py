@@ -10,8 +10,17 @@ from topolab.cli import main
 from topolab.serialization import dumps, space_to_json
 from topolab.errors import InvalidInput, NotWellDefined
 from topolab.frames import LATTICE_ENUM_CAP
-from topolab.suites import FAULT_TARGETS, SUITES, RunBounds, run_suite
-from topolab import build_space
+from topolab.corpus import spaces_up_to
+from topolab.monadlab import filter_monad
+from topolab.suites import (
+    _FAULT_KIND,
+    FAULT_TARGETS,
+    SUITES,
+    RunBounds,
+    _swap_first_two,
+    run_suite,
+)
+from topolab import build_space, identity_map
 
 
 @pytest.fixture()
@@ -101,6 +110,15 @@ def test_every_fault_is_caught_by_its_target_suite(fault, suite, capsys):
     assert any(line.startswith("[FAIL]") for line in out.splitlines())
 
 
+@pytest.mark.parametrize("fault", ["sigma-mult-swap", "ultra-mult-swap", "pcf-mult-swap"])
+def test_mult_swap_fault_is_live(fault):
+    # the swap falls back to the identity on one point or where it is not
+    # continuous; on some lifted space of the monad-laws corpus it must move points
+    monad = filter_monad(_FAULT_KIND[fault])
+    lifted = [monad.obj(s) for s in spaces_up_to(RunBounds().max_points)]
+    assert any(_swap_first_two(t).map != identity_map(t).map for t in lifted)
+
+
 def test_t0_coarsen_fails_the_full_run_without_crashing(capsys):
     # the faulted T0 quotient makes the descents of prop3.6, thm4.11 and prop5.4
     # ill-defined; each such suite is one FAIL, and the run still completes
@@ -110,6 +128,15 @@ def test_t0_coarsen_fails_the_full_run_without_crashing(capsys):
     failing = {line.split()[1] for line in captured.out.splitlines() if line.startswith("[FAIL]")}
     assert {"reflector-universal[t0]", "prop3.7[lattice-iso]"} <= failing
     assert {"prop3.6", "thm4.11", "prop5.4"} <= failing
+    # every suite that quotients by T0 takes the faulted reflector
+    assert {
+        "lemma4.8[S-fixed-point]",
+        "lemma4.8[P-fixed-point]",
+        "lemma5.3",
+        "sobriety[matches-t0]",
+        "sobriety[filter-space]",
+        "divergence[sobrify-t0]",
+    } <= failing
 
 
 def test_run_suite_reports_a_failed_construction_as_a_fail(monkeypatch):

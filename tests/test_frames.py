@@ -35,7 +35,9 @@ from topolab.frames import (
     ideal_supremum,
     subframes,
 )
-from topolab.spaces import ContinuousMap, enumerate_continuous_maps
+from topolab import suites
+from topolab.corpus import maps_between, spaces_up_to
+from topolab.spaces import ContinuousMap, compose, compose_onto, enumerate_continuous_maps
 
 
 def oracle_way_below(frame, a, b):
@@ -245,3 +247,87 @@ def test_enumerate_frame_maps_matches_bruteforce():
                 except InvalidInput:
                     continue
             assert sorted(f.map for f in enumerate_frame_maps(dom, cod)) == sorted(brute)
+
+
+# --- compose_onto on frame maps -------------------------------------------------
+
+# the three-element chain ordered 0 < 2 < 1: equal in size to chain_frame(3),
+# but another frame
+RELABELED_CHAIN = frame_from_leq(3, [[1, 1, 1], [0, 1, 0], [0, 1, 1]])
+
+
+def test_compose_onto_frames_returns_the_known_map_when_it_is_the_composite():
+    c3 = chain_frame(3)
+    f = FrameMap(c3, c3, (0, 1, 2))
+    g = FrameMap(c3, c3, (0, 0, 2))
+    known = FrameMap(c3, c3, (0, 0, 2))
+    assert compose_onto(g, f, known, compose_frame_maps) is known
+
+
+@pytest.mark.parametrize("end", ["dom", "cod"])
+def test_compose_onto_frames_builds_when_only_the_array_matches(end):
+    c2 = chain_frame(2)
+    if end == "dom":
+        f = FrameMap(chain_frame(3), c2, (0, 1, 1))
+        g = FrameMap(c2, c2, (0, 1))
+        known = FrameMap(RELABELED_CHAIN, c2, (0, 1, 1))
+    else:
+        f = g = FrameMap(c2, c2, (0, 1))
+        known = FrameMap(c2, RELABELED_CHAIN, (0, 1))
+    built = compose_onto(g, f, known, compose_frame_maps)
+    assert built.map == known.map and built is not known
+    assert built == compose_frame_maps(g, f) and (built.dom, built.cod) == (f.dom, g.cod)
+
+
+def test_compose_onto_frames_builds_when_the_arrays_differ():
+    c3 = chain_frame(3)
+    f = FrameMap(c3, c3, (0, 1, 2))
+    g = FrameMap(c3, c3, (0, 0, 2))
+    built = compose_onto(g, f, FrameMap(c3, c3, (0, 2, 2)), compose_frame_maps)
+    assert built == compose_frame_maps(g, f) and built.map == (0, 0, 2)
+
+
+def test_compose_onto_frames_rejects_a_mismatch():
+    # the arrays would compose to ``known``, but f does not land in dom g
+    c2, c3 = chain_frame(2), chain_frame(3)
+    f = FrameMap(c3, c2, (0, 1, 1))
+    g = FrameMap(RELABELED_CHAIN, c2, (0, 1, 1))
+    known = FrameMap(c3, c2, (0, 1, 1))
+    with pytest.raises(InvalidInput, match="frame map composition mismatch"):
+        compose_onto(g, f, known, compose_frame_maps)
+
+
+# --- frame-bridge witness order -------------------------------------------------
+
+
+def test_frame_bridge_functorial_witness_matches_an_all_pairs_scan(monkeypatch):
+    bounds = suites.RunBounds()
+    maps = maps_between(spaces_up_to(bounds.map_points))
+    # a point of a three-point space whose frame image is swapped for that of
+    # another point: the first failing f then fails with several g
+    target = next(m for m in maps if m.dom.n == 1 and m.cod.n == 3)
+    other = next(
+        m
+        for m in maps
+        if (m.dom, m.cod) == (target.dom, target.cod)
+        and opens_frame_map(m) != opens_frame_map(target)
+    )
+
+    def corrupted(f):
+        return opens_frame_map(other if f == target else f)
+
+    def breaks(f, g):
+        return corrupted(compose(g, f)).map != compose_frame_maps(corrupted(f), corrupted(g)).map
+
+    f, bad = next(
+        (f, bad)
+        for f in maps
+        for bad in [[g for g in maps if f.cod == g.dom and breaks(f, g)]]
+        if bad
+    )
+    assert len(bad) > 1
+    monkeypatch.setattr(suites, "opens_frame_map", corrupted)
+    report = next(
+        r for r in suites.suite_frame_bridge(bounds) if r.check_id == "frame-bridge[functorial]"
+    )
+    assert report.witness == f"{f.map};{bad[0].map}"

@@ -127,7 +127,16 @@ def test_naturality_checker_catches_breakage(corpus):
         return e
 
     nt = NatTransSpec("crooked", identity_monad().functor, u.functor, crooked)
-    assert not check_naturality(nt, maps).ok
+    report = check_naturality(nt, maps)
+    assert not report.ok
+    # the first failing square of a plain scan, both sides built by compose
+    f = next(
+        f
+        for f in maps
+        if compose(nt.at(f.cod), nt.source.mor(f)).map
+        != compose(nt.target.mor(f), nt.at(f.dom)).map
+    )
+    assert report.witness == f"crooked square fails at {f.dom!r} -> {f.cod!r}, f={f.map}"
 
 
 # --- splittings ---------------------------------------------------------------

@@ -30,7 +30,7 @@ from topolab import (
     way_below_via_subset,
 )
 from topolab.corpus import maps_between, spaces_up_to
-from topolab.spaces import restriction_counts
+from topolab.spaces import compose_onto, restriction_counts
 
 
 # --- independent oracles ----------------------------------------------------
@@ -401,3 +401,43 @@ def test_restriction_counts_counts_several_extensions_along_a_non_injective_map(
             seen.update(_assert_matches_naive(pre, z).values())
             _assert_matches_naive(pre, z, keep=lambda phi: phi.is_surjective)
     assert max(seen) >= 2
+
+
+# --- compose_onto -------------------------------------------------------------
+
+
+def test_compose_onto_returns_the_known_map_when_it_is_the_composite(e1, sierpinski):
+    f = identity_map(e1)
+    g = next(m for m in enumerate_continuous_maps(e1, sierpinski) if len(set(m.map)) > 1)
+    known = ContinuousMap(e1, sierpinski, g.map)
+    assert compose_onto(g, f, known) is known
+
+
+@pytest.mark.parametrize("end", ["dom", "cod"])
+def test_compose_onto_builds_when_only_the_array_matches(end, discrete2, indiscrete2, sierpinski):
+    if end == "dom":
+        f = ContinuousMap(discrete2, indiscrete2, (0, 1))
+        g = identity_map(indiscrete2)
+        known = ContinuousMap(sierpinski, indiscrete2, (0, 1))
+    else:
+        f = g = identity_map(discrete2)
+        known = ContinuousMap(discrete2, sierpinski, (0, 1))
+    built = compose_onto(g, f, known)
+    assert built.map == known.map and built is not known
+    assert built == compose(g, f) and (built.dom, built.cod) == (f.dom, g.cod)
+
+
+def test_compose_onto_builds_when_the_arrays_differ(discrete2):
+    f = g = identity_map(discrete2)
+    known = ContinuousMap(discrete2, discrete2, (1, 0))
+    built = compose_onto(g, f, known)
+    assert built == compose(g, f) and built.map == (0, 1)
+
+
+def test_compose_onto_rejects_a_mismatch(discrete2, indiscrete2):
+    # the arrays would compose to ``known``, but f does not land in dom g
+    f = identity_map(discrete2)
+    g = identity_map(indiscrete2)
+    known = ContinuousMap(discrete2, indiscrete2, (0, 1))
+    with pytest.raises(InvalidInput, match="composition mismatch"):
+        compose_onto(g, f, known)
