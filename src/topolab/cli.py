@@ -10,8 +10,8 @@ import argparse
 import sys
 from pathlib import Path
 
-from .corpus import enumerate_spaces
-from .errors import TopolabError
+from .corpus import MAX_POINTS, enumerate_spaces
+from .errors import InvalidInput, TopolabError
 from .filters import CLOSED_PRIME, OPEN_PRIME, ULTRA, lift_space, unit
 from .reflectors import REFLECT_OPS
 from .reports import CheckReport
@@ -167,6 +167,8 @@ def cmd_check(args) -> int:
 
 
 def cmd_corpus(args) -> int:
+    if not 1 <= args.max_points <= MAX_POINTS:
+        raise InvalidInput(f"max_points must lie in 1..{MAX_POINTS}, got {args.max_points}")
     total = 0
     for n in range(1, args.max_points + 1):
         spaces = enumerate_spaces(n, args.up_to_homeo)

@@ -197,9 +197,7 @@ def mult(kind: str, space: FiniteSpace) -> ContinuousMap:
     for big in l2.points:
         big_elems = frozenset(big.elements)
         flat = tuple(sorted(a for a in ambient if _member_mask(l1.points, a) in big_elems))
-        idx = _principal_index(l1, flat, "flattened filter")
-        check_filter_point(l1.points[idx], space)
-        arr.append(idx)
+        arr.append(_principal_index(l1, flat, "flattened filter"))
     return ContinuousMap(l2.space, l1.space, tuple(arr))
 
 

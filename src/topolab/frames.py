@@ -12,7 +12,7 @@ from functools import lru_cache
 
 from .errors import BoundExceeded, CoreflectionMismatch, InvalidInput
 from .reports import CheckReport, failed, passed
-from .spaces import ContinuousMap, FiniteSpace, compose_onto
+from .spaces import ContinuousMap, FiniteSpace, composes_to
 
 LATTICE_ENUM_CAP = 10
 
@@ -372,13 +372,13 @@ def check_ideal_comonad_laws(
         lifted = ideal_frame(frame)
         sup = ideal_supremum(frame)
         comult = ideal_comultiplication(frame)
-        ident = tuple(range(lifted.frame.k))
-        if compose_frame_maps(ideal_supremum(lifted.frame), comult).map != ident:
+        ident = FrameMap(lifted.frame, lifted.frame, tuple(range(lifted.frame.k)))
+        if not composes_to(ideal_supremum(lifted.frame), comult, ident):
             return failed(check_id, desc, f"counit law (outer) fails on {frame!r}")
-        if compose_frame_maps(ideal_map(sup), comult).map != ident:
+        if not composes_to(ideal_map(sup), comult, ident):
             return failed(check_id, desc, f"counit law (inner) fails on {frame!r}")
         lhs = compose_frame_maps(ideal_comultiplication(lifted.frame), comult)
-        if compose_onto(ideal_map(comult), comult, lhs, compose_frame_maps).map != lhs.map:
+        if not composes_to(ideal_map(comult), comult, lhs):
             return failed(check_id, desc, f"coassociativity fails on {frame!r}")
     return passed(check_id, desc)
 

@@ -24,8 +24,8 @@ from .spaces import (
     ContinuousMap,
     FiniteSpace,
     compose,
-    compose_onto,
     composable_pairs,
+    composes_to,
     enumerate_continuous_maps,
     identity_map,
     is_homeomorphism,
@@ -94,8 +94,8 @@ IDENTITY_FUNCTOR = EndofunctorSpec("Id", lambda s: s, lambda f: f)
 def composed_functor(outer: EndofunctorSpec, inner: EndofunctorSpec) -> EndofunctorSpec:
     return EndofunctorSpec(
         f"{outer.name}{inner.name}",
-        _cached(lambda s: outer.obj(inner.obj(s))),
-        _cached(lambda f: outer.mor(inner.mor(f))),
+        lambda s: outer.obj(inner.obj(s)),
+        lambda f: outer.mor(inner.mor(f)),
     )
 
 
@@ -106,7 +106,7 @@ def filter_monad(kind: str) -> MonadSpec:
         raise InvalidInput(f"unknown filter kind {kind!r}")
     functor = EndofunctorSpec(
         {"ultra": "U", "open-prime": "S", "closed-prime": "P"}[kind],
-        _cached(lambda s: filters.lift_space(kind, s).space),
+        lambda s: filters.lift_space(kind, s).space,
         _cached(lambda f: filters.lift_map(kind, f)),
     )
     unit = NatTransSpec(
@@ -135,6 +135,7 @@ def reflector_spec(name: str) -> ReflectorSpec:
     return ReflectorSpec(name, REFLECT_OPS[name], CLASS_PREDICATES[name])
 
 
+@lru_cache(maxsize=None)
 def alpha_transformation(target_kind: str) -> NatTransSpec:
     """The comparison from the ultrafilter space onto a prime filter space."""
     src = filter_monad(filters.ULTRA).functor
@@ -152,10 +153,7 @@ def horizontal(beta: NatTransSpec, alpha: NatTransSpec, space: FiniteSpace) -> C
     left = compose(
         beta.at(alpha.target.obj(space)), beta.source.mor(alpha.at(space))
     )
-    right = compose_onto(
-        beta.target.mor(alpha.at(space)), beta.at(alpha.source.obj(space)), left
-    )
-    if left.map != right.map:
+    if not composes_to(beta.target.mor(alpha.at(space)), beta.at(alpha.source.obj(space)), left):
         raise HypothesisViolated(
             f"middle-interchange decompositions of {beta.name}.{alpha.name} differ at {space!r}"
         )
@@ -166,8 +164,9 @@ def find_splitting(m: ContinuousMap) -> ContinuousMap | None:
     """First (lexicographic) continuous left inverse of an injective map."""
     if not m.is_injective:
         raise HypothesisViolated("splittings are searched for injective maps only")
+    ident = identity_map(m.dom)
     for g in enumerate_continuous_maps(m.cod, m.dom):
-        if compose(g, m).map == identity_map(m.dom).map:
+        if composes_to(g, m, ident):
             return g
     return None
 
@@ -202,15 +201,14 @@ def compose_reflector_monad(R: ReflectorSpec, monad: MonadSpec) -> MonadSpec:
     T = monad
     functor = EndofunctorSpec(
         f"{R.name}.{T.name}",
-        _cached(lambda s: R.obj(T.obj(s))),
+        lambda s: R.obj(T.obj(s)),
         _cached(lambda f: R.mor(T.mor(f))),
     )
 
     def unit_component(space: FiniteSpace) -> ContinuousMap:
         eta = T.unit.at(space)
         first = compose(R.unit_at(T.obj(space)), eta)  # r_TX . eta_X
-        second = compose_onto(R.mor(eta), R.unit_at(space), first)  # R(eta_X) . r_X
-        if first.map != second.map:
+        if not composes_to(R.mor(eta), R.unit_at(space), first):  # R(eta_X) . r_X
             raise HypothesisViolated(
                 f"unit decompositions of {functor.name} differ at {space!r}"
             )
@@ -239,7 +237,7 @@ def reflection_onto_composite(R: ReflectorSpec, monad: MonadSpec) -> NatTransSpe
         f"r{monad.name}",
         monad.functor,
         composite.functor,
-        _cached(lambda s: R.unit_at(monad.obj(s))),
+        lambda s: R.unit_at(monad.obj(s)),
     )
 
 
@@ -269,7 +267,7 @@ def check_functor_laws(
     for i, j, k in composable_pairs(maps):
         f, g = maps[i], maps[j]
         lifted_gf = lifted[k] if k is not None else functor.mor(compose(g, f))
-        if compose_onto(lifted[j], lifted[i], lifted_gf).map != lifted_gf.map:
+        if not composes_to(lifted[j], lifted[i], lifted_gf):
             return failed(
                 check_id, desc, f"{functor.name} breaks composition at {f.map};{g.map}"
             )
@@ -285,7 +283,7 @@ def check_naturality(
     desc = corpus_desc or f"{len(maps)} maps"
     for f in maps:
         lhs = compose(nt.at(f.cod), nt.source.mor(f))
-        if compose_onto(nt.target.mor(f), nt.at(f.dom), lhs).map != lhs.map:
+        if not composes_to(nt.target.mor(f), nt.at(f.dom), lhs):
             return failed(
                 check_id, desc, f"{nt.name} square fails at {f.dom!r} -> {f.cod!r}, f={f.map}"
             )
@@ -304,14 +302,13 @@ def check_monad_laws(
         tx = monad.obj(space)
         eta = monad.unit.at(space)
         mu = monad.mult.at(space)
-        ident = identity_map(tx).map
-        if compose(mu, monad.unit.at(tx)).map != ident:
+        ident = identity_map(tx)
+        if not composes_to(mu, monad.unit.at(tx), ident):
             return failed(check_id, desc, f"{monad.name}: mu.(unit at T) fails at {space!r}")
-        if compose(mu, monad.mor(eta)).map != ident:
+        if not composes_to(mu, monad.mor(eta), ident):
             return failed(check_id, desc, f"{monad.name}: mu.T(unit) fails at {space!r}")
         lhs = compose(mu, monad.mult.at(tx))
-        rhs = compose(mu, monad.mor(mu))
-        if lhs.map != rhs.map:
+        if not composes_to(mu, monad.mor(mu), lhs):
             return failed(check_id, desc, f"{monad.name}: associativity fails at {space!r}")
     return passed(check_id, desc)
 
@@ -331,11 +328,11 @@ def check_monad_morphism(
     if not nat.ok:
         return nat
     for space in spaces:
-        if compose(nt.at(space), source.unit.at(space)).map != target.unit.at(space).map:
+        if not composes_to(nt.at(space), source.unit.at(space), target.unit.at(space)):
             return failed(check_id, desc, f"{nt.name} misses the unit at {space!r}")
         squared = horizontal(nt, nt, space)
         lhs = compose(nt.at(space), source.mult.at(space))
-        if compose_onto(target.mult.at(space), squared, lhs).map != lhs.map:
+        if not composes_to(target.mult.at(space), squared, lhs):
             return failed(check_id, desc, f"{nt.name} misses the multiplication at {space!r}")
     return passed(check_id, desc)
 

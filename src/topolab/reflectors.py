@@ -13,7 +13,7 @@ from .spaces import (
     FiniteSpace,
     classify,
     closure,
-    compose,
+    composes_to,
     enumerate_continuous_maps,
     identity_map,
     image_under,
@@ -202,7 +202,7 @@ def check_patch_couniversal(
             lifts = [
                 h
                 for h in enumerate_continuous_maps(c, kx)
-                if compose(counit, h).map == g.map and is_proper(h)
+                if composes_to(counit, h, g) and is_proper(h)
             ]
             if len(lifts) != 1:
                 return failed(

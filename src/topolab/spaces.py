@@ -163,24 +163,16 @@ def compose(g: ContinuousMap, f: ContinuousMap) -> ContinuousMap:
     return ContinuousMap(f.dom, g.cod, tuple(g.map[v] for v in f.map))
 
 
-def compose_onto(g: M, f: M, known: M, build: Callable[[M, M], M] | None = None) -> M:
-    """``g`` after ``f``, as ``known`` itself when ``known`` is that composite.
+def composes_to(g: M, f: M, h: M) -> bool:
+    """Is ``h`` the map ``g`` after ``f``?  Builds nothing.
 
-    For any map kind with ``dom``, ``cod`` and ``map``.  When ``f.cod ==
-    g.dom`` and ``known`` has the composite's domain, codomain and array, the
-    composite *is* ``known``, which was validated when it was built.  Any
-    other case goes to the kind's validating composition ``build`` (looked up
-    at call time, :func:`compose` when omitted), which also rejects a
-    mismatch of ``f.cod`` and ``g.dom``.
+    For any map kind with ``dom``, ``cod`` and ``map``: ``h`` must have the
+    domain of ``f``, the codomain of ``g`` and the array of the composite.
+    Raises, as :func:`compose` does, when ``f.cod`` differs from ``g.dom``.
     """
-    if (
-        f.cod == g.dom
-        and known.dom == f.dom
-        and known.cod == g.cod
-        and known.map == tuple(g.map[v] for v in f.map)
-    ):
-        return known
-    return (build or compose)(g, f)
+    if f.cod != g.dom:
+        raise InvalidInput("composition mismatch: cod of f differs from dom of g")
+    return h.dom == f.dom and h.cod == g.cod and h.map == tuple(g.map[v] for v in f.map)
 
 
 def composable_pairs(maps: Sequence[ContinuousMap]) -> Iterator[tuple[int, int, int | None]]:
@@ -384,8 +376,11 @@ def irreducible_closed_sets(space: FiniteSpace) -> tuple[int, ...]:
 @lru_cache(maxsize=None)
 def classify(space: FiniteSpace) -> SpaceProfile:
     """Evaluate every point-set predicate by its definition."""
-    order = specialization(space)
-    t0 = order.is_antisymmetric
+    t0 = all(
+        any((o >> x & 1) != (o >> y & 1) for o in space.opens)
+        for x in range(space.n)
+        for y in range(x + 1, space.n)
+    )
 
     irr = irreducible_closed_sets(space)
     point_closures = {closure(space, 1 << x) for x in range(space.n)}

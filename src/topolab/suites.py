@@ -40,7 +40,6 @@ from .frames import (
     ideal_supremum,
     opens_frame,
     opens_frame_map,
-    compose_frame_maps,
     reg_coreflect,
 )
 from .monadlab import (
@@ -81,8 +80,8 @@ from .spaces import (
     build_space,
     classify,
     compose,
-    compose_onto,
     composable_pairs,
+    composes_to,
     enumerate_continuous_maps,
     find_homeomorphism,
     identity_map,
@@ -281,7 +280,7 @@ def _natural_homeo_reports(
         if not is_homeomorphism(lam.at(s)):
             out.append(failed(f"{prefix}[homeomorphism]", desc, f"component at {s!r}"))
             break
-        if compose(lam.at(s), runit.at(s)).map != gamma.at(s).map:
+        if not composes_to(lam.at(s), runit.at(s), gamma.at(s)):
             out.append(failed(f"{prefix}[descends-gamma]", desc, f"at {s!r}"))
             break
         if count_descents(gamma.at(s), runit.at(s)) != 1:
@@ -348,9 +347,9 @@ def suite_thm_4_6(bounds: RunBounds) -> list[CheckReport]:
             if find_splitting(eta) is None:
                 yield f"unit at {rtx!r} does not split"
             b = algebra_structure(t0, monad, space)
-            if compose(b, eta).map != identity_map(rtx).map:
+            if not composes_to(b, eta, identity_map(rtx)):
                 yield f"b.unit != id at {space!r}"
-            if compose(b, monad.mor(b)).map != compose(b, monad.mult.at(rtx)).map:
+            if not composes_to(b, monad.mor(b), compose(b, monad.mult.at(rtx))):
                 yield f"b not a structure at {space!r}"
 
     return [
@@ -420,8 +419,9 @@ def suite_prop_4_9(bounds: RunBounds) -> list[CheckReport]:
                 struct_z = composite.mult.at(z_space)
                 counts = restriction_counts(
                     unit_rx, algebra,
-                    keep=lambda phi: compose(phi, struct_rx).map
-                    == compose(struct_z, composite.mor(phi)).map,
+                    keep=lambda phi: composes_to(
+                        struct_z, composite.mor(phi), compose(phi, struct_rx)
+                    ),
                 )
                 for f in enumerate_continuous_maps(rx, algebra):
                     n = counts.get(f.map, 0)
@@ -460,7 +460,7 @@ def suite_prop_5_1(bounds: RunBounds) -> list[CheckReport]:
                 struct = inverse_map(u.unit.at(y_space))  # the unique algebra structure
                 counts = restriction_counts(
                     eta_x, y_space,
-                    keep=lambda phi: compose(phi, mu_x).map == compose(struct, u.mor(phi)).map,
+                    keep=lambda phi: composes_to(struct, u.mor(phi), compose(phi, mu_x)),
                 )
                 for f in enumerate_continuous_maps(x_space, y_space):
                     n = counts.get(f.map, 0)
@@ -919,8 +919,7 @@ def suite_frame_bridge(bounds: RunBounds) -> list[CheckReport]:
         for i, j, k in composable_pairs(maps):
             f, g = maps[i], maps[j]
             o_gf = frame_maps[k] if k is not None else opens_frame_map(compose(g, f))
-            o_f_after_o_g = compose_onto(frame_maps[i], frame_maps[j], o_gf, compose_frame_maps)
-            if o_f_after_o_g.map != o_gf.map:
+            if not composes_to(frame_maps[i], frame_maps[j], o_gf):
                 yield f"{f.map};{g.map}"
 
     chain = opens_frame(build_space(3, [{0}])).k

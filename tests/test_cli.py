@@ -10,7 +10,7 @@ from topolab.cli import main
 from topolab.serialization import dumps, space_to_json
 from topolab.errors import InvalidInput, NotWellDefined
 from topolab.frames import LATTICE_ENUM_CAP
-from topolab.corpus import spaces_up_to
+from topolab.corpus import MAX_POINTS, spaces_up_to
 from topolab.monadlab import filter_monad
 from topolab.suites import (
     _FAULT_KIND,
@@ -209,6 +209,14 @@ def test_corpus_command(capsys):
     assert main(["corpus", "--max-points", "3"]) == 0
     out = capsys.readouterr().out
     assert "n=3: 29 labeled topologies" in out
+
+
+@pytest.mark.parametrize("bound", ["0", "-3", str(MAX_POINTS + 1)])
+def test_corpus_rejects_out_of_range_bounds(bound, capsys):
+    assert main(["corpus", "--max-points", bound]) == 2
+    captured = capsys.readouterr()
+    assert "error:" in captured.err and "must lie in" in captured.err
+    assert captured.out == ""
 
 
 def test_corpus_up_to_homeo(capsys):

@@ -37,7 +37,7 @@ from topolab.frames import (
 )
 from topolab import suites
 from topolab.corpus import maps_between, spaces_up_to
-from topolab.spaces import ContinuousMap, compose, compose_onto, enumerate_continuous_maps
+from topolab.spaces import ContinuousMap, compose, composes_to, enumerate_continuous_maps
 
 
 def oracle_way_below(frame, a, b):
@@ -249,52 +249,49 @@ def test_enumerate_frame_maps_matches_bruteforce():
             assert sorted(f.map for f in enumerate_frame_maps(dom, cod)) == sorted(brute)
 
 
-# --- compose_onto on frame maps -------------------------------------------------
+# --- composes_to on frame maps -------------------------------------------------
 
 # the three-element chain ordered 0 < 2 < 1: equal in size to chain_frame(3),
 # but another frame
 RELABELED_CHAIN = frame_from_leq(3, [[1, 1, 1], [0, 1, 0], [0, 1, 1]])
 
 
-def test_compose_onto_frames_returns_the_known_map_when_it_is_the_composite():
+def test_composes_to_frames_holds_for_the_composite():
     c3 = chain_frame(3)
     f = FrameMap(c3, c3, (0, 1, 2))
     g = FrameMap(c3, c3, (0, 0, 2))
-    known = FrameMap(c3, c3, (0, 0, 2))
-    assert compose_onto(g, f, known, compose_frame_maps) is known
+    assert composes_to(g, f, FrameMap(c3, c3, (0, 0, 2)))
 
 
 @pytest.mark.parametrize("end", ["dom", "cod"])
-def test_compose_onto_frames_builds_when_only_the_array_matches(end):
+def test_composes_to_frames_fails_when_only_the_array_matches(end):
     c2 = chain_frame(2)
     if end == "dom":
         f = FrameMap(chain_frame(3), c2, (0, 1, 1))
         g = FrameMap(c2, c2, (0, 1))
-        known = FrameMap(RELABELED_CHAIN, c2, (0, 1, 1))
+        h = FrameMap(RELABELED_CHAIN, c2, (0, 1, 1))
     else:
         f = g = FrameMap(c2, c2, (0, 1))
-        known = FrameMap(c2, RELABELED_CHAIN, (0, 1))
-    built = compose_onto(g, f, known, compose_frame_maps)
-    assert built.map == known.map and built is not known
-    assert built == compose_frame_maps(g, f) and (built.dom, built.cod) == (f.dom, g.cod)
+        h = FrameMap(c2, RELABELED_CHAIN, (0, 1))
+    assert compose_frame_maps(g, f).map == h.map
+    assert not composes_to(g, f, h)
 
 
-def test_compose_onto_frames_builds_when_the_arrays_differ():
+def test_composes_to_frames_fails_when_the_arrays_differ():
     c3 = chain_frame(3)
     f = FrameMap(c3, c3, (0, 1, 2))
     g = FrameMap(c3, c3, (0, 0, 2))
-    built = compose_onto(g, f, FrameMap(c3, c3, (0, 2, 2)), compose_frame_maps)
-    assert built == compose_frame_maps(g, f) and built.map == (0, 0, 2)
+    assert not composes_to(g, f, FrameMap(c3, c3, (0, 2, 2)))
 
 
-def test_compose_onto_frames_rejects_a_mismatch():
-    # the arrays would compose to ``known``, but f does not land in dom g
+def test_composes_to_frames_rejects_a_mismatch():
+    # the arrays would compose to ``h``, but f does not land in dom g
     c2, c3 = chain_frame(2), chain_frame(3)
     f = FrameMap(c3, c2, (0, 1, 1))
     g = FrameMap(RELABELED_CHAIN, c2, (0, 1, 1))
-    known = FrameMap(c3, c2, (0, 1, 1))
-    with pytest.raises(InvalidInput, match="frame map composition mismatch"):
-        compose_onto(g, f, known, compose_frame_maps)
+    h = FrameMap(c3, c2, (0, 1, 1))
+    with pytest.raises(InvalidInput, match="composition mismatch"):
+        composes_to(g, f, h)
 
 
 # --- frame-bridge witness order -------------------------------------------------

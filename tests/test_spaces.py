@@ -30,7 +30,8 @@ from topolab import (
     way_below_via_subset,
 )
 from topolab.corpus import maps_between, spaces_up_to
-from topolab.spaces import compose_onto, restriction_counts
+from topolab.spaces import PreorderMatrix, composes_to, restriction_counts
+from topolab.suites import RunBounds, run_suite
 
 
 # --- independent oracles ----------------------------------------------------
@@ -340,6 +341,19 @@ def test_random_space_t0_iff_antisymmetric(space):
     assert classify(space).is_T0 == specialization(space).is_antisymmetric
 
 
+def test_specialization_t0_check_catches_a_broken_preorder(monkeypatch):
+    # the two routes to T0 must be independent: an order that calls every
+    # space antisymmetric leaves classify alone and fails the comparison
+    monkeypatch.setattr(PreorderMatrix, "is_antisymmetric", property(lambda self: True))
+    classify.cache_clear()
+    try:
+        reports = {r.check_id: r for r in run_suite("topo-invariants", RunBounds(max_points=3))}
+    finally:
+        classify.cache_clear()
+    assert not reports["invariants[specialization-T0]"].ok
+    assert not classify(build_space(2, [])).is_T0
+
+
 @settings(max_examples=60, deadline=None)
 @given(small_space)
 def test_random_space_closure_matches_oracle(space):
@@ -403,41 +417,37 @@ def test_restriction_counts_counts_several_extensions_along_a_non_injective_map(
     assert max(seen) >= 2
 
 
-# --- compose_onto -------------------------------------------------------------
+# --- composes_to -------------------------------------------------------------
 
 
-def test_compose_onto_returns_the_known_map_when_it_is_the_composite(e1, sierpinski):
+def test_composes_to_holds_for_the_composite(e1, sierpinski):
     f = identity_map(e1)
     g = next(m for m in enumerate_continuous_maps(e1, sierpinski) if len(set(m.map)) > 1)
-    known = ContinuousMap(e1, sierpinski, g.map)
-    assert compose_onto(g, f, known) is known
+    assert composes_to(g, f, ContinuousMap(e1, sierpinski, g.map))
 
 
 @pytest.mark.parametrize("end", ["dom", "cod"])
-def test_compose_onto_builds_when_only_the_array_matches(end, discrete2, indiscrete2, sierpinski):
+def test_composes_to_fails_when_only_the_array_matches(end, discrete2, indiscrete2, sierpinski):
     if end == "dom":
         f = ContinuousMap(discrete2, indiscrete2, (0, 1))
         g = identity_map(indiscrete2)
-        known = ContinuousMap(sierpinski, indiscrete2, (0, 1))
+        h = ContinuousMap(sierpinski, indiscrete2, (0, 1))
     else:
         f = g = identity_map(discrete2)
-        known = ContinuousMap(discrete2, sierpinski, (0, 1))
-    built = compose_onto(g, f, known)
-    assert built.map == known.map and built is not known
-    assert built == compose(g, f) and (built.dom, built.cod) == (f.dom, g.cod)
+        h = ContinuousMap(discrete2, sierpinski, (0, 1))
+    assert compose(g, f).map == h.map
+    assert not composes_to(g, f, h)
 
 
-def test_compose_onto_builds_when_the_arrays_differ(discrete2):
+def test_composes_to_fails_when_the_arrays_differ(discrete2):
     f = g = identity_map(discrete2)
-    known = ContinuousMap(discrete2, discrete2, (1, 0))
-    built = compose_onto(g, f, known)
-    assert built == compose(g, f) and built.map == (0, 1)
+    assert not composes_to(g, f, ContinuousMap(discrete2, discrete2, (1, 0)))
 
 
-def test_compose_onto_rejects_a_mismatch(discrete2, indiscrete2):
-    # the arrays would compose to ``known``, but f does not land in dom g
+def test_composes_to_rejects_a_mismatch(discrete2, indiscrete2):
+    # the arrays would compose to ``h``, but f does not land in dom g
     f = identity_map(discrete2)
     g = identity_map(indiscrete2)
-    known = ContinuousMap(discrete2, indiscrete2, (0, 1))
+    h = ContinuousMap(discrete2, indiscrete2, (0, 1))
     with pytest.raises(InvalidInput, match="composition mismatch"):
-        compose_onto(g, f, known)
+        composes_to(g, f, h)
