@@ -249,49 +249,56 @@ def test_enumerate_frame_maps_matches_bruteforce():
             assert sorted(f.map for f in enumerate_frame_maps(dom, cod)) == sorted(brute)
 
 
-# --- composes_to on frame maps -------------------------------------------------
+# --- composing g onto a known frame map ----------------------------------------
 
 # the three-element chain ordered 0 < 2 < 1: equal in size to chain_frame(3),
 # but another frame
 RELABELED_CHAIN = frame_from_leq(3, [[1, 1, 1], [0, 1, 0], [0, 1, 1]])
 
 
-def test_composes_to_frames_holds_for_the_composite():
+def test_compose_onto_frames_returns_the_known_map_when_it_is_the_composite():
     c3 = chain_frame(3)
     f = FrameMap(c3, c3, (0, 1, 2))
     g = FrameMap(c3, c3, (0, 0, 2))
-    assert composes_to(g, f, FrameMap(c3, c3, (0, 0, 2)))
+    known = FrameMap(c3, c3, (0, 0, 2))
+    assert composes_to(g, f, known)
+    assert compose_frame_maps(g, f) == known
 
 
 @pytest.mark.parametrize("end", ["dom", "cod"])
-def test_composes_to_frames_fails_when_only_the_array_matches(end):
+def test_compose_onto_frames_builds_when_only_the_array_matches(end):
     c2 = chain_frame(2)
     if end == "dom":
         f = FrameMap(chain_frame(3), c2, (0, 1, 1))
         g = FrameMap(c2, c2, (0, 1))
-        h = FrameMap(RELABELED_CHAIN, c2, (0, 1, 1))
+        known = FrameMap(RELABELED_CHAIN, c2, (0, 1, 1))
     else:
         f = g = FrameMap(c2, c2, (0, 1))
-        h = FrameMap(c2, RELABELED_CHAIN, (0, 1))
-    assert compose_frame_maps(g, f).map == h.map
-    assert not composes_to(g, f, h)
+        known = FrameMap(c2, RELABELED_CHAIN, (0, 1))
+    built = compose_frame_maps(g, f)
+    assert built.map == known.map and built != known
+    assert (built.dom, built.cod) == (f.dom, g.cod)
+    assert not composes_to(g, f, known)
 
 
-def test_composes_to_frames_fails_when_the_arrays_differ():
+def test_compose_onto_frames_builds_when_the_arrays_differ():
     c3 = chain_frame(3)
     f = FrameMap(c3, c3, (0, 1, 2))
     g = FrameMap(c3, c3, (0, 0, 2))
+    assert compose_frame_maps(g, f).map == (0, 0, 2)
     assert not composes_to(g, f, FrameMap(c3, c3, (0, 2, 2)))
 
 
-def test_composes_to_frames_rejects_a_mismatch():
-    # the arrays would compose to ``h``, but f does not land in dom g
+def test_compose_onto_frames_rejects_a_mismatch():
+    # the arrays would compose to ``known``, but f does not land in dom g
     c2, c3 = chain_frame(2), chain_frame(3)
     f = FrameMap(c3, c2, (0, 1, 1))
     g = FrameMap(RELABELED_CHAIN, c2, (0, 1, 1))
-    h = FrameMap(c3, c2, (0, 1, 1))
+    known = FrameMap(c3, c2, (0, 1, 1))
+    with pytest.raises(InvalidInput, match="frame map composition mismatch"):
+        compose_frame_maps(g, f)
     with pytest.raises(InvalidInput, match="composition mismatch"):
-        composes_to(g, f, h)
+        composes_to(g, f, known)
 
 
 # --- frame-bridge witness order -------------------------------------------------

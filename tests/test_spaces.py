@@ -417,37 +417,45 @@ def test_restriction_counts_counts_several_extensions_along_a_non_injective_map(
     assert max(seen) >= 2
 
 
-# --- composes_to -------------------------------------------------------------
+# --- composing g onto a known map: compose builds, composes_to decides ------
 
 
-def test_composes_to_holds_for_the_composite(e1, sierpinski):
+def test_compose_onto_returns_the_known_map_when_it_is_the_composite(e1, sierpinski):
     f = identity_map(e1)
     g = next(m for m in enumerate_continuous_maps(e1, sierpinski) if len(set(m.map)) > 1)
-    assert composes_to(g, f, ContinuousMap(e1, sierpinski, g.map))
+    known = ContinuousMap(e1, sierpinski, g.map)
+    assert composes_to(g, f, known)
+    assert compose(g, f) == known
 
 
 @pytest.mark.parametrize("end", ["dom", "cod"])
-def test_composes_to_fails_when_only_the_array_matches(end, discrete2, indiscrete2, sierpinski):
+def test_compose_onto_builds_when_only_the_array_matches(end, discrete2, indiscrete2, sierpinski):
     if end == "dom":
         f = ContinuousMap(discrete2, indiscrete2, (0, 1))
         g = identity_map(indiscrete2)
-        h = ContinuousMap(sierpinski, indiscrete2, (0, 1))
+        known = ContinuousMap(sierpinski, indiscrete2, (0, 1))
     else:
         f = g = identity_map(discrete2)
-        h = ContinuousMap(discrete2, sierpinski, (0, 1))
-    assert compose(g, f).map == h.map
-    assert not composes_to(g, f, h)
+        known = ContinuousMap(discrete2, sierpinski, (0, 1))
+    built = compose(g, f)
+    assert built.map == known.map and built != known
+    assert (built.dom, built.cod) == (f.dom, g.cod)
+    assert not composes_to(g, f, known)
 
 
-def test_composes_to_fails_when_the_arrays_differ(discrete2):
+def test_compose_onto_builds_when_the_arrays_differ(discrete2):
     f = g = identity_map(discrete2)
-    assert not composes_to(g, f, ContinuousMap(discrete2, discrete2, (1, 0)))
+    known = ContinuousMap(discrete2, discrete2, (1, 0))
+    assert compose(g, f).map == (0, 1)
+    assert not composes_to(g, f, known)
 
 
-def test_composes_to_rejects_a_mismatch(discrete2, indiscrete2):
-    # the arrays would compose to ``h``, but f does not land in dom g
+def test_compose_onto_rejects_a_mismatch(discrete2, indiscrete2):
+    # the arrays would compose to ``known``, but f does not land in dom g
     f = identity_map(discrete2)
     g = identity_map(indiscrete2)
-    h = ContinuousMap(discrete2, indiscrete2, (0, 1))
+    known = ContinuousMap(discrete2, indiscrete2, (0, 1))
     with pytest.raises(InvalidInput, match="composition mismatch"):
-        composes_to(g, f, h)
+        compose(g, f)
+    with pytest.raises(InvalidInput, match="composition mismatch"):
+        composes_to(g, f, known)
