@@ -36,10 +36,28 @@ def enumerate_spaces(n: int, up_to_homeo: bool = False) -> tuple[FiniteSpace, ..
     if not up_to_homeo:
         return tuple(spaces)
     classes: list[FiniteSpace] = []
+    buckets: dict[tuple, list[FiniteSpace]] = {}
     for s in spaces:
-        if not any(find_homeomorphism(s, rep) for rep in classes):
+        bucket = buckets.setdefault(_homeo_invariants(s), [])
+        if not any(find_homeomorphism(s, rep) for rep in bucket):
+            bucket.append(s)
             classes.append(s)
     return tuple(classes)
+
+
+def _homeo_invariants(space: FiniteSpace) -> tuple:
+    """Invariants that homeomorphic spaces share.
+
+    The number of opens, their sorted sizes, and the sorted pairs of
+    minimal-neighbourhood size and in-degree (the number of minimal
+    neighbourhoods containing the point) per point.
+    """
+    points = sorted(
+        (space.hoods[x].bit_count(), sum(h >> x & 1 for h in space.hoods))
+        for x in range(space.n)
+    )
+    sizes = sorted(o.bit_count() for o in space.opens)
+    return len(space.opens), tuple(sizes), tuple(points)
 
 
 def _assignments_to_spaces(n: int) -> list[FiniteSpace]:

@@ -9,11 +9,11 @@ redundancy is asserted at construction time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .errors import FilterNotWellFormed, InvalidInput
-from .spaces import FiniteSpace, ContinuousMap, build_space, closure, minimal_neighborhood
+from .spaces import FiniteSpace, ContinuousMap, build_space, closure, saturation
 
 ULTRA = "ultra"
 OPEN_PRIME = "open-prime"
@@ -38,12 +38,17 @@ class LiftedSpace:
     kind: str
     points: tuple[FilterPoint, ...]
     space: FiniteSpace
+    _index: dict[int, int] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        index = {p.generator: i for i, p in enumerate(self.points)}
+        object.__setattr__(self, "_index", index)
 
     def index_of(self, generator: int) -> int:
-        for i, p in enumerate(self.points):
-            if p.generator == generator:
-                return i
-        raise FilterNotWellFormed(f"no point with generator {generator:#x}")
+        try:
+            return self._index[generator]
+        except KeyError:
+            raise FilterNotWellFormed(f"no point with generator {generator:#x}") from None
 
 
 def ambient_lattice(kind: str, space: FiniteSpace) -> tuple[int, ...]:
@@ -54,6 +59,17 @@ def ambient_lattice(kind: str, space: FiniteSpace) -> tuple[int, ...]:
         return space.opens
     if kind == CLOSED_PRIME:
         return space.closeds
+    raise InvalidInput(f"unknown filter kind {kind!r}")
+
+
+def _least_above(kind: str, space: FiniteSpace, mask: int) -> int:
+    """The least member of the ambient lattice that contains ``mask``."""
+    if kind == ULTRA:
+        return mask
+    if kind == OPEN_PRIME:
+        return saturation(space, mask)
+    if kind == CLOSED_PRIME:
+        return closure(space, mask)
     raise InvalidInput(f"unknown filter kind {kind!r}")
 
 
@@ -161,31 +177,25 @@ def _principal_index(lifted: LiftedSpace, elements: tuple[int, ...], what: str) 
 
 
 def lift_map(kind: str, f: ContinuousMap) -> ContinuousMap:
-    """Functor action: push a filter forward along the preimage formula."""
+    """Functor action: push each filter forward along ``f``.
+
+    The pushforward of the filter generated by g is {b : f^-1(b) contains g}
+    = {b : b contains f(g)}, so it is generated by the least ambient member
+    above the image of g.
+    """
     dom_l = lift_space(kind, f.dom)
     cod_l = lift_space(kind, f.cod)
-    ambient_cod = ambient_lattice(kind, f.cod)
-    arr = []
-    for p in dom_l.points:
-        elems = frozenset(p.elements)
-        image_elems = tuple(sorted(b for b in ambient_cod if f.preimage(b) in elems))
-        arr.append(_principal_index(cod_l, image_elems, "pushforward filter"))
-    return ContinuousMap(dom_l.space, cod_l.space, tuple(arr))
+    arr = tuple(
+        cod_l.index_of(_least_above(kind, f.cod, f.image(p.generator))) for p in dom_l.points
+    )
+    return ContinuousMap(dom_l.space, cod_l.space, arr)
 
 
 def unit(kind: str, space: FiniteSpace) -> ContinuousMap:
     """The point-to-filter map: all supersets / open or closed neighborhoods."""
     lifted = lift_space(kind, space)
-    arr = []
-    for x in range(space.n):
-        if kind == ULTRA:
-            gen = 1 << x
-        elif kind == OPEN_PRIME:
-            gen = minimal_neighborhood(space, x)
-        else:
-            gen = closure(space, 1 << x)
-        arr.append(lifted.index_of(gen))
-    return ContinuousMap(space, lifted.space, tuple(arr))
+    arr = tuple(lifted.index_of(_least_above(kind, space, 1 << x)) for x in range(space.n))
+    return ContinuousMap(space, lifted.space, arr)
 
 
 def mult(kind: str, space: FiniteSpace) -> ContinuousMap:

@@ -7,7 +7,7 @@ count stays small enough that the O(k^3) distributivity scan is cheap.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .errors import BoundExceeded, CoreflectionMismatch, InvalidInput
@@ -285,9 +285,16 @@ class IdealFrame:
     base: FiniteFrame
     ideals: tuple[int, ...]
     frame: FiniteFrame
+    _index: dict[int, int] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_index", {m: i for i, m in enumerate(self.ideals)})
 
     def index_of(self, members: int) -> int:
-        return self.ideals.index(members)
+        try:
+            return self._index[members]
+        except KeyError:
+            raise ValueError(f"{members:#x} is not an ideal of the base frame") from None
 
 
 def _is_ideal(frame: FiniteFrame, members: int) -> bool:

@@ -23,6 +23,7 @@ from .reflectors import (
 from .spaces import (
     ContinuousMap,
     FiniteSpace,
+    commutes,
     compose,
     composable_pairs,
     composes_to,
@@ -282,8 +283,7 @@ def check_naturality(
 ) -> CheckReport:
     desc = corpus_desc or f"{len(maps)} maps"
     for f in maps:
-        lhs = compose(nt.at(f.cod), nt.source.mor(f))
-        if not composes_to(nt.target.mor(f), nt.at(f.dom), lhs):
+        if not commutes(nt.at(f.cod), nt.source.mor(f), nt.target.mor(f), nt.at(f.dom)):
             return failed(
                 check_id, desc, f"{nt.name} square fails at {f.dom!r} -> {f.cod!r}, f={f.map}"
             )
@@ -307,8 +307,7 @@ def check_monad_laws(
             return failed(check_id, desc, f"{monad.name}: mu.(unit at T) fails at {space!r}")
         if not composes_to(mu, monad.mor(eta), ident):
             return failed(check_id, desc, f"{monad.name}: mu.T(unit) fails at {space!r}")
-        lhs = compose(mu, monad.mult.at(tx))
-        if not composes_to(mu, monad.mor(mu), lhs):
+        if not commutes(mu, monad.mult.at(tx), mu, monad.mor(mu)):
             return failed(check_id, desc, f"{monad.name}: associativity fails at {space!r}")
     return passed(check_id, desc)
 
@@ -331,8 +330,7 @@ def check_monad_morphism(
         if not composes_to(nt.at(space), source.unit.at(space), target.unit.at(space)):
             return failed(check_id, desc, f"{nt.name} misses the unit at {space!r}")
         squared = horizontal(nt, nt, space)
-        lhs = compose(nt.at(space), source.mult.at(space))
-        if not composes_to(target.mult.at(space), squared, lhs):
+        if not commutes(nt.at(space), source.mult.at(space), target.mult.at(space), squared):
             return failed(check_id, desc, f"{nt.name} misses the multiplication at {space!r}")
     return passed(check_id, desc)
 

@@ -8,7 +8,6 @@ which makes equality of spaces structural.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable, Iterable, Iterator, Sequence, TypeVar
@@ -48,13 +47,14 @@ def image_under(arr: Sequence[int], mask: int) -> int:
 class FiniteSpace:
     """A topology on the points ``0 .. n-1``, opens as ascending bitmasks.
 
-    The open-set membership set and the hash are computed once at
-    construction; neither takes part in equality.
+    The open-set membership set, the minimal neighbourhoods and the hash are
+    computed once at construction; none of them takes part in equality.
     """
 
     n: int
     opens: tuple[int, ...]
     _open_set: frozenset[int] = field(init=False, repr=False, compare=False)
+    hoods: tuple[int, ...] = field(init=False, repr=False, compare=False)
     _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -73,6 +73,7 @@ class FiniteSpace:
                 if a | b not in family or a & b not in family:
                     raise InvalidInput("opens are not closed under union/intersection")
         object.__setattr__(self, "_open_set", family)
+        object.__setattr__(self, "hoods", tuple(saturation(self, 1 << x) for x in range(self.n)))
         object.__setattr__(self, "_hash", hash((self.n, self.opens)))
 
     def __hash__(self) -> int:
@@ -96,7 +97,12 @@ class FiniteSpace:
 
 @dataclass(frozen=True, slots=True)
 class ContinuousMap:
-    """A function between finite spaces with the open-preimage property."""
+    """A function between finite spaces with the open-preimage property.
+
+    Every open of the codomain is a union of minimal neighbourhoods and
+    preimages preserve unions, so continuity is tested on the ``cod.n``
+    minimal neighbourhoods alone.
+    """
 
     dom: FiniteSpace
     cod: FiniteSpace
@@ -105,12 +111,17 @@ class ContinuousMap:
     def __post_init__(self) -> None:
         if len(self.map) != self.dom.n:
             raise InvalidInput("map length must equal the number of domain points")
-        if any(not 0 <= v < self.cod.n for v in self.map):
+        if min(self.map) < 0 or max(self.map) >= self.cod.n:
             raise InvalidInput("map value out of codomain range")
-        for o in self.cod.opens:
-            if not self.dom.is_open(self.preimage(o)):
+        opens = self.dom._open_set
+        for hood in self.cod.hoods:
+            pre = 0
+            for x, fx in enumerate(self.map):
+                if hood >> fx & 1:
+                    pre |= 1 << x
+            if pre not in opens:
                 raise InvalidInput(
-                    f"not continuous: preimage of {mask_to_points(o)} is not open"
+                    f"not continuous: preimage of {mask_to_points(hood)} is not open"
                 )
 
     def __call__(self, x: int) -> int:
@@ -175,6 +186,21 @@ def composes_to(g: M, f: M, h: M) -> bool:
     return h.dom == f.dom and h.cod == g.cod and h.map == tuple(g.map[v] for v in f.map)
 
 
+def commutes(g: M, f: M, k: M, h: M) -> bool:
+    """Is ``g`` after ``f`` the map ``k`` after ``h``?  Builds nothing.
+
+    Both composites must have the same domain, codomain and array.  Raises,
+    as :func:`compose` does, when either pair is not composable.
+    """
+    if f.cod != g.dom or h.cod != k.dom:
+        raise InvalidInput("composition mismatch: cod of f differs from dom of g")
+    return (
+        f.dom == h.dom
+        and g.cod == k.cod
+        and [g.map[v] for v in f.map] == [k.map[w] for w in h.map]
+    )
+
+
 def composable_pairs(maps: Sequence[ContinuousMap]) -> Iterator[tuple[int, int, int | None]]:
     """Positions ``(i, j, k)`` of every composable pair, f-major in input order.
 
@@ -234,7 +260,7 @@ def saturation(space: FiniteSpace, mask: int) -> int:
 
 
 def minimal_neighborhood(space: FiniteSpace, x: int) -> int:
-    return saturation(space, 1 << x)
+    return space.hoods[x]
 
 
 def specialization(space: FiniteSpace) -> PreorderMatrix:
@@ -446,11 +472,38 @@ def _interior_of(space: FiniteSpace, mask: int) -> int:
 
 @lru_cache(maxsize=None)
 def enumerate_continuous_maps(dom: FiniteSpace, cod: FiniteSpace) -> tuple[ContinuousMap, ...]:
-    """All continuous maps dom -> cod, in lexicographic order of the map array."""
+    """All continuous maps dom -> cod, in lexicographic order of the map array.
+
+    Continuous means monotone for the specialization preorder (Stong 1966):
+    x <= y, that is y in U_x, forces f(y) in U_f(x).  Points are assigned in
+    order, each value drawn in ascending order from those compatible with
+    the points already assigned, so no array is built only to be rejected.
+    """
+    n = dom.n
+    # closure of {w}: the points v with w in U_v
+    below = [sum(1 << v for v in range(cod.n) if cod.hoods[v] >> w & 1) for w in range(cod.n)]
+    # the earlier points j < i with j <= i, and those with i <= j
+    under = [[j for j in range(i) if dom.hoods[j] >> i & 1] for i in range(n)]
+    over = [[j for j in range(i) if dom.hoods[i] >> j & 1] for i in range(n)]
     out = []
-    for arr in itertools.product(range(cod.n), repeat=dom.n):
-        if _is_continuous(dom, cod, arr):
-            out.append(ContinuousMap(dom, cod, arr))
+    arr = [0] * n
+
+    def place(i: int) -> None:
+        if i == n:
+            out.append(ContinuousMap(dom, cod, tuple(arr)))
+            return
+        allowed = cod.full
+        for j in under[i]:
+            allowed &= cod.hoods[arr[j]]
+        for j in over[i]:
+            allowed &= below[arr[j]]
+        while allowed:
+            low = allowed & -allowed
+            arr[i] = low.bit_length() - 1
+            place(i + 1)
+            allowed ^= low
+
+    place(0)
     return tuple(out)
 
 
@@ -473,18 +526,6 @@ def restriction_counts(
     return counts
 
 
-def _is_continuous(dom: FiniteSpace, cod: FiniteSpace, arr: Sequence[int]) -> bool:
-    opens = dom._open_set
-    for o in cod.opens:
-        pre = 0
-        for x, fx in enumerate(arr):
-            if o >> fx & 1:
-                pre |= 1 << x
-        if pre not in opens:
-            return False
-    return True
-
-
 def is_homeomorphism(f: ContinuousMap) -> bool:
     if f.dom.n != f.cod.n or not f.is_injective:
         return False
@@ -492,16 +533,39 @@ def is_homeomorphism(f: ContinuousMap) -> bool:
 
 
 def find_homeomorphism(a: FiniteSpace, b: FiniteSpace) -> ContinuousMap | None:
-    """First (lexicographic) homeomorphism a -> b, or None."""
+    """First (lexicographic) homeomorphism a -> b, or None.
+
+    Opens are the up-sets of the specialization preorder, so a bijection p
+    is a homeomorphism exactly when y in U_x iff p(y) in U_p(x).  Points are
+    matched in order, each to the least unused point with a neighbourhood
+    of the same size that keeps this with the points matched before it:
+    permutations are visited in lexicographic order, and a branch that
+    breaks the preorder is cut at once.
+    """
     if a.n != b.n or len(a.opens) != len(b.opens):
         return None
     if sorted(o.bit_count() for o in a.opens) != sorted(o.bit_count() for o in b.opens):
         return None
-    opens_b = set(b.opens)
-    for perm in itertools.permutations(range(b.n)):
-        if {image_under(perm, o) for o in a.opens} == opens_b:
-            return ContinuousMap(a, b, perm)
-    return None
+    n = a.n
+    perm = [0] * n
+
+    def place(i: int, used: int) -> bool:
+        if i == n:
+            return True
+        for v in range(n):
+            if used >> v & 1 or a.hoods[i].bit_count() != b.hoods[v].bit_count():
+                continue
+            if all(
+                (a.hoods[i] >> j & 1) == (b.hoods[v] >> perm[j] & 1)
+                and (a.hoods[j] >> i & 1) == (b.hoods[perm[j]] >> v & 1)
+                for j in range(i)
+            ):
+                perm[i] = v
+                if place(i + 1, used | 1 << v):
+                    return True
+        return False
+
+    return ContinuousMap(a, b, tuple(perm)) if place(0, 0) else None
 
 
 def inverse_map(f: ContinuousMap) -> ContinuousMap:

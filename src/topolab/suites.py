@@ -79,6 +79,7 @@ from .spaces import (
     FiniteSpace,
     build_space,
     classify,
+    commutes,
     compose,
     composable_pairs,
     composes_to,
@@ -349,7 +350,7 @@ def suite_thm_4_6(bounds: RunBounds) -> list[CheckReport]:
             b = algebra_structure(t0, monad, space)
             if not composes_to(b, eta, identity_map(rtx)):
                 yield f"b.unit != id at {space!r}"
-            if not composes_to(b, monad.mor(b), compose(b, monad.mult.at(rtx))):
+            if not commutes(b, monad.mor(b), b, monad.mult.at(rtx)):
                 yield f"b not a structure at {space!r}"
 
     return [
@@ -419,9 +420,7 @@ def suite_prop_4_9(bounds: RunBounds) -> list[CheckReport]:
                 struct_z = composite.mult.at(z_space)
                 counts = restriction_counts(
                     unit_rx, algebra,
-                    keep=lambda phi: composes_to(
-                        struct_z, composite.mor(phi), compose(phi, struct_rx)
-                    ),
+                    keep=lambda phi: commutes(struct_z, composite.mor(phi), phi, struct_rx),
                 )
                 for f in enumerate_continuous_maps(rx, algebra):
                     n = counts.get(f.map, 0)
@@ -460,7 +459,7 @@ def suite_prop_5_1(bounds: RunBounds) -> list[CheckReport]:
                 struct = inverse_map(u.unit.at(y_space))  # the unique algebra structure
                 counts = restriction_counts(
                     eta_x, y_space,
-                    keep=lambda phi: composes_to(struct, u.mor(phi), compose(phi, mu_x)),
+                    keep=lambda phi: commutes(struct, u.mor(phi), phi, mu_x),
                 )
                 for f in enumerate_continuous_maps(x_space, y_space):
                     n = counts.get(f.map, 0)
@@ -698,20 +697,18 @@ def suite_topo_invariants(bounds: RunBounds) -> list[CheckReport]:
     small = spaces_up_to(bounds.map_points)
 
     def monotone_vs_continuous():
+        # the definitional filter: every open has an open preimage
         for a in small:
-            order_a = specialization(a).leq
             for b in small:
-                order_b = specialization(b).leq
-                monotone = [
+                continuous = [
                     arr
                     for arr in itertools.product(range(b.n), repeat=a.n)
                     if all(
-                        not order_a[x][y] or order_b[arr[x]][arr[y]]
-                        for x in range(a.n)
-                        for y in range(a.n)
+                        a.is_open(sum(1 << x for x in range(a.n) if o >> arr[x] & 1))
+                        for o in b.opens
                     )
                 ]
-                if monotone != [f.map for f in enumerate_continuous_maps(a, b)]:
+                if continuous != [f.map for f in enumerate_continuous_maps(a, b)]:
                     yield f"{a!r}->{b!r}"
 
     out.append(

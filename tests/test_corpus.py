@@ -7,13 +7,14 @@ from topolab import (
     InvalidInput,
     enumerate_lattices,
     enumerate_spaces,
+    find_homeomorphism,
     recount_topologies,
 )
 from topolab.corpus import lattice_class_counts, recount_lattices
 
 
 LABELED = {1: 1, 2: 4, 3: 29, 4: 355}
-CLASSES = {1: 1, 2: 3, 3: 9, 4: 33}
+CLASSES = {1: 1, 2: 3, 3: 9, 4: 33, 5: 139}  # OEIS A001930
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -22,9 +23,18 @@ def test_labeled_counts(n):
     assert recount_topologies(n) == LABELED[n]
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_class_counts(n):
     assert len(enumerate_spaces(n, up_to_homeo=True)) == CLASSES[n]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_class_reduction_matches_a_scan_over_every_representative(n):
+    classes = []
+    for s in enumerate_spaces(n):
+        if not any(find_homeomorphism(s, rep) for rep in classes):
+            classes.append(s)
+    assert enumerate_spaces(n, up_to_homeo=True) == tuple(classes)
 
 
 def test_five_point_count_is_consistent():

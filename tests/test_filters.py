@@ -6,13 +6,16 @@ frozen here; structural invariants are rechecked by the library's own
 assertion routine plus an independent primality oracle.
 """
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from topolab import (
     CLOSED_PRIME,
+    KINDS,
     OPEN_PRIME,
     ULTRA,
     ContinuousMap,
+    FilterNotWellFormed,
     alpha,
     build_space,
     classify,
@@ -28,6 +31,7 @@ from topolab import (
     mult,
     unit,
 )
+from topolab.corpus import maps_between, spaces_up_to
 from topolab.filters import ambient_lattice, check_filter_point, member_set
 
 
@@ -112,6 +116,42 @@ def test_lift_map_example(e1, sierpinski):
     # filter on the whole-space one
     assert cod.points[sf.map[dom.index_of(0b001)]].generator == 0b10
     assert cod.points[sf.map[dom.index_of(0b111)]].generator == 0b11
+
+
+def _pushforward_by_preimages(kind, f):
+    """The preimage formula: p goes to {b : f^-1(b) in p}, found by its family."""
+    cod_l = lift_space(kind, f.cod)
+    ambient = ambient_lattice(kind, f.cod)
+    arr = []
+    for p in lift_space(kind, f.dom).points:
+        elems = set(p.elements)
+        image = tuple(sorted(b for b in ambient if f.preimage(b) in elems))
+        matches = [i for i, q in enumerate(cod_l.points) if q.elements == image]
+        assert len(matches) == 1, (kind, f, image)
+        arr.append(matches[0])
+    return tuple(arr)
+
+
+def test_lift_map_is_the_preimage_pushforward():
+    for kind in KINDS:
+        for f in maps_between(spaces_up_to(3)):
+            lifted = lift_map(kind, f)
+            assert lifted.dom == lift_space(kind, f.dom).space
+            assert lifted.cod == lift_space(kind, f.cod).space
+            assert lifted.map == _pushforward_by_preimages(kind, f), (kind, f)
+
+
+def test_index_of_raises_on_an_unknown_generator(e1):
+    for kind in KINDS:
+        lifted = lift_space(kind, e1)
+        generators = {p.generator for p in lifted.points}
+        assert 0 not in generators  # proper filters only, so 0 is always a miss
+        for gen in range(e1.full + 1):
+            if gen in generators:
+                assert lifted.points[lifted.index_of(gen)].generator == gen
+            else:
+                with pytest.raises(FilterNotWellFormed):
+                    lifted.index_of(gen)
 
 
 def test_functor_composition(classes3):

@@ -184,6 +184,15 @@ def test_ideals_all_principal():
         assert sorted(sup.map) == list(range(frame.k))
 
 
+def test_ideal_frame_index_of_finds_every_ideal_and_raises_on_a_miss():
+    for frame in enumerate_lattices(6):
+        lifted = ideal_frame(frame)
+        for i, members in enumerate(lifted.ideals):
+            assert lifted.index_of(members) == i
+        with pytest.raises(ValueError):
+            lifted.index_of(0)  # an ideal is never empty
+
+
 def test_ideal_comonad_laws():
     assert check_ideal_comonad_laws(enumerate_lattices(8)).ok
 

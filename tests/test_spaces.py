@@ -4,6 +4,8 @@ Derived expectations are recomputed here with independent set-based oracles
 (frozensets of frozensets) before being compared with the bitmask kernel.
 """
 
+import itertools
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -29,8 +31,8 @@ from topolab import (
     way_below_open,
     way_below_via_subset,
 )
-from topolab.corpus import maps_between, spaces_up_to
-from topolab.spaces import PreorderMatrix, composes_to, restriction_counts
+from topolab.corpus import enumerate_spaces, maps_between, spaces_up_to
+from topolab.spaces import PreorderMatrix, commutes, composes_to, restriction_counts
 from topolab.suites import RunBounds, run_suite
 
 
@@ -271,8 +273,6 @@ def test_enumeration_is_monotone_maps(classes3):
         order_a = specialization(a).leq
         for b in classes3:
             order_b = specialization(b).leq
-            import itertools
-
             monotone = [
                 arr
                 for arr in itertools.product(range(b.n), repeat=a.n)
@@ -283,6 +283,41 @@ def test_enumeration_is_monotone_maps(classes3):
                 )
             ]
             assert [f.map for f in enumerate_continuous_maps(a, b)] == monotone
+
+
+def _opens_pull_back(a, b, arr):
+    """Definitional continuity: every open of b has an open preimage in a."""
+    for o in b.opens:
+        pre = 0
+        for x, fx in enumerate(arr):
+            if o >> fx & 1:
+                pre |= 1 << x
+        if not a.is_open(pre):
+            return False
+    return True
+
+
+def test_continuous_map_accepts_exactly_the_arrays_with_open_preimages(classes3):
+    for a in classes3:
+        for b in classes3:
+            for arr in itertools.product(range(b.n), repeat=a.n):
+                try:
+                    ContinuousMap(a, b, arr)
+                    accepted = True
+                except InvalidInput:
+                    accepted = False
+                assert accepted == _opens_pull_back(a, b, arr), (a, b, arr)
+
+
+def test_enumeration_is_the_filtered_product(classes4):
+    for a in classes4:
+        for b in classes4:
+            expected = [
+                arr
+                for arr in itertools.product(range(b.n), repeat=a.n)
+                if _opens_pull_back(a, b, arr)
+            ]
+            assert [f.map for f in enumerate_continuous_maps(a, b)] == expected, (a, b)
 
 
 # --- homeomorphism search ---------------------------------------------------
@@ -301,6 +336,31 @@ def test_find_homeomorphism_flipped_sierpinski(sierpinski):
     flipped = build_space(2, [{0}])
     witness = find_homeomorphism(sierpinski, flipped)
     assert witness is not None and is_homeomorphism(witness)
+
+
+def _first_permutation_onto(a, b):
+    """The first permutation, in lexicographic order, taking opens onto opens."""
+    opens_b = set(b.opens)
+    for perm in itertools.permutations(range(b.n)):
+        images = set()
+        for o in a.opens:
+            images.add(sum(1 << perm[x] for x in range(a.n) if o >> x & 1))
+        if images == opens_b:
+            return perm
+    return None
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_find_homeomorphism_is_the_first_permutation_onto_the_opens(n):
+    # every labeled space against every labeled space up to 3 points, and
+    # against every class representative with as many opens at 4
+    targets = enumerate_spaces(n, up_to_homeo=n == 4)
+    for a in enumerate_spaces(n):
+        for b in targets:
+            if n == 4 and len(a.opens) != len(b.opens):
+                continue
+            found = find_homeomorphism(a, b)
+            assert (found and found.map) == _first_permutation_onto(a, b), (a, b)
 
 
 # --- property-based invariants ----------------------------------------------
@@ -459,3 +519,48 @@ def test_compose_onto_rejects_a_mismatch(discrete2, indiscrete2):
         compose(g, f)
     with pytest.raises(InvalidInput, match="composition mismatch"):
         composes_to(g, f, known)
+
+
+# --- commuting squares: commutes decides g.f = k.h without building ---------
+
+
+def test_commutes_when_the_composites_agree(e1, sierpinski):
+    g = next(m for m in enumerate_continuous_maps(e1, sierpinski) if len(set(m.map)) > 1)
+    f = identity_map(e1)
+    k = identity_map(sierpinski)
+    assert commutes(g, f, k, g)
+    assert compose(g, f) == compose(k, g)
+
+
+@pytest.mark.parametrize("end", ["dom", "cod"])
+def test_commutes_rejects_composites_that_differ_only_in_an_end(
+    end, discrete2, indiscrete2, sierpinski
+):
+    if end == "dom":
+        f = ContinuousMap(discrete2, indiscrete2, (0, 1))
+        h = ContinuousMap(sierpinski, indiscrete2, (0, 1))
+        g = k = identity_map(indiscrete2)
+    else:
+        f = g = h = identity_map(discrete2)
+        k = ContinuousMap(discrete2, sierpinski, (0, 1))
+    left, right = compose(g, f), compose(k, h)
+    assert left.map == right.map and left != right
+    assert not commutes(g, f, k, h)
+
+
+def test_commutes_rejects_composites_whose_arrays_differ(discrete2):
+    f = g = h = identity_map(discrete2)
+    k = ContinuousMap(discrete2, discrete2, (1, 0))
+    assert compose(g, f).map != compose(k, h).map
+    assert not commutes(g, f, k, h)
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_commutes_rejects_a_non_composable_pair(side, discrete2, indiscrete2):
+    ident = identity_map(discrete2)
+    f, g = ident, identity_map(indiscrete2)  # f does not land in dom g
+    with pytest.raises(InvalidInput, match="composition mismatch"):
+        compose(g, f)
+    square = (g, f, ident, ident) if side == "left" else (ident, ident, g, f)
+    with pytest.raises(InvalidInput, match="composition mismatch"):
+        commutes(*square)
