@@ -439,16 +439,6 @@ def is_stably_continuous(frame: FiniteFrame) -> bool:
     return approximating and multiplicative
 
 
-def frame_map_is_proper(f: FrameMap) -> bool:
-    """Properness: the way-below relation is preserved."""
-    return all(
-        way_below_lattice(f.cod, f.map[a], f.map[b])
-        for a in range(f.dom.k)
-        for b in range(f.dom.k)
-        if way_below_lattice(f.dom, a, b)
-    )
-
-
 def frame_is_compact(frame: FiniteFrame) -> bool:
     return way_below_lattice(frame, frame.top, frame.top)
 

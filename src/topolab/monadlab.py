@@ -25,8 +25,8 @@ from .spaces import (
     FiniteSpace,
     commutes,
     compose,
-    composable_pairs,
     composes_to,
+    composition_breaks,
     enumerate_continuous_maps,
     identity_map,
     is_homeomorphism,
@@ -255,23 +255,28 @@ def check_functor_laws(
 ) -> CheckReport:
     """Identities on every corpus space, composition on every composable pair.
 
-    Composition is quantified over the pairs ``(f, g)`` of ``maps`` with
-    ``f.cod == g.dom`` only, f-major in corpus order, so the witness is the
-    first failing pair of the all-pairs scan.  Each map is lifted once; the
-    lift of a listed composite is the one compared against.
+    Each map is lifted once, and its lift must run between the lifted ends.
+    Composition is then quantified over the pairs ``(f, g)`` of ``maps``
+    with ``f.cod == g.dom`` only, f-major in corpus order, so the witness is
+    the first failing pair of the all-pairs scan; the lift of a listed
+    composite is the one compared against.
     """
     desc = corpus_desc or f"{len(spaces)} spaces, {len(maps)} maps"
+    name = functor.name
     for space in spaces:
         if functor.mor(identity_map(space)).map != identity_map(functor.obj(space)).map:
-            return failed(check_id, desc, f"{functor.name} breaks identities at {space!r}")
+            return failed(check_id, desc, f"{name} breaks identities at {space!r}")
     lifted = [functor.mor(m) for m in maps]
-    for i, j, k in composable_pairs(maps):
-        f, g = maps[i], maps[j]
-        lifted_gf = lifted[k] if k is not None else functor.mor(compose(g, f))
-        if not composes_to(lifted[j], lifted[i], lifted_gf):
+    for m, h in zip(maps, lifted):
+        if h.dom != functor.obj(m.dom) or h.cod != functor.obj(m.cod):
             return failed(
-                check_id, desc, f"{functor.name} breaks composition at {f.map};{g.map}"
+                check_id, desc,
+                f"{name} sends {m.map} off {name}({m.dom!r}) -> {name}({m.cod!r})",
             )
+    for i, j in composition_breaks(maps, lifted, functor.mor):
+        return failed(
+            check_id, desc, f"{name} breaks composition at {maps[i].map};{maps[j].map}"
+        )
     return passed(check_id, desc)
 
 

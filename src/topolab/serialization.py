@@ -1,5 +1,5 @@
-"""File formats: spaces, maps, lifted spaces with generator sidecars,
-frames, and DOT export.
+"""File formats: spaces, maps, lifted spaces with generator sidecars, and
+DOT export.
 
 Parsers insist on canonical form and answer malformed input with a
 diagnostic rather than repairing it.
@@ -12,7 +12,6 @@ from typing import Any
 
 from .errors import InvalidInput
 from .filters import LiftedSpace
-from .frames import FiniteFrame, frame_from_leq
 from .spaces import (
     ContinuousMap,
     FiniteSpace,
@@ -61,20 +60,6 @@ def map_to_json(f: ContinuousMap) -> dict[str, Any]:
     }
 
 
-def map_from_json(data: Any) -> ContinuousMap:
-    if not isinstance(data, dict) or set(data) != {"dom", "cod", "map"}:
-        raise InvalidInput('a map needs exactly the keys "dom", "cod" and "map"')
-    dom = space_from_json(data["dom"])
-    cod = space_from_json(data["cod"])
-    arr = data["map"]
-    if not isinstance(arr, list) or any(not isinstance(v, int) for v in arr):
-        raise InvalidInput('"map" must be a list of integers')
-    try:
-        return ContinuousMap(dom, cod, tuple(arr))
-    except InvalidInput as exc:
-        raise InvalidInput(f"not a continuous map: {exc}") from exc
-
-
 def lifted_sidecar_to_json(lifted: LiftedSpace) -> dict[str, Any]:
     """Per-point generator listing that accompanies a lifted space file."""
     return {
@@ -82,37 +67,6 @@ def lifted_sidecar_to_json(lifted: LiftedSpace) -> dict[str, Any]:
         "base": space_to_json(lifted.base),
         "generators": [list(mask_to_points(p.generator)) for p in lifted.points],
     }
-
-
-def frame_to_json(frame: FiniteFrame) -> dict[str, Any]:
-    pairs = [
-        [a, b] for a in range(frame.k) for b in range(frame.k) if frame.leq[a][b]
-    ]
-    return {"elements": frame.k, "leq": pairs}
-
-
-def frame_from_json(data: Any) -> FiniteFrame:
-    if not isinstance(data, dict) or set(data) != {"elements", "leq"}:
-        raise InvalidInput('a frame needs exactly the keys "elements" and "leq"')
-    k = data["elements"]
-    if not isinstance(k, int) or k < 1:
-        raise InvalidInput('"elements" must be a positive integer')
-    rows = [[False] * k for _ in range(k)]
-    pairs = data["leq"]
-    if not isinstance(pairs, list):
-        raise InvalidInput('"leq" must be a list of [i, j] pairs')
-    for pair in pairs:
-        if (
-            not isinstance(pair, list)
-            or len(pair) != 2
-            or any(not isinstance(v, int) or not 0 <= v < k for v in pair)
-        ):
-            raise InvalidInput(f"bad order pair {pair!r}")
-        rows[pair[0]][pair[1]] = True
-    try:
-        return frame_from_leq(k, rows)
-    except InvalidInput as exc:
-        raise InvalidInput(f"not a bounded distributive lattice: {exc}") from exc
 
 
 def dumps(data: Any) -> str:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
+from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
 from .errors import BoundExceeded, InvalidInput, NotOpen
@@ -75,6 +76,14 @@ class FiniteSpace:
         object.__setattr__(self, "_open_set", family)
         object.__setattr__(self, "hoods", tuple(saturation(self, 1 << x) for x in range(self.n)))
         object.__setattr__(self, "_hash", hash((self.n, self.opens)))
+
+    def __eq__(self, other: object) -> bool:
+        # corpus spaces are cached objects, so identity settles most calls
+        if self is other:
+            return True
+        if not isinstance(other, FiniteSpace):
+            return NotImplemented
+        return self.n == other.n and self.opens == other.opens
 
     def __hash__(self) -> int:
         return self._hash
@@ -201,21 +210,66 @@ def commutes(g: M, f: M, k: M, h: M) -> bool:
     )
 
 
+def _gather(arr: Sequence[int]) -> Callable[[Sequence[int]], tuple[int, ...]]:
+    """The function ``s -> tuple(s[v] for v in arr)``, as one C-level call."""
+    if len(arr) == 1:
+        # itemgetter of a single index returns the item, not a 1-tuple
+        (v,) = arr
+        return lambda s: (s[v],)
+    return itemgetter(*arr)
+
+
 def composable_pairs(maps: Sequence[ContinuousMap]) -> Iterator[tuple[int, int, int | None]]:
     """Positions ``(i, j, k)`` of every composable pair, f-major in input order.
 
     ``f = maps[i]`` and ``g = maps[j]`` with ``f.cod == g.dom``; ``k`` is the
-    position of ``g after f`` in ``maps``, or None when it is not listed.
+    first position of ``g after f`` in ``maps``, or None when it is not listed.
+    The distinct spaces are numbered once, and each map is indexed by its
+    array alone within the block of its (domain, codomain) numbers, so a
+    pair costs one gather of ``g.map`` and one lookup in its block.
     """
-    by_dom: dict[FiniteSpace, list[int]] = {}
-    position: dict[tuple[FiniteSpace, FiniteSpace, tuple[int, ...]], int] = {}
-    for k, m in enumerate(maps):
-        by_dom.setdefault(m.dom, []).append(k)
-        position.setdefault((m.dom, m.cod, m.map), k)
+    ids: dict[FiniteSpace, int] = {}
+    ends = [(ids.setdefault(m.dom, len(ids)), ids.setdefault(m.cod, len(ids))) for m in maps]
+    leaving: dict[int, list[tuple[int, int, tuple[int, ...]]]] = {}  # dom -> (j, cod, array)
+    blocks: dict[int, dict[int, dict[tuple[int, ...], int]]] = {}  # dom -> cod -> array -> k
+    for k, (m, (d, c)) in enumerate(zip(maps, ends)):
+        leaving.setdefault(d, []).append((k, c, m.map))
+        blocks.setdefault(d, {}).setdefault(c, {}).setdefault(m.map, k)
     for i, f in enumerate(maps):
-        for j in by_dom.get(f.cod, ()):
-            g = maps[j]
-            yield i, j, position.get((f.dom, g.cod, tuple(g.map[v] for v in f.map)))
+        d, c = ends[i]
+        row = blocks[d]
+        gather = _gather(f.map)
+        for j, e, g_map in leaving.get(c, ()):
+            block = row.get(e)
+            yield i, j, None if block is None else block.get(gather(g_map))
+
+
+def composition_breaks(
+    maps: Sequence[ContinuousMap],
+    lifted: Sequence[M],
+    lift: Callable[[ContinuousMap], M],
+    contravariant: bool = False,
+) -> Iterator[tuple[int, int]]:
+    """Positions ``(i, j)`` of the composable pairs at which ``lift`` breaks
+    composition, f-major in input order.
+
+    ``lifted[i]`` is ``lift(maps[i])``.  A covariant lift must send g after f
+    to ``lifted[j]`` after ``lifted[i]``, a contravariant one to ``lifted[i]``
+    after ``lifted[j]``.  The caller has checked once per map that every
+    lifted map has the lifted domain and codomain, so a listed composite is
+    decided by its array alone; an unlisted one is built, lifted and decided
+    by :func:`composes_to`.
+    """
+    arrays = [h.map for h in lifted]
+    gathers = [_gather(a) for a in arrays]
+    for i, j, k in composable_pairs(maps):
+        first, then = (j, i) if contravariant else (i, j)
+        if k is not None:
+            holds = arrays[k] == gathers[first](arrays[then])
+        else:
+            holds = composes_to(lifted[then], lifted[first], lift(compose(maps[j], maps[i])))
+        if not holds:
+            yield i, j
 
 
 def build_space(n: int, generators: Sequence[Iterable[int]] = ()) -> FiniteSpace:

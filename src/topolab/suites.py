@@ -81,7 +81,7 @@ from .spaces import (
     classify,
     commutes,
     compose,
-    composable_pairs,
+    composition_breaks,
     composes_to,
     enumerate_continuous_maps,
     find_homeomorphism,
@@ -906,23 +906,21 @@ def _recount_classes(n: int) -> int:
 def suite_frame_bridge(bounds: RunBounds) -> list[CheckReport]:
     _, maps, desc = _map_corpus(bounds)
     frame_maps = [opens_frame_map(f) for f in maps]
-    contravariant = (
+    misplaced = [
         f"{f.map}"
         for f, lifted in zip(maps, frame_maps)
         if lifted.dom != opens_frame(f.cod) or lifted.cod != opens_frame(f.dom)
+    ]
+    # the pair scan compares arrays, which decides O(g.f) = O(f).O(g) only
+    # when every frame map runs between the frames of its ends
+    functorial = misplaced or (
+        f"{maps[i].map};{maps[j].map}"
+        for i, j in composition_breaks(maps, frame_maps, opens_frame_map, contravariant=True)
     )
-
-    def functorial():
-        for i, j, k in composable_pairs(maps):
-            f, g = maps[i], maps[j]
-            o_gf = frame_maps[k] if k is not None else opens_frame_map(compose(g, f))
-            if not composes_to(frame_maps[i], frame_maps[j], o_gf):
-                yield f"{f.map};{g.map}"
-
     chain = opens_frame(build_space(3, [{0}])).k
     return [
-        _verdict("frame-bridge[contravariant]", desc, contravariant),
-        _verdict("frame-bridge[functorial]", desc, functorial()),
+        _verdict("frame-bridge[contravariant]", desc, misplaced),
+        _verdict("frame-bridge[functorial]", desc, functorial),
         _verdict(
             "frame-bridge[chain]", "three-point example",
             ["" if chain == 3 else f"opens frame has {chain} elements"],

@@ -29,7 +29,6 @@ from topolab.frames import (
     _largest_regular_by_fixpoint,
     compose_frame_maps,
     frame_is_compact,
-    frame_map_is_proper,
     ideal_frame,
     ideal_map,
     ideal_supremum,
@@ -233,7 +232,12 @@ def test_frame_maps_are_proper():
     for dom in enumerate_lattices(4):
         for cod in enumerate_lattices(4):
             for f in enumerate_frame_maps(dom, cod):
-                assert frame_map_is_proper(f)
+                assert all(
+                    way_below_lattice(cod, f.map[a], f.map[b])
+                    for a in range(dom.k)
+                    for b in range(dom.k)
+                    if way_below_lattice(dom, a, b)
+                )
 
 
 def test_compact_regular_coreflection_suite():
@@ -344,3 +348,21 @@ def test_frame_bridge_functorial_witness_matches_an_all_pairs_scan(monkeypatch):
         r for r in suites.suite_frame_bridge(bounds) if r.check_id == "frame-bridge[functorial]"
     )
     assert report.witness == f"{f.map};{bad[0].map}"
+
+
+def test_frame_bridge_fails_both_laws_on_a_frame_map_with_the_wrong_ends(monkeypatch):
+    bounds = suites.RunBounds()
+    maps = maps_between(spaces_up_to(bounds.map_points))
+    target = next(m for m in maps if m.dom.n == 2 and m.cod.n == 2)
+    # a frame map into the opens of a domain with another number of opens
+    other = next(
+        m for m in maps if m.cod == target.cod and len(m.dom.opens) != len(target.dom.opens)
+    )
+
+    def misplaced(f):
+        return opens_frame_map(other if f == target else f)
+
+    monkeypatch.setattr(suites, "opens_frame_map", misplaced)
+    reports = {r.check_id: r for r in suites.suite_frame_bridge(bounds)}
+    for check_id in ("frame-bridge[contravariant]", "frame-bridge[functorial]"):
+        assert reports[check_id].witness == f"{target.map}"

@@ -380,6 +380,21 @@ def test_reflector_spec_round_trip(e1):
     assert t0.unit_at(e1).map == (1, 0, 0)
 
 
+@pytest.mark.parametrize("end", ["dom", "cod"])
+def test_functor_laws_fail_on_a_lift_with_the_wrong_ends(end):
+    spaces = spaces_up_to(3, True)
+    maps = maps_between(spaces)
+    target = next(m for m in maps if m.dom.n == 2 and m.cod.n == 2)
+    ends = {"dom": target.dom, "cod": target.cod}
+    ends[end] = next(s for s in spaces if s.n == 2 and s != ends[end])
+    # constants are continuous, so the wrong lift is a valid map
+    wrong = ContinuousMap(ends["dom"], ends["cod"], (0, 0))
+    functor = EndofunctorSpec("W", lambda s: s, lambda m: wrong if m == target else m)
+    report = check_functor_laws(functor, spaces, maps)
+    assert not report.ok
+    assert report.witness == f"W sends {target.map} off W({target.dom!r}) -> W({target.cod!r})"
+
+
 def _first_breaks(functor, maps):
     """All-pairs scan: the first f that breaks composition, with every g it fails on."""
     for f in maps:

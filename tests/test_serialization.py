@@ -8,15 +8,12 @@ from pathlib import Path
 import pytest
 
 import topolab
-from topolab import InvalidInput, chain_frame, lift_space
+from topolab import InvalidInput, lift_space
 from topolab.filters import OPEN_PRIME
 from topolab.reports import CheckReport, failed, passed
 from topolab.serialization import (
-    frame_from_json,
-    frame_to_json,
     lifted_dot,
     lifted_sidecar_to_json,
-    map_from_json,
     map_to_json,
     space_from_json,
     space_to_json,
@@ -58,16 +55,13 @@ def test_space_rejects_wrong_keys():
         space_from_json({"points": 2})
 
 
-def test_map_round_trip(e1, sierpinski):
+def test_map_to_json_shape(e1, sierpinski):
     f = ContinuousMap(e1, sierpinski, (1, 0, 0))
-    assert map_from_json(map_to_json(f)) == f
-
-
-def test_map_rejects_discontinuous(e1, sierpinski):
-    data = map_to_json(ContinuousMap(e1, sierpinski, (1, 0, 0)))
-    data["map"] = [0, 1, 1]
-    with pytest.raises(InvalidInput, match="not a continuous map"):
-        map_from_json(data)
+    assert map_to_json(f) == {
+        "dom": space_to_json(e1),
+        "cod": space_to_json(sierpinski),
+        "map": [1, 0, 0],
+    }
 
 
 def test_lifted_sidecar(e1):
@@ -75,21 +69,6 @@ def test_lifted_sidecar(e1):
     sidecar = lifted_sidecar_to_json(lifted)
     assert sidecar["kind"] == OPEN_PRIME
     assert sidecar["generators"] == [[0], [0, 1, 2]]
-
-
-def test_frame_round_trip():
-    frame = chain_frame(3)
-    assert frame_from_json(frame_to_json(frame)) == frame
-
-
-def test_frame_rejects_non_lattice():
-    with pytest.raises(InvalidInput, match="not a bounded distributive lattice"):
-        frame_from_json({"elements": 2, "leq": [[0, 0], [1, 1]]})
-
-
-def test_frame_rejects_bad_pair():
-    with pytest.raises(InvalidInput, match="bad order pair"):
-        frame_from_json({"elements": 2, "leq": [[0, 5]]})
 
 
 def test_report_json_shape():

@@ -32,7 +32,13 @@ from topolab import (
     way_below_via_subset,
 )
 from topolab.corpus import enumerate_spaces, maps_between, spaces_up_to
-from topolab.spaces import PreorderMatrix, commutes, composes_to, restriction_counts
+from topolab.spaces import (
+    PreorderMatrix,
+    commutes,
+    composable_pairs,
+    composes_to,
+    restriction_counts,
+)
 from topolab.suites import RunBounds, run_suite
 
 
@@ -114,6 +120,14 @@ def test_space_validation_rejects_non_topology():
         FiniteSpace(2, (0, 1, 2, 3, 3))
     with pytest.raises(InvalidInput):
         FiniteSpace(3, (0, 0b001, 0b010, 0b111))  # missing the union {0,1}
+
+
+def test_space_equality_is_structural(e1, sierpinski):
+    twin = FiniteSpace(e1.n, tuple(e1.opens))
+    assert twin is not e1 and twin == e1 and hash(twin) == hash(e1)
+    # same number of points, other opens
+    assert build_space(2, []) != sierpinski
+    assert e1 != (e1.n, e1.opens) and e1 != e1.opens
 
 
 def test_continuous_map_rejects_discontinuity(e1, sierpinski):
@@ -475,6 +489,36 @@ def test_restriction_counts_counts_several_extensions_along_a_non_injective_map(
             seen.update(_assert_matches_naive(pre, z).values())
             _assert_matches_naive(pre, z, keep=lambda phi: phi.is_surjective)
     assert max(seen) >= 2
+
+
+# --- the composable-pair table ----------------------------------------------
+
+
+def _all_pairs(maps):
+    """Naive scan: every (i, j) with f.cod == g.dom, k the first listed g after f."""
+    first = {}
+    for k, m in enumerate(maps):
+        first.setdefault((m.dom, m.cod, m.map), k)
+    return [
+        (i, j, first.get((f.dom, g.cod, tuple(g.map[v] for v in f.map))))
+        for i, f in enumerate(maps)
+        for j, g in enumerate(maps)
+        if f.cod == g.dom
+    ]
+
+
+@pytest.mark.parametrize("listed", ["closed", "first-400", "first-200-twice"])
+def test_composable_pairs_is_the_all_pairs_scan(listed):
+    maps = maps_between(spaces_up_to(3))
+    if listed == "first-400":
+        maps = maps[:400]
+    elif listed == "first-200-twice":  # k is the first of two positions
+        maps = maps[:200] * 2
+    pairs = list(composable_pairs(maps))
+    assert pairs == _all_pairs(maps)
+    # the closed corpus lists every composite, the prefixes leave some out
+    assert any(maps[i].dom.n == 1 for i, _, _ in pairs)
+    assert (None in {k for _, _, k in pairs}) == (listed != "closed")
 
 
 # --- composing g onto a known map: compose builds, composes_to decides ------
