@@ -64,9 +64,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--suite", default="all",
         help=f"suite id or 'all'; known: {', '.join(sorted(SUITES))}",
     )
-    check.add_argument("--max-points", type=int, default=4, metavar="N")
+    check.add_argument("--max-points", type=int, default=RunBounds.max_points, metavar="N")
     check.add_argument(
-        "--epi-cap", type=int, default=4, metavar="N",
+        "--epi-cap", type=int, default=RunBounds.epi_cap, metavar="N",
         help="codomain size bound for epimorphism quantification",
     )
     check.add_argument(
@@ -154,7 +154,7 @@ def cmd_reflect(args) -> int:
 def cmd_check(args) -> int:
     bounds = RunBounds(
         max_points=args.max_points,
-        map_points=min(3, args.max_points),
+        map_points=min(RunBounds.map_points, args.max_points),
         epi_cap=args.epi_cap,
         fault=args.inject_fault,
     )

@@ -203,10 +203,12 @@ def recount_lattices(max_size: int = 6) -> dict[int, int]:
         raise BoundExceeded("the brute-force lattice recount is affordable up to 7")
     counts: dict[int, int] = {}
     for k in range(1, max_size + 1):
-        pairs = [(a, b) for a in range(k) for b in range(a + 1, k)]
+        # a lattice is bounded, and in linear-extension form its bottom is 0
+        # and its top k-1: only the pairs among 1..k-2 are left to choose
+        pairs = [(a, b) for a in range(1, k - 1) for b in range(a + 1, k - 1)]
         found = set()
         for picks in range(1 << len(pairs)):
-            leq = [[a == b for b in range(k)] for a in range(k)]
+            leq = [[a == b or a == 0 or b == k - 1 for b in range(k)] for a in range(k)]
             for i, (a, b) in enumerate(pairs):
                 if picks >> i & 1:
                     leq[a][b] = True

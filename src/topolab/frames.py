@@ -149,27 +149,8 @@ def opens_frame_map(f: ContinuousMap) -> FrameMap:
     )
 
 
-def pseudocomplement(frame: FiniteFrame, a: int) -> int:
-    """Largest element meeting ``a`` in bottom, computed by a full scan."""
-    return frame.join_of(x for x in range(frame.k) if frame.meet[x][a] == frame.bottom)
-
-
-def rather_below(frame: FiniteFrame, a: int, b: int) -> bool:
-    return frame.join[b][pseudocomplement(frame, a)] == frame.top
-
-
-def is_regular(frame: FiniteFrame) -> bool:
-    return all(
-        frame.join_of(c for c in range(frame.k) if rather_below(frame, c, a)) == a
-        for a in range(frame.k)
-    )
-
-
-# ---------------------------------------------------------------------------
-# regular coreflection
-
-
 def _sub_pseudocomplement(frame: FiniteFrame, members: int, a: int) -> int:
+    """Join of the ``members`` meeting ``a`` in bottom, by a full scan."""
     return frame.join_of(
         x
         for x in range(frame.k)
@@ -181,19 +162,35 @@ def _sub_rather_below(frame: FiniteFrame, members: int, a: int, b: int) -> bool:
     return frame.join[b][_sub_pseudocomplement(frame, members, a)] == frame.top
 
 
+def _approximated(frame: FiniteFrame, members: int, a: int) -> bool:
+    """Is ``a`` the join of the members rather below it, relative to ``members``?"""
+    return a == frame.join_of(
+        c
+        for c in range(frame.k)
+        if members >> c & 1 and _sub_rather_below(frame, members, c, a)
+    )
+
+
 def _subset_regular(frame: FiniteFrame, members: int) -> bool:
     # regularity of a candidate, with pseudocomplements relativised to it
-    for a in range(frame.k):
-        if not members >> a & 1:
-            continue
-        approx = frame.join_of(
-            c
-            for c in range(frame.k)
-            if members >> c & 1 and _sub_rather_below(frame, members, c, a)
-        )
-        if approx != a:
-            return False
-    return True
+    return all(_approximated(frame, members, a) for a in range(frame.k) if members >> a & 1)
+
+
+def pseudocomplement(frame: FiniteFrame, a: int) -> int:
+    """Largest element meeting ``a`` in bottom."""
+    return _sub_pseudocomplement(frame, (1 << frame.k) - 1, a)
+
+
+def rather_below(frame: FiniteFrame, a: int, b: int) -> bool:
+    return _sub_rather_below(frame, (1 << frame.k) - 1, a, b)
+
+
+def is_regular(frame: FiniteFrame) -> bool:
+    return _subset_regular(frame, (1 << frame.k) - 1)
+
+
+# ---------------------------------------------------------------------------
+# regular coreflection
 
 
 def subframes(frame: FiniteFrame) -> tuple[int, ...]:
@@ -239,14 +236,7 @@ def _largest_regular_by_fixpoint(frame: FiniteFrame) -> int:
     while True:
         kept = base
         for a in range(frame.k):
-            if not members >> a & 1:
-                continue
-            approx = frame.join_of(
-                c
-                for c in range(frame.k)
-                if members >> c & 1 and _sub_rather_below(frame, members, c, a)
-            )
-            if approx == a:
+            if members >> a & 1 and _approximated(frame, members, a):
                 kept |= 1 << a
         if kept == members:
             return members

@@ -19,9 +19,8 @@ from .spaces import (
     image_under,
     irreducible_closed_sets,
     is_proper,
+    mediator_breaks,
     patch_topology,
-    restriction_counts,
-    specialization,
 )
 
 T0 = "t0"
@@ -48,31 +47,21 @@ CLASS_PREDICATES = {T0: in_t0, SOBER: in_sober, HAUSDORFF: in_hausdorff}
 def t0_reflect(space: FiniteSpace) -> tuple[FiniteSpace, ContinuousMap]:
     """Quotient by topological indistinguishability.
 
-    Classes are ordered by ascending closure mask, which fixes the labelling
-    of the quotient.  A space that is already T0 comes back unchanged with
-    the identity as unit.
+    Two points are indistinguishable exactly when they have the same minimal
+    neighbourhood.  Classes are ordered by ascending closure mask, which
+    fixes the labelling of the quotient.  A space that is already T0 comes
+    back unchanged with the identity as unit.
     """
     if classify(space).is_T0:
         return space, identity_map(space)
-    order = specialization(space).leq
-    reps: list[int] = []
-    cls_of = [-1] * space.n
-    classes: list[int] = []
-    for x in range(space.n):
-        for i, r in enumerate(reps):
-            if order[x][r] and order[r][x]:
-                cls_of[x] = i
-                classes[i] |= 1 << x
-                break
-        else:
-            cls_of[x] = len(reps)
-            reps.append(x)
-            classes.append(1 << x)
-    ordering = sorted(range(len(reps)), key=lambda i: closure(space, classes[i]))
-    rank = {old: new for new, old in enumerate(ordering)}
-    arr = tuple(rank[cls_of[x]] for x in range(space.n))
+    classes: dict[int, int] = {}  # minimal neighbourhood -> its class mask
+    for x, hood in enumerate(space.hoods):
+        classes[hood] = classes.get(hood, 0) | 1 << x
+    ordering = sorted(classes, key=lambda hood: closure(space, classes[hood]))
+    rank = {hood: i for i, hood in enumerate(ordering)}
+    arr = tuple(rank[hood] for hood in space.hoods)
     opens = {image_under(arr, o) for o in space.opens}
-    quotient = FiniteSpace(len(reps), tuple(sorted(opens)))
+    quotient = FiniteSpace(len(classes), tuple(sorted(opens)))
     return quotient, ContinuousMap(space, quotient, arr)
 
 
@@ -99,9 +88,10 @@ def hausdorff_reflect(space: FiniteSpace) -> tuple[FiniteSpace, ContinuousMap]:
 
     Finite Hausdorff spaces are discrete, and a map into a discrete space is
     constant on preorder components, so the finest such quotient is the
-    component quotient with the discrete topology.
+    component quotient with the discrete topology; x and y are joined when
+    one lies in the other's minimal neighbourhood.
     """
-    order = specialization(space).leq
+    hoods = space.hoods
     comp = list(range(space.n))
 
     def find(a: int) -> int:
@@ -112,7 +102,7 @@ def hausdorff_reflect(space: FiniteSpace) -> tuple[FiniteSpace, ContinuousMap]:
 
     for x in range(space.n):
         for y in range(space.n):
-            if order[x][y] or order[y][x]:
+            if hoods[x] >> y & 1 or hoods[y] >> x & 1:
                 comp[find(x)] = find(y)
     roots = sorted({find(x) for x in range(space.n)})
     rank = {r: i for i, r in enumerate(roots)}
@@ -176,13 +166,10 @@ def check_reflector_universal(
         for z in corpus:
             if not in_class(z):
                 continue
-            counts = restriction_counts(r, z)
-            for f in enumerate_continuous_maps(x_space, z):
-                n = counts.get(f.map, 0)
-                if n != 1:
-                    return failed(
-                        check_id, desc, f"f={f.map} on {x_space!r} -> {z!r}: {n} factorizations"
-                    )
+            for f, n in mediator_breaks(r, z):
+                return failed(
+                    check_id, desc, f"f={f.map} on {x_space!r} -> {z!r}: {n} factorizations"
+                )
     return passed(check_id, desc)
 
 

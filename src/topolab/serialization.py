@@ -17,7 +17,6 @@ from .spaces import (
     FiniteSpace,
     mask_of,
     mask_to_points,
-    specialization,
 )
 
 
@@ -92,13 +91,14 @@ def _load(path: str) -> Any:
 
 
 def _order_dot(name: str, space: FiniteSpace, prefix: str, labels: list[str]) -> str:
-    """The specialization order of ``space`` as a digraph (non-reflexive arrows)."""
-    leq = specialization(space).leq
+    """The specialization order of ``space`` as a digraph (non-reflexive arrows):
+    x -> y when y lies in the minimal neighbourhood of x."""
+    hoods = space.hoods
     lines = [f"digraph {name} {{"]
     lines += [f'  {prefix}{x} [label="{label}"];' for x, label in enumerate(labels)]
     for x in range(space.n):
         for y in range(space.n):
-            if x != y and leq[x][y]:
+            if x != y and hoods[x] >> y & 1:
                 lines.append(f"  {prefix}{x} -> {prefix}{y};")
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -318,14 +318,10 @@ def minimal_neighborhood(space: FiniteSpace, x: int) -> int:
 
 
 def specialization(space: FiniteSpace) -> PreorderMatrix:
-    """x <= y iff every open containing x contains y (x in closure of {y})."""
-    rows = []
-    for x in range(space.n):
-        row = []
-        for y in range(space.n):
-            row.append(all(not (o >> x & 1) or (o >> y & 1) for o in space.opens))
-        rows.append(tuple(row))
-    return PreorderMatrix(space.n, tuple(rows))
+    """x <= y iff every open containing x contains y, that is y in U_x."""
+    return PreorderMatrix(
+        space.n, tuple(tuple(bool(h >> y & 1) for y in range(space.n)) for h in space.hoods)
+    )
 
 
 @lru_cache(maxsize=None)
@@ -578,6 +574,20 @@ def restriction_counts(
             key = tuple(phi.map[v] for v in pre.map)
             counts[key] = counts.get(key, 0) + 1
     return counts
+
+
+def mediator_breaks(
+    pre: ContinuousMap,
+    cod: FiniteSpace,
+    keep: Callable[[ContinuousMap], bool] | None = None,
+) -> Iterator[tuple[ContinuousMap, int]]:
+    """``(f, n)`` for each continuous f: pre.dom -> cod with n != 1 mediators
+    (the phi of :func:`restriction_counts`), in enumeration order."""
+    counts = restriction_counts(pre, cod, keep)
+    for f in enumerate_continuous_maps(pre.dom, cod):
+        n = counts.get(f.map, 0)
+        if n != 1:
+            yield f, n
 
 
 def is_homeomorphism(f: ContinuousMap) -> bool:

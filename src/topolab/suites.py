@@ -13,6 +13,7 @@ from typing import Iterable
 
 from .corpus import (
     MAX_POINTS,
+    _poset_canonical,
     enumerate_lattices,
     enumerate_spaces,
     lattice_class_counts,
@@ -32,7 +33,6 @@ from .errors import (
 )
 from .filters import CLOSED_PRIME, OPEN_PRIME, ULTRA, lift_space, member_set, unit
 from .frames import (
-    LATTICE_ENUM_CAP,
     chain_frame,
     check_compact_regular_coreflection,
     check_ideal_comonad_laws,
@@ -89,9 +89,9 @@ from .spaces import (
     inverse_map,
     is_homeomorphism,
     is_proper,
+    mediator_breaks,
     minimal_neighborhood,
     patch_topology,
-    restriction_counts,
     specialization,
     way_below_open,
     way_below_via_subset,
@@ -105,9 +105,12 @@ class RunBounds:
     max_points: int = 4  # law-style checks run on classes up to this size
     map_points: int = 3  # map-quantified checks use this smaller corpus
     epi_cap: int = 4  # codomain size bound for epimorphism quantification
-    lattice_cap: int = 8
-    mono_lattice_cap: int = 6
     fault: str | None = None
+
+
+# the frame suites quantify over the lattices with at most this many elements
+LATTICE_CAP = 8
+MONO_LATTICE_CAP = 6
 
 
 FAULTS = {
@@ -418,14 +421,11 @@ def suite_prop_4_9(bounds: RunBounds) -> list[CheckReport]:
             for z_space in spaces:
                 algebra = composite.obj(z_space)
                 struct_z = composite.mult.at(z_space)
-                counts = restriction_counts(
+                for f, n in mediator_breaks(
                     unit_rx, algebra,
                     keep=lambda phi: commutes(struct_z, composite.mor(phi), phi, struct_rx),
-                )
-                for f in enumerate_continuous_maps(rx, algebra):
-                    n = counts.get(f.map, 0)
-                    if n != 1:
-                        yield f"{n} mediators for f={f.map} on {x_space!r}->{z_space!r}"
+                ):
+                    yield f"{n} mediators for f={f.map} on {x_space!r}->{z_space!r}"
 
     return [_verdict("prop4.9", _desc(bounds.map_points), witnesses())]
 
@@ -457,14 +457,10 @@ def suite_prop_5_1(bounds: RunBounds) -> list[CheckReport]:
             mu_x = u.mult.at(x_space)
             for y_space in spaces:
                 struct = inverse_map(u.unit.at(y_space))  # the unique algebra structure
-                counts = restriction_counts(
-                    eta_x, y_space,
-                    keep=lambda phi: commutes(struct, u.mor(phi), phi, mu_x),
-                )
-                for f in enumerate_continuous_maps(x_space, y_space):
-                    n = counts.get(f.map, 0)
-                    if n != 1:
-                        yield f"{n} algebra maps for f={f.map}"
+                for f, n in mediator_breaks(
+                    eta_x, y_space, keep=lambda phi: commutes(struct, u.mor(phi), phi, mu_x)
+                ):
+                    yield f"{n} algebra maps for f={f.map}"
 
     return [_verdict("prop5.1", _desc(bounds.map_points), witnesses())]
 
@@ -480,11 +476,8 @@ def suite_prop_5_2(bounds: RunBounds) -> list[CheckReport]:
             for y_space in targets:
                 if not all(map(is_proper, enumerate_continuous_maps(e.cod, y_space))):
                     yield f"mediator not proper at {x_space!r}"
-                counts = restriction_counts(e, y_space)
-                for f in enumerate_continuous_maps(x_space, y_space):
-                    n = counts.get(f.map, 0)
-                    if n != 1:
-                        yield f"{n} mediators for f={f.map} on {x_space!r} -> {y_space!r}"
+                for f, n in mediator_breaks(e, y_space):
+                    yield f"{n} mediators for f={f.map} on {x_space!r} -> {y_space!r}"
 
     def embedding_iff_t0():
         for x_space in spaces:
@@ -590,26 +583,26 @@ def suite_lemma_5_3(bounds: RunBounds) -> list[CheckReport]:
 
 
 def suite_lemma_5_8(bounds: RunBounds) -> list[CheckReport]:
-    lattices = enumerate_lattices(bounds.lattice_cap)
+    lattices = enumerate_lattices(LATTICE_CAP)
     return [
         check_compact_regular_coreflection(
-            lattices, "lemma5.8", f"{len(lattices)} frames<= {bounds.lattice_cap}"
+            lattices, "lemma5.8", f"{len(lattices)} frames<= {LATTICE_CAP}"
         )
     ]
 
 
 def suite_prop_5_9(bounds: RunBounds) -> list[CheckReport]:
-    lattices = enumerate_lattices(bounds.mono_lattice_cap)
+    lattices = enumerate_lattices(MONO_LATTICE_CAP)
     return [
         check_ideal_preserves_monos(
-            lattices, "prop5.9", f"{len(lattices)} frames<= {bounds.mono_lattice_cap}"
+            lattices, "prop5.9", f"{len(lattices)} frames<= {MONO_LATTICE_CAP}"
         )
     ]
 
 
 def suite_ideal_comonad(bounds: RunBounds) -> list[CheckReport]:
-    lattices = enumerate_lattices(bounds.lattice_cap)
-    desc = f"{len(lattices)} frames<= {bounds.lattice_cap}"
+    lattices = enumerate_lattices(LATTICE_CAP)
+    desc = f"{len(lattices)} frames<= {LATTICE_CAP}"
     reg, incl = reg_coreflect(chain_frame(3))
     return [
         check_ideal_comonad_laws(lattices, "ideal-comonad[laws]", desc),
@@ -885,22 +878,9 @@ def suite_corpus_counts(bounds: RunBounds) -> list[CheckReport]:
 
 
 def _recount_classes(n: int) -> int:
-    """Class count by permutation canonicalization, independent of the
-    homeomorphism search."""
-    forms = set()
-    for space in enumerate_spaces(n):
-        best = None
-        for perm in itertools.permutations(range(n)):
-            relabeled = tuple(
-                sorted(
-                    sum(1 << perm[x] for x in range(n) if o >> x & 1)
-                    for o in space.opens
-                )
-            )
-            if best is None or relabeled < best:
-                best = relabeled
-        forms.add(best)
-    return len(forms)
+    """Class count by permutation canonicalization of the specialization
+    preorders (Stong 1966), independent of the homeomorphism search."""
+    return len({_poset_canonical(n, specialization(s).leq) for s in enumerate_spaces(n)})
 
 
 def suite_frame_bridge(bounds: RunBounds) -> list[CheckReport]:
@@ -963,17 +943,10 @@ SUITES = {
 
 def _validate_bounds(bounds: RunBounds) -> None:
     """Reject bounds that would quantify over nothing or past a corpus cap."""
-    caps = {
-        "max_points": MAX_POINTS,
-        "map_points": MAX_POINTS,
-        "epi_cap": MAX_POINTS,
-        "lattice_cap": LATTICE_ENUM_CAP,
-        "mono_lattice_cap": LATTICE_ENUM_CAP,
-    }
-    for name, cap in caps.items():
+    for name in ("max_points", "map_points", "epi_cap"):
         value = getattr(bounds, name)
-        if not 1 <= value <= cap:
-            raise InvalidInput(f"{name} must lie in 1..{cap}, got {value}")
+        if not 1 <= value <= MAX_POINTS:
+            raise InvalidInput(f"{name} must lie in 1..{MAX_POINTS}, got {value}")
     if bounds.epi_cap < bounds.map_points:
         raise InvalidInput("the epimorphism cap must cover the map corpus size")
 

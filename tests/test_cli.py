@@ -9,7 +9,6 @@ import topolab
 from topolab.cli import main
 from topolab.serialization import dumps, space_to_json
 from topolab.errors import InvalidInput, NotWellDefined
-from topolab.frames import LATTICE_ENUM_CAP
 from topolab.corpus import MAX_POINTS, spaces_up_to
 from topolab.monadlab import filter_monad
 from topolab.suites import (
@@ -185,16 +184,23 @@ def test_check_rejects_out_of_range_bounds(flags, capsys):
 
 @pytest.mark.parametrize(
     "bounds",
-    [
-        RunBounds(map_points=0),
-        RunBounds(lattice_cap=0),
-        RunBounds(lattice_cap=LATTICE_ENUM_CAP + 1),
-        RunBounds(mono_lattice_cap=LATTICE_ENUM_CAP + 1),
-    ],
+    [RunBounds(map_points=0)],
 )
 def test_run_suite_rejects_out_of_range_bounds(bounds):
     with pytest.raises(InvalidInput, match="must lie in"):
         run_suite("lemma5.8", bounds)
+
+
+def test_check_defaults_are_the_run_bounds(monkeypatch):
+    seen = []
+
+    def record(suite_id, bounds=None):
+        seen.append((suite_id, bounds))
+        return []
+
+    monkeypatch.setattr("topolab.cli.run_suite", record)
+    assert main(["check"]) == 0
+    assert seen == [("all", RunBounds())]
 
 
 def test_check_output_is_reproducible(capsys):

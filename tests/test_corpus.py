@@ -66,6 +66,13 @@ def test_lattice_counts_match_recount():
     assert lattice_class_counts(6) == recount_lattices(6)
 
 
+def test_lattice_recount_reaches_seven_elements():
+    # A006982: 8 distributive lattices with 7 elements
+    recount = recount_lattices(7)
+    assert recount == lattice_class_counts(7)
+    assert recount[7] == 8
+
+
 def test_lattice_counts_up_to_eight():
     assert lattice_class_counts(8) == {1: 1, 2: 1, 3: 1, 4: 2, 5: 3, 6: 5, 7: 8, 8: 15}
 

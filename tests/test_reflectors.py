@@ -20,7 +20,9 @@ from topolab import (
     sobrify,
     t0_reflect,
 )
+from topolab.corpus import enumerate_spaces
 from topolab.reflectors import in_hausdorff, in_sober, in_t0
+from topolab.spaces import FiniteSpace, closure, image_under, specialization
 
 
 def test_t0_reflect_e1(e1, sierpinski):
@@ -186,3 +188,69 @@ def test_unique_factorization_never_raises(classes3):
             for f in enumerate_continuous_maps(space, z):
                 phi = factor_through_reflection(f, r, in_t0)
                 assert compose(phi, r).map == f.map
+
+
+# --- the quotients against the specialization-matrix route -------------------
+
+
+def _t0_by_matrix(space):
+    """Reference T0 quotient: a representative scan over the preorder matrix."""
+    if classify(space).is_T0:
+        return space, identity_map(space)
+    order = specialization(space).leq
+    reps, cls_of, classes = [], [], []
+    for x in range(space.n):
+        for i, r in enumerate(reps):
+            if order[x][r] and order[r][x]:
+                cls_of.append(i)
+                classes[i] |= 1 << x
+                break
+        else:
+            cls_of.append(len(reps))
+            reps.append(x)
+            classes.append(1 << x)
+    ordering = sorted(range(len(reps)), key=lambda i: closure(space, classes[i]))
+    rank = {old: new for new, old in enumerate(ordering)}
+    arr = tuple(rank[c] for c in cls_of)
+    quotient = FiniteSpace(len(reps), tuple(sorted({image_under(arr, o) for o in space.opens})))
+    return quotient, ContinuousMap(space, quotient, arr)
+
+
+def _hausdorff_by_matrix(space):
+    """Reference component quotient: union-find over the preorder matrix."""
+    order = specialization(space).leq
+    comp = list(range(space.n))
+
+    def find(a):
+        while comp[a] != a:
+            a = comp[a]
+        return a
+
+    for x in range(space.n):
+        for y in range(space.n):
+            if order[x][y] or order[y][x]:
+                comp[find(x)] = find(y)
+    roots = sorted({find(x) for x in range(space.n)})
+    arr = tuple(roots.index(find(x)) for x in range(space.n))
+    discrete = FiniteSpace(len(roots), tuple(range(1 << len(roots))))
+    return discrete, ContinuousMap(space, discrete, arr)
+
+
+_QUOTIENT_INPUTS = [s for n in range(1, 5) for s in enumerate_spaces(n)] + list(
+    enumerate_spaces(5, up_to_homeo=True)
+)
+
+
+@pytest.mark.parametrize(
+    "reflect,reference",
+    [(t0_reflect, _t0_by_matrix), (hausdorff_reflect, _hausdorff_by_matrix)],
+    ids=["t0", "hausdorff"],
+)
+def test_quotient_is_the_specialization_matrix_route(reflect, reference):
+    # every labeled space with at most 4 points and every 5-point class
+    assert len(_QUOTIENT_INPUTS) == 389 + 139
+    for space in _QUOTIENT_INPUTS:
+        quotient, unit_map = reflect(space)
+        expected, expected_unit = reference(space)
+        assert quotient == expected, space
+        assert unit_map.map == expected_unit.map, space

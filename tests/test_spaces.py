@@ -37,6 +37,7 @@ from topolab.spaces import (
     commutes,
     composable_pairs,
     composes_to,
+    mediator_breaks,
     restriction_counts,
 )
 from topolab.suites import RunBounds, run_suite
@@ -145,10 +146,11 @@ def test_specialization_sierpinski(sierpinski):
 
 
 def test_specialization_e1_matches_oracle(e1):
+    for space in [s for n in range(1, 5) for s in enumerate_spaces(n)]:
+        order = specialization(space)
+        got = {(x, y) for x in range(space.n) for y in range(space.n) if order.leq[x][y]}
+        assert got == oracle_specialization(space), space
     order = specialization(e1)
-    expected = oracle_specialization(e1)
-    got = {(x, y) for x in range(3) for y in range(3) if order.leq[x][y]}
-    assert got == expected
     assert order.leq[1][0] and order.leq[2][0]
     assert order.leq[1][2] and order.leq[2][1]
     assert not order.leq[0][1]
@@ -489,6 +491,56 @@ def test_restriction_counts_counts_several_extensions_along_a_non_injective_map(
             seen.update(_assert_matches_naive(pre, z).values())
             _assert_matches_naive(pre, z, keep=lambda phi: phi.is_surjective)
     assert max(seen) >= 2
+
+
+def _naive_breaks(pre, cod, keep=None):
+    """Per map f: pre.dom -> cod, count the phi with phi . pre == f; keep n != 1."""
+    out = []
+    for f in enumerate_continuous_maps(pre.dom, cod):
+        n = sum(
+            1
+            for phi in enumerate_continuous_maps(pre.cod, cod)
+            if compose(phi, pre).map == f.map and (keep is None or keep(phi))
+        )
+        if n != 1:
+            out.append((f.map, n))
+    return out
+
+
+def _assert_breaks_match(pre, cod, keep=None):
+    got = [(f.map, n) for f, n in mediator_breaks(pre, cod, keep)]
+    assert got == _naive_breaks(pre, cod, keep)
+    return got
+
+
+def test_mediator_breaks_is_the_naive_loop_on_reflection_units():
+    corpus = spaces_up_to(3, True)
+    seen = set()
+    for space in corpus:
+        for reflect in (t0_reflect, hausdorff_reflect):
+            _, r = reflect(space)
+            for z in corpus:
+                breaks = _assert_breaks_match(r, z)
+                if classify(z).is_T0 and reflect is t0_reflect:
+                    assert breaks == []
+                seen.update(n for _, n in breaks)
+    # the component quotient posing as the T0 quotient misses some maps
+    assert 0 in seen
+
+
+def test_mediator_breaks_is_the_naive_loop_along_non_injective_maps():
+    corpus = spaces_up_to(3, True)
+    pres = [m for m in maps_between(corpus) if not m.is_injective and m.cod.n == 3][:12]
+    assert pres
+    seen, kept = set(), set()
+    for pre in pres:
+        for z in corpus:
+            seen.update(n for _, n in _assert_breaks_match(pre, z))
+            kept.update(
+                n for _, n in _assert_breaks_match(pre, z, keep=lambda phi: phi.is_surjective)
+            )
+    assert max(seen) >= 2
+    assert seen != kept
 
 
 # --- the composable-pair table ----------------------------------------------
