@@ -70,6 +70,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="codomain size bound for epimorphism quantification",
     )
     check.add_argument(
+        "--map-points", type=int, default=None, metavar="N",
+        help="size bound for the spaces of map-quantified checks; at most "
+        f"--max-points and --epi-cap (default: the smaller of {RunBounds.map_points} "
+        "and --max-points)",
+    )
+    check.add_argument(
         "--inject-fault", default=None, metavar="ID",
         help=f"known faults: {', '.join(sorted(FAULTS))}",
     )
@@ -152,9 +158,17 @@ def cmd_reflect(args) -> int:
 
 
 def cmd_check(args) -> int:
+    map_points = args.map_points
+    if map_points is None:
+        map_points = min(RunBounds.map_points, args.max_points)
+    elif not 1 <= map_points <= min(MAX_POINTS, args.max_points, args.epi_cap):
+        raise InvalidInput(
+            f"map_points must lie in 1..{MAX_POINTS} and not exceed --max-points "
+            f"({args.max_points}) or --epi-cap ({args.epi_cap}), got {map_points}"
+        )
     bounds = RunBounds(
         max_points=args.max_points,
-        map_points=min(RunBounds.map_points, args.max_points),
+        map_points=map_points,
         epi_cap=args.epi_cap,
         fault=args.inject_fault,
     )

@@ -130,8 +130,18 @@ def maps_between(spaces: tuple[FiniteSpace, ...]) -> tuple[ContinuousMap, ...]:
 
 
 def _poset_canonical(m: int, leq: tuple[tuple[bool, ...], ...]) -> tuple[bool, ...]:
+    """The least flattened matrix over the relabellings of a preorder that
+    list its elements by ascending (number below, number above).
+
+    An isomorphism maps those relabellings of one matrix onto those of the
+    other, so the minimum is a complete invariant, as it is over all m!
+    relabellings; only the elements that tie on the counts are permuted.
+    """
+    key = [(sum(leq[b][a] for b in range(m)), sum(leq[a])) for a in range(m)]
+    ties = [[a for a in range(m) if key[a] == k] for k in sorted(set(key))]
     best = None
-    for perm in itertools.permutations(range(m)):
+    for parts in itertools.product(*map(itertools.permutations, ties)):
+        perm = [a for part in parts for a in part]
         flat = tuple(leq[perm[a]][perm[b]] for a in range(m) for b in range(m))
         if best is None or flat < best:
             best = flat

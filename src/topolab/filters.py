@@ -11,9 +11,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
+from typing import Sequence
 
 from .errors import FilterNotWellFormed, InvalidInput
-from .spaces import FiniteSpace, ContinuousMap, build_space, closure, saturation
+from .spaces import FiniteSpace, ContinuousMap, build_space, closure, image_under, saturation
 
 ULTRA = "ultra"
 OPEN_PRIME = "open-prime"
@@ -32,17 +33,38 @@ class FilterPoint:
 
 @dataclass(frozen=True)
 class LiftedSpace:
-    """A filter space over a base space, with its points kept alongside."""
+    """A filter space over a base space, with its points kept alongside.
+
+    ``_above[mask]``, for every subset ``mask`` of the base, is the index of
+    the point generated by the least ambient member above ``mask``, or None
+    when no point has that generator; it is built once, here.
+    """
 
     base: FiniteSpace
     kind: str
     points: tuple[FilterPoint, ...]
     space: FiniteSpace
     _index: dict[int, int] = field(init=False, repr=False, compare=False)
+    _above: tuple[int | None, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         index = {p.generator: i for i, p in enumerate(self.points)}
         object.__setattr__(self, "_index", index)
+        above = tuple(
+            index.get(_least_above(self.kind, self.base, m)) for m in range(self.base.full + 1)
+        )
+        object.__setattr__(self, "_above", above)
+
+    def points_above(self, masks: Sequence[int]) -> tuple[int, ...]:
+        """For each subset in ``masks``, the index of the point generated by
+        the least ambient member above it; raises FilterNotWellFormed when
+        there is no such point."""
+        out = tuple(map(self._above.__getitem__, masks))
+        if None in out:
+            mask = next(m for m, i in zip(masks, out) if i is None)
+            gen = _least_above(self.kind, self.base, mask)
+            raise FilterNotWellFormed(f"no point with generator {gen:#x}")
+        return out
 
     def index_of(self, generator: int) -> int:
         try:
@@ -185,16 +207,14 @@ def lift_map(kind: str, f: ContinuousMap) -> ContinuousMap:
     """
     dom_l = lift_space(kind, f.dom)
     cod_l = lift_space(kind, f.cod)
-    arr = tuple(
-        cod_l.index_of(_least_above(kind, f.cod, f.image(p.generator))) for p in dom_l.points
-    )
+    arr = cod_l.points_above([image_under(f.map, p.generator) for p in dom_l.points])
     return ContinuousMap(dom_l.space, cod_l.space, arr)
 
 
 def unit(kind: str, space: FiniteSpace) -> ContinuousMap:
     """The point-to-filter map: all supersets / open or closed neighborhoods."""
     lifted = lift_space(kind, space)
-    arr = tuple(lifted.index_of(_least_above(kind, space, 1 << x)) for x in range(space.n))
+    arr = lifted.points_above([1 << x for x in range(space.n)])
     return ContinuousMap(space, lifted.space, arr)
 
 

@@ -10,7 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from operator import itemgetter
+from itertools import repeat
+from operator import and_, itemgetter, rshift
 from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
 from .errors import BoundExceeded, InvalidInput, NotOpen
@@ -38,9 +39,10 @@ def mask_to_points(mask: int) -> tuple[int, ...]:
 def image_under(arr: Sequence[int], mask: int) -> int:
     """Image of the subset ``mask`` under the point map ``arr``."""
     m = 0
-    for x, fx in enumerate(arr):
-        if mask >> x & 1:
-            m |= 1 << fx
+    while mask:  # one step per member, lowest first
+        low = mask & -mask
+        m |= 1 << arr[low.bit_length() - 1]
+        mask ^= low
     return m
 
 
@@ -48,8 +50,11 @@ def image_under(arr: Sequence[int], mask: int) -> int:
 class FiniteSpace:
     """A topology on the points ``0 .. n-1``, opens as ascending bitmasks.
 
-    The open-set membership set, the minimal neighbourhoods and the hash are
-    computed once at construction; none of them takes part in equality.
+    The open-set membership set, the minimal neighbourhoods, the hash and
+    two getters over the order pairs are computed once at construction; none
+    of them takes part in equality.  The order pairs are the (x, y) with
+    x != y and y in U_x; ``_order_lo`` gathers their x and ``_order_hi``
+    their y from any array indexed by the points.
     """
 
     n: int
@@ -57,6 +62,8 @@ class FiniteSpace:
     _open_set: frozenset[int] = field(init=False, repr=False, compare=False)
     hoods: tuple[int, ...] = field(init=False, repr=False, compare=False)
     _hash: int = field(init=False, repr=False, compare=False)
+    _order_lo: itemgetter = field(init=False, repr=False, compare=False)
+    _order_hi: itemgetter = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.n < 1:
@@ -74,8 +81,18 @@ class FiniteSpace:
                 if a | b not in family or a & b not in family:
                     raise InvalidInput("opens are not closed under union/intersection")
         object.__setattr__(self, "_open_set", family)
-        object.__setattr__(self, "hoods", tuple(saturation(self, 1 << x) for x in range(self.n)))
+        hoods = tuple(saturation(self, 1 << x) for x in range(self.n))
+        object.__setattr__(self, "hoods", hoods)
         object.__setattr__(self, "_hash", hash((self.n, self.opens)))
+        pairs = [
+            (x, y) for x in range(self.n) for y in range(self.n) if x != y and hoods[x] >> y & 1
+        ]
+        # itemgetter needs an index and returns a bare item for one index, so
+        # pad with the pair (0, 0) up to two: every map sends 0 into U_f(0)
+        pairs += [(0, 0)] * (2 - len(pairs))
+        lo, hi = zip(*pairs)
+        object.__setattr__(self, "_order_lo", itemgetter(*lo))
+        object.__setattr__(self, "_order_hi", itemgetter(*hi))
 
     def __eq__(self, other: object) -> bool:
         # corpus spaces are cached objects, so identity settles most calls
@@ -108,9 +125,10 @@ class FiniteSpace:
 class ContinuousMap:
     """A function between finite spaces with the open-preimage property.
 
-    Every open of the codomain is a union of minimal neighbourhoods and
-    preimages preserve unions, so continuity is tested on the ``cod.n``
-    minimal neighbourhoods alone.
+    On finite spaces continuous is the same as monotone for the
+    specialization preorder (Stong 1966): y in U_x forces f(y) in U_f(x).
+    The constructor tests that on every order pair of the domain with
+    C-level gathers and maps, so no interpreter loop runs per pair.
     """
 
     dom: FiniteSpace
@@ -118,20 +136,23 @@ class ContinuousMap:
     map: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if len(self.map) != self.dom.n:
+        arr = self.map
+        dom = self.dom
+        if len(arr) != dom.n:
             raise InvalidInput("map length must equal the number of domain points")
-        if min(self.map) < 0 or max(self.map) >= self.cod.n:
+        if min(arr) < 0 or max(arr) >= self.cod.n:
             raise InvalidInput("map value out of codomain range")
-        opens = self.dom._open_set
-        for hood in self.cod.hoods:
-            pre = 0
-            for x, fx in enumerate(self.map):
-                if hood >> fx & 1:
-                    pre |= 1 << x
-            if pre not in opens:
-                raise InvalidInput(
-                    f"not continuous: preimage of {mask_to_points(hood)} is not open"
-                )
+        # bit f(y) of U_f(x), for every order pair (x, y) of the domain
+        hoods = map(self.cod.hoods.__getitem__, dom._order_lo(arr))
+        if not all(map(and_, map(rshift, hoods, dom._order_hi(arr)), repeat(1))):
+            # a broken pair (x, y) puts x but not y in the preimage of
+            # U_f(x), which is then not open: some hood is always found
+            bad = next(h for h in self.cod.hoods if not dom.is_open(self.preimage(h)))
+            raise InvalidInput(f"not continuous: preimage of {mask_to_points(bad)} is not open")
+
+    def __hash__(self) -> int:
+        # equal spaces have equal _hash, so this agrees with __eq__
+        return hash((self.dom._hash, self.cod._hash, self.map))
 
     def __call__(self, x: int) -> int:
         return self.map[x]
@@ -201,13 +222,10 @@ def commutes(g: M, f: M, k: M, h: M) -> bool:
     Both composites must have the same domain, codomain and array.  Raises,
     as :func:`compose` does, when either pair is not composable.
     """
-    if f.cod != g.dom or h.cod != k.dom:
+    # ends compared as tuples: an identical pair of spaces settles in C
+    if (f.cod, h.cod) != (g.dom, k.dom):
         raise InvalidInput("composition mismatch: cod of f differs from dom of g")
-    return (
-        f.dom == h.dom
-        and g.cod == k.cod
-        and [g.map[v] for v in f.map] == [k.map[w] for w in h.map]
-    )
+    return (f.dom, g.cod) == (h.dom, k.cod) and _gather(f.map)(g.map) == _gather(h.map)(k.map)
 
 
 def _gather(arr: Sequence[int]) -> Callable[[Sequence[int]], tuple[int, ...]]:
@@ -526,35 +544,32 @@ def enumerate_continuous_maps(dom: FiniteSpace, cod: FiniteSpace) -> tuple[Conti
 
     Continuous means monotone for the specialization preorder (Stong 1966):
     x <= y, that is y in U_x, forces f(y) in U_f(x).  Points are assigned in
-    order, each value drawn in ascending order from those compatible with
-    the points already assigned, so no array is built only to be rejected.
+    order, a level at a time: each partial array, in lexicographic order, is
+    extended by the values compatible with the points already assigned, in
+    ascending order, so no array is built only to be rejected and no call
+    is made per partial array.
     """
-    n = dom.n
+    hoods, full = cod.hoods, cod.full
     # closure of {w}: the points v with w in U_v
-    below = [sum(1 << v for v in range(cod.n) if cod.hoods[v] >> w & 1) for w in range(cod.n)]
-    # the earlier points j < i with j <= i, and those with i <= j
-    under = [[j for j in range(i) if dom.hoods[j] >> i & 1] for i in range(n)]
-    over = [[j for j in range(i) if dom.hoods[i] >> j & 1] for i in range(n)]
-    out = []
-    arr = [0] * n
-
-    def place(i: int) -> None:
-        if i == n:
-            out.append(ContinuousMap(dom, cod, tuple(arr)))
-            return
-        allowed = cod.full
-        for j in under[i]:
-            allowed &= cod.hoods[arr[j]]
-        for j in over[i]:
-            allowed &= below[arr[j]]
-        while allowed:
-            low = allowed & -allowed
-            arr[i] = low.bit_length() - 1
-            place(i + 1)
-            allowed ^= low
-
-    place(0)
-    return tuple(out)
+    below = [sum(1 << v for v in range(cod.n) if hoods[v] >> w & 1) for w in range(cod.n)]
+    arrays: list[tuple[int, ...]] = [()]
+    for i in range(dom.n):
+        # the earlier points j < i with j <= i, and those with i <= j
+        under = [j for j in range(i) if dom.hoods[j] >> i & 1]
+        over = [j for j in range(i) if dom.hoods[i] >> j & 1]
+        grown = []
+        for head in arrays:
+            allowed = full
+            for j in under:
+                allowed &= hoods[head[j]]
+            for j in over:
+                allowed &= below[head[j]]
+            while allowed:
+                low = allowed & -allowed
+                grown.append(head + (low.bit_length() - 1,))
+                allowed ^= low
+        arrays = grown
+    return tuple(ContinuousMap(dom, cod, arr) for arr in arrays)
 
 
 def restriction_counts(

@@ -203,6 +203,45 @@ def test_check_defaults_are_the_run_bounds(monkeypatch):
     assert seen == [("all", RunBounds())]
 
 
+def test_check_map_points_sets_the_map_corpus(monkeypatch, capsys):
+    assert main(["check", "--suite", "prop4.9", "--map-points", "2"]) == 0
+    assert capsys.readouterr().out.startswith("[PASS] prop4.9 [classes<=2 (4)]")
+    seen = []
+
+    def record(suite_id, bounds=None):
+        seen.append(bounds)
+        return []
+
+    monkeypatch.setattr("topolab.cli.run_suite", record)
+    assert main(["check", "--map-points", "4"]) == 0
+    assert main(["check", "--max-points", "5", "--epi-cap", "5", "--map-points", "5"]) == 0
+    assert main(["check", "--max-points", "2"]) == 0  # no flag: min(3, --max-points)
+    assert seen == [
+        RunBounds(map_points=4),
+        RunBounds(max_points=5, map_points=5, epi_cap=5),
+        RunBounds(max_points=2, map_points=2),
+    ]
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--map-points", "0"],
+        ["--map-points", "-1"],
+        ["--map-points", "6"],
+        ["--max-points", "5", "--epi-cap", "5", "--map-points", "6"],
+        ["--max-points", "2", "--map-points", "3"],
+        ["--epi-cap", "2", "--map-points", "3"],
+    ],
+)
+def test_check_rejects_out_of_range_map_points(flags, capsys):
+    assert main(["check", "--suite", "prop4.9", *flags]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: map_points must lie in 1..5")
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+
+
 def test_check_output_is_reproducible(capsys):
     main(["check", "--suite", "example2.2", "--max-points", "3"])
     first = capsys.readouterr().out

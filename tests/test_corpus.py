@@ -1,5 +1,7 @@
 """Corpus integrity: counts, determinism, bounds."""
 
+import itertools
+
 import pytest
 
 from topolab import (
@@ -10,7 +12,9 @@ from topolab import (
     find_homeomorphism,
     recount_topologies,
 )
+from topolab import corpus
 from topolab.corpus import lattice_class_counts, recount_lattices
+from topolab.spaces import specialization
 
 
 LABELED = {1: 1, 2: 4, 3: 29, 4: 355}
@@ -80,3 +84,33 @@ def test_lattice_counts_up_to_eight():
 def test_lattices_are_canonically_ordered():
     lattices = enumerate_lattices(8)
     assert list(lattices) == sorted(lattices, key=lambda f: (f.k, f.leq))
+
+
+def _full_canonical(m, leq):
+    """The least flattened matrix over all m! relabellings."""
+    return min(
+        tuple(leq[p[a]][p[b]] for a in range(m) for b in range(m))
+        for p in itertools.permutations(range(m))
+    )
+
+
+def test_refined_canonical_form_separates_what_the_full_form_separates(monkeypatch):
+    grown = []
+
+    def record(m, leq):
+        grown.append((m, leq))
+        return canonical(m, leq)
+
+    canonical = corpus._poset_canonical
+    monkeypatch.setattr(corpus, "_poset_canonical", record)
+    # 64 down-sets is no cap at 6 elements: every candidate up to 6 is grown
+    list(corpus._grow_posets(1 << 6, 6))
+    # the specialization preorders, which are not antisymmetric in general
+    grown += [(s.n, specialization(s).leq) for s in enumerate_spaces(4)]
+    assert {m for m, _ in grown} == {1, 2, 3, 4, 5, 6}
+    refined_to_full: dict = {}
+    full_to_refined: dict = {}
+    for m, leq in grown:
+        refined, full = canonical(m, leq), _full_canonical(m, leq)
+        assert refined_to_full.setdefault(refined, full) == full
+        assert full_to_refined.setdefault(full, refined) == refined

@@ -16,6 +16,7 @@ from topolab import (
     ULTRA,
     ContinuousMap,
     FilterNotWellFormed,
+    FiniteSpace,
     alpha,
     build_space,
     classify,
@@ -31,8 +32,9 @@ from topolab import (
     mult,
     unit,
 )
+from topolab import filters
 from topolab.corpus import maps_between, spaces_up_to
-from topolab.filters import ambient_lattice, check_filter_point, member_set
+from topolab.filters import LiftedSpace, ambient_lattice, check_filter_point, member_set
 
 
 def oracle_prime_filters(kind, space):
@@ -118,18 +120,21 @@ def test_lift_map_example(e1, sierpinski):
     assert cod.points[sf.map[dom.index_of(0b111)]].generator == 0b11
 
 
+def _point_with(lifted, family):
+    """Index of the one lifted point whose filter is exactly ``family``."""
+    matches = [i for i, q in enumerate(lifted.points) if q.elements == family]
+    assert len(matches) == 1, (lifted.kind, family)
+    return matches[0]
+
+
 def _pushforward_by_preimages(kind, f):
     """The preimage formula: p goes to {b : f^-1(b) in p}, found by its family."""
     cod_l = lift_space(kind, f.cod)
     ambient = ambient_lattice(kind, f.cod)
-    arr = []
-    for p in lift_space(kind, f.dom).points:
-        elems = set(p.elements)
-        image = tuple(sorted(b for b in ambient if f.preimage(b) in elems))
-        matches = [i for i, q in enumerate(cod_l.points) if q.elements == image]
-        assert len(matches) == 1, (kind, f, image)
-        arr.append(matches[0])
-    return tuple(arr)
+    return tuple(
+        _point_with(cod_l, tuple(sorted(b for b in ambient if f.preimage(b) in p.elements)))
+        for p in lift_space(kind, f.dom).points
+    )
 
 
 def test_lift_map_is_the_preimage_pushforward():
@@ -139,6 +144,40 @@ def test_lift_map_is_the_preimage_pushforward():
             assert lifted.dom == lift_space(kind, f.dom).space
             assert lifted.cod == lift_space(kind, f.cod).space
             assert lifted.map == _pushforward_by_preimages(kind, f), (kind, f)
+            # F(F f), which the naturality of mult quantifies over
+            twice = lift_map(kind, lifted)
+            assert twice.map == _pushforward_by_preimages(kind, lifted), (kind, f)
+
+
+def test_unit_sends_each_point_to_its_neighbourhood_filter():
+    for kind in KINDS:
+        for space in spaces_up_to(4, up_to_homeo=False):
+            eta = unit(kind, space)
+            lifted = lift_space(kind, space)
+            assert eta.dom == space and eta.cod == lifted.space
+            ambient = ambient_lattice(kind, space)
+            assert eta.map == tuple(
+                _point_with(lifted, tuple(m for m in ambient if m >> x & 1))
+                for x in range(space.n)
+            ), (kind, space)
+
+
+def test_lift_map_and_unit_raise_on_a_missing_point(monkeypatch, e1):
+    twin = FiniteSpace(e1.n, e1.opens)  # equal to e1, told apart by identity
+    for kind in KINDS:
+        full = lift_space(kind, e1)
+        for drop in range(len(full.points)):
+            short = LiftedSpace(e1, kind, full.points[:drop] + full.points[drop + 1 :], full.space)
+            monkeypatch.setattr(
+                filters, "lift_space", lambda k, s: short if s is e1 else lift_space(k, s)
+            )
+            # every point is hit: the identity pushes each one to itself, and
+            # each point is generated by the least member above some {x}
+            with pytest.raises(FilterNotWellFormed, match="no point with generator"):
+                lift_map(kind, ContinuousMap(twin, e1, tuple(range(e1.n))))
+            with pytest.raises(FilterNotWellFormed, match="no point with generator"):
+                unit(kind, e1)
+            monkeypatch.undo()
 
 
 def test_index_of_raises_on_an_unknown_generator(e1):

@@ -4,6 +4,7 @@ Derived expectations are recomputed here with independent set-based oracles
 (frozensets of frozensets) before being compared with the bitmask kernel.
 """
 
+import ast
 import itertools
 
 import pytest
@@ -313,16 +314,48 @@ def _opens_pull_back(a, b, arr):
     return True
 
 
-def test_continuous_map_accepts_exactly_the_arrays_with_open_preimages(classes3):
-    for a in classes3:
-        for b in classes3:
+LABELED3 = spaces_up_to(3, up_to_homeo=False)
+
+
+def _named_hood(message):
+    """The point set a discontinuity message names, as a mask."""
+    head, tail = "not continuous: preimage of ", " is not open"
+    assert message.startswith(head) and message.endswith(tail), message
+    return as_mask(ast.literal_eval(message[len(head) : -len(tail)]))
+
+
+def test_continuous_map_accepts_exactly_the_arrays_with_open_preimages():
+    # 1-point domains have no order pair, discrete domains neither
+    assert {a.n for a in LABELED3} == {1, 2, 3}
+    assert sum(len(a.opens) == 1 << a.n for a in LABELED3) == 3
+    for a in LABELED3:
+        for b in LABELED3:
             for arr in itertools.product(range(b.n), repeat=a.n):
                 try:
                     ContinuousMap(a, b, arr)
                     accepted = True
-                except InvalidInput:
+                except InvalidInput as exc:
                     accepted = False
+                    hood = _named_hood(str(exc))
+                    assert hood in b.hoods and not a.is_open(
+                        sum(1 << x for x in range(a.n) if hood >> arr[x] & 1)
+                    ), (a, b, arr, exc)
                 assert accepted == _opens_pull_back(a, b, arr), (a, b, arr)
+
+
+def test_continuous_map_rejects_malformed_arrays():
+    for a in LABELED3:
+        for b in LABELED3:
+            arr = (0,) * a.n  # constant, so continuous
+            ContinuousMap(a, b, arr)
+            for bad in (-1, b.n, b.n + 7, -b.n):
+                for x in range(a.n):
+                    wrong = arr[:x] + (bad,) + arr[x + 1 :]
+                    with pytest.raises(InvalidInput, match="out of codomain range"):
+                        ContinuousMap(a, b, wrong)
+            for wrong in (arr[:-1], arr + (0,)):
+                with pytest.raises(InvalidInput, match="map length"):
+                    ContinuousMap(a, b, wrong)
 
 
 def test_enumeration_is_the_filtered_product(classes4):
