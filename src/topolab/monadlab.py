@@ -86,7 +86,7 @@ class ReflectorSpec:
     def mor(self, f: ContinuousMap) -> ContinuousMap:
         _, r_dom = self.reflect(f.dom)
         _, r_cod = self.reflect(f.cod)
-        return factor_through_reflection(compose(r_cod, f), r_dom, self.in_class)
+        return factor_through_reflection(f, r_dom, self.in_class, then=r_cod)
 
 
 IDENTITY_FUNCTOR = EndofunctorSpec("Id", lambda s: s, lambda f: f)

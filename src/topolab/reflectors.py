@@ -6,7 +6,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .errors import HypothesisViolated, NotStablyCompact, NotWellDefined
+from .errors import HypothesisViolated, InvalidInput, NotStablyCompact, NotWellDefined
 from .reports import CheckReport, failed, passed
 from .spaces import (
     ContinuousMap,
@@ -119,28 +119,31 @@ def factor_through_reflection(
     f: ContinuousMap,
     r: ContinuousMap,
     in_class=None,
+    then: ContinuousMap | None = None,
 ) -> ContinuousMap:
     """The unique map phi with phi . r = f, defined on the fibers of r.
 
-    ``in_class`` is the membership predicate of the reflective class; when
-    given, the codomain of ``f`` must satisfy it.
+    With ``then``, phi . r = then . f instead; that composite is read as the
+    array of ``then`` gathered along ``f`` and never built.  ``in_class`` is
+    the membership predicate of the reflective class; when given, the
+    codomain of the map factored must satisfy it.
     """
+    cod, arr = f.cod, f.map
+    if then is not None:
+        if f.cod != then.dom:
+            raise InvalidInput("composition mismatch: cod of f differs from dom of g")
+        cod, arr = then.cod, tuple(map(then.map.__getitem__, arr))
     if f.dom != r.dom:
         raise HypothesisViolated("f and r must share their domain")
-    if in_class is not None and not in_class(f.cod):
+    if in_class is not None and not in_class(cod):
         raise HypothesisViolated("codomain is not in the reflective class")
     values: dict[int, int] = {}
-    for x in range(f.dom.n):
-        c = r(x)
-        if c in values and values[c] != f(x):
-            raise NotWellDefined(
-                f"fiber over {c} carries both values {values[c]} and {f(x)}"
-            )
-        values[c] = f(x)
+    for c, v in zip(r.map, arr):
+        if values.setdefault(c, v) != v:
+            raise NotWellDefined(f"fiber over {c} carries both values {values[c]} and {v}")
     if len(values) != r.cod.n:
         raise NotWellDefined("the quotient map is not surjective")
-    arr = tuple(values[c] for c in range(r.cod.n))
-    return ContinuousMap(r.cod, f.cod, arr)
+    return ContinuousMap(r.cod, cod, tuple(values[c] for c in range(r.cod.n)))
 
 
 def patch_coreflect(space: FiniteSpace) -> tuple[FiniteSpace, ContinuousMap]:

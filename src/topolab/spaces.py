@@ -22,6 +22,11 @@ SUBFAMILY_ENUM_LIMIT = 18
 
 M = TypeVar("M")  # a map kind with ``dom``, ``cod`` and ``map``
 
+# One shared tuple per distinct map array (hash-consing): every map that
+# passes validation keeps the copy stored here, so the arrays of a corpus and
+# of its lifts cost one tuple per distinct value.  Holds arrays only.
+_ARRAYS: dict[tuple[int, ...], tuple[int, ...]] = {}
+
 
 def mask_of(points: Iterable[int], n: int) -> int:
     m = 0
@@ -128,7 +133,8 @@ class ContinuousMap:
     On finite spaces continuous is the same as monotone for the
     specialization preorder (Stong 1966): y in U_x forces f(y) in U_f(x).
     The constructor tests that on every order pair of the domain with
-    C-level gathers and maps, so no interpreter loop runs per pair.
+    C-level gathers and maps, so no interpreter loop runs per pair.  Once
+    the array passes, ``map`` holds the shared tuple of its value.
     """
 
     dom: FiniteSpace
@@ -149,6 +155,7 @@ class ContinuousMap:
             # U_f(x), which is then not open: some hood is always found
             bad = next(h for h in self.cod.hoods if not dom.is_open(self.preimage(h)))
             raise InvalidInput(f"not continuous: preimage of {mask_to_points(bad)} is not open")
+        object.__setattr__(self, "map", _ARRAYS.setdefault(arr, arr))
 
     def __hash__(self) -> int:
         # equal spaces have equal _hash, so this agrees with __eq__
@@ -411,11 +418,12 @@ def subset_is_compact(space: FiniteSpace, mask: int) -> bool:
 
 
 def compact_saturated_sets(space: FiniteSpace) -> tuple[int, ...]:
-    return tuple(
-        m
-        for m in range(space.full + 1)
-        if saturation(space, m) == m and subset_is_compact(space, m)
-    )
+    """The compact saturated sets, ascending.
+
+    Saturated means an intersection of opens; the opens of a finite space
+    are closed under all intersections, so the saturated sets are the opens.
+    """
+    return tuple(o for o in space.opens if subset_is_compact(space, o))
 
 
 def patch_topology(space: FiniteSpace) -> FiniteSpace:

@@ -5,6 +5,7 @@ import pytest
 from topolab import (
     ContinuousMap,
     HypothesisViolated,
+    InvalidInput,
     NotStablyCompact,
     NotWellDefined,
     check_patch_couniversal,
@@ -17,11 +18,12 @@ from topolab import (
     hausdorff_reflect,
     identity_map,
     patch_coreflect,
+    reflector_spec,
     sobrify,
     t0_reflect,
 )
-from topolab.corpus import enumerate_spaces
-from topolab.reflectors import in_hausdorff, in_sober, in_t0
+from topolab.corpus import enumerate_spaces, maps_between
+from topolab.reflectors import HAUSDORFF, SOBER, T0, in_hausdorff, in_sober, in_t0
 from topolab.spaces import FiniteSpace, closure, image_under, specialization
 
 
@@ -137,6 +139,23 @@ def test_factor_not_well_defined(sierpinski):
     assert collapsed.n == 1
     with pytest.raises(NotWellDefined):
         factor_through_reflection(identity_map(sierpinski), h, None)
+
+
+def test_factor_of_a_composite_is_the_factor_of_the_built_composite(classes3):
+    for name in (T0, SOBER, HAUSDORFF):
+        spec = reflector_spec(name)
+        for f in maps_between(classes3):
+            _, r_dom = spec.reflect(f.dom)
+            _, r_cod = spec.reflect(f.cod)
+            built = factor_through_reflection(compose(r_cod, f), r_dom, spec.in_class)
+            assert spec.mor(f) == built, (name, f)
+
+
+def test_factor_of_a_composite_keeps_the_mismatch_check(e1, sierpinski):
+    _, r = t0_reflect(e1)
+    f = ContinuousMap(e1, sierpinski, (1, 0, 0))
+    with pytest.raises(InvalidInput, match="composition mismatch"):
+        factor_through_reflection(f, r, in_t0, then=r)
 
 
 def test_patch_coreflect_sierpinski(sierpinski):

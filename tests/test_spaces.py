@@ -33,13 +33,17 @@ from topolab import (
     way_below_via_subset,
 )
 from topolab.corpus import enumerate_spaces, maps_between, spaces_up_to
+from topolab.filters import KINDS, lift_map
 from topolab.spaces import (
+    _ARRAYS,
     PreorderMatrix,
     commutes,
+    compact_saturated_sets,
     composable_pairs,
     composes_to,
     mediator_breaks,
     restriction_counts,
+    saturation,
 )
 from topolab.suites import RunBounds, run_suite
 
@@ -269,6 +273,18 @@ def test_all_small_maps_proper(classes3):
                 assert is_proper(f)
 
 
+def test_compact_saturated_sets_is_the_filter_over_all_subsets():
+    spaces = [s for n in range(1, 5) for s in enumerate_spaces(n)]
+    assert len(spaces) == 389  # every labeled space with at most 4 points
+    for space in spaces:
+        definitional = tuple(
+            m
+            for m in range(space.full + 1)
+            if saturation(space, m) == m and subset_is_compact(space, m)
+        )
+        assert compact_saturated_sets(space) == definitional, space
+
+
 # --- map enumeration --------------------------------------------------------
 
 
@@ -356,6 +372,41 @@ def test_continuous_map_rejects_malformed_arrays():
             for wrong in (arr[:-1], arr + (0,)):
                 with pytest.raises(InvalidInput, match="map length"):
                     ContinuousMap(a, b, wrong)
+
+
+def test_maps_with_equal_arrays_share_one_tuple():
+    maps = list(maps_between(spaces_up_to(3)))
+    maps += [lift_map(kind, f) for kind in KINDS for f in maps]
+    assert len({f.map for f in maps}) == len({id(f.map) for f in maps})
+    assert all(_ARRAYS[f.map] is f.map for f in maps)
+
+
+def test_a_rejected_array_stays_out_of_the_shared_table(e1, sierpinski, indiscrete2):
+    # opens {k..29}: no map in any corpus has a value this large
+    chain = build_space(30, [((1 << 30) - 1) ^ ((1 << k) - 1) for k in range(30)])
+    rejected = [
+        (e1, sierpinski, (0, 1, 1)),  # discontinuous
+        (indiscrete2, chain, (28, 29)),  # discontinuous
+        (e1, sierpinski, (0, 0, 2)),  # out of range
+        (e1, sierpinski, (-1, 0, 0)),  # out of range
+        (e1, sierpinski, (0, 0)),  # wrong length
+        (indiscrete2, chain, (29, 29, 29)),  # wrong length
+    ]
+    before = dict(_ARRAYS)
+    assert (28, 29) not in before and (-1, 0, 0) not in before
+    for dom, cod, arr in rejected:
+        with pytest.raises(InvalidInput):
+            ContinuousMap(dom, cod, arr)
+    assert _ARRAYS == before
+
+
+def test_a_map_from_a_fresh_equal_tuple_is_the_same_map(e1, sierpinski):
+    known = ContinuousMap(e1, sierpinski, (1, 0, 0))
+    fresh = tuple([1, 0, 0])
+    assert fresh is not known.map
+    again = ContinuousMap(e1, sierpinski, fresh)
+    assert again.map is known.map
+    assert again == known and hash(again) == hash(known)
 
 
 def test_enumeration_is_the_filtered_product(classes4):
