@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import repeat
+from itertools import product, repeat
 from operator import and_, itemgetter, rshift
 from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
@@ -21,6 +21,9 @@ from .errors import BoundExceeded, InvalidInput, NotOpen
 SUBFAMILY_ENUM_LIMIT = 18
 
 M = TypeVar("M")  # a map kind with ``dom``, ``cod`` and ``map``
+
+# A map between spaces of at most this many points has a one-byte code: n^n <= 256.
+BYTE_POINTS = 4
 
 # One shared tuple per distinct map array (hash-consing): every map that
 # passes validation keeps the copy stored here, so the arrays of a corpus and
@@ -244,29 +247,31 @@ def _gather(arr: Sequence[int]) -> Callable[[Sequence[int]], tuple[int, ...]]:
     return itemgetter(*arr)
 
 
-def composable_pairs(maps: Sequence[ContinuousMap]) -> Iterator[tuple[int, int, int | None]]:
-    """Positions ``(i, j, k)`` of every composable pair, f-major in input order.
+def _code(arr: Sequence[int], base: int) -> int:
+    """The code of a map array into a ``base``-point space: sum of arr[x]·base^x."""
+    c = 0
+    for v in reversed(arr):
+        c = c * base + v
+    return c
 
-    ``f = maps[i]`` and ``g = maps[j]`` with ``f.cod == g.dom``; ``k`` is the
-    first position of ``g after f`` in ``maps``, or None when it is not listed.
-    The distinct spaces are numbered once, and each map is indexed by its
-    array alone within the block of its (domain, codomain) numbers, so a
-    pair costs one gather of ``g.map`` and one lookup in its block.
+
+@lru_cache(maxsize=None)
+def _precomposers(arr: tuple[int, ...], ny: int) -> tuple[bytes | None, ...]:
+    """Translate tables for composing after the array ``arr`` of f: X -> Y.
+
+    Entry ``nz`` (1..BYTE_POINTS) maps the code of each g: Y -> Z, |Y| = ny,
+    |Z| = nz, to the code of g after f.
     """
-    ids: dict[FiniteSpace, int] = {}
-    ends = [(ids.setdefault(m.dom, len(ids)), ids.setdefault(m.cod, len(ids))) for m in maps]
-    leaving: dict[int, list[tuple[int, int, tuple[int, ...]]]] = {}  # dom -> (j, cod, array)
-    blocks: dict[int, dict[int, dict[tuple[int, ...], int]]] = {}  # dom -> cod -> array -> k
-    for k, (m, (d, c)) in enumerate(zip(maps, ends)):
-        leaving.setdefault(d, []).append((k, c, m.map))
-        blocks.setdefault(d, {}).setdefault(c, {}).setdefault(m.map, k)
-    for i, f in enumerate(maps):
-        d, c = ends[i]
-        row = blocks[d]
-        gather = _gather(f.map)
-        for j, e, g_map in leaving.get(c, ()):
-            block = row.get(e)
-            yield i, j, None if block is None else block.get(gather(g_map))
+    tables: list[bytes | None] = [None]
+    for nz in range(1, BYTE_POINTS + 1):
+        weights = [nz**x for x in range(len(arr))]
+        tables.append(
+            bytes(
+                sum(g[v] * w for v, w in zip(arr, weights))
+                for g in (t[::-1] for t in product(range(nz), repeat=ny))
+            ).ljust(256, b"\0")
+        )
+    return tuple(tables)
 
 
 def composition_breaks(
@@ -275,25 +280,98 @@ def composition_breaks(
     lift: Callable[[ContinuousMap], M],
     contravariant: bool = False,
 ) -> Iterator[tuple[int, int]]:
-    """Positions ``(i, j)`` of the composable pairs at which ``lift`` breaks
-    composition, f-major in input order.
+    """Positions ``(i, j)`` of the composable pairs ``f = maps[i]``,
+    ``g = maps[j]`` at which ``lift`` breaks composition, f-major in input order.
 
     ``lifted[i]`` is ``lift(maps[i])``.  A covariant lift must send g after f
     to ``lifted[j]`` after ``lifted[i]``, a contravariant one to ``lifted[i]``
     after ``lifted[j]``.  The caller has checked once per map that every
-    lifted map has the lifted domain and codomain, so a listed composite is
-    decided by its array alone; an unlisted one is built, lifted and decided
-    by :func:`composes_to`.
+    lifted map has the lifted domain and codomain.
+
+    Decided a hom block at a time.  A map between spaces of at most
+    ``BYTE_POINTS`` points is the byte ``code(f) = sum f(x)·|Y|^x``.  Each
+    lifted map is a row of bytes: its code when covariant, its array when
+    contravariant.  For a fixed f: X -> Y and the block of every g: Y -> Z:
+    - one ``bytes.translate`` of the block's codes gives the code of every
+      g after f;
+    - per-(X, Z) column tables give, column by column, the lifted row of
+      the first listed map with each code;
+    - one translate of the block's lifted rows, stored column by column, by
+      the table of ``lifted[i]`` gives every composite of the lifts.
+    A block whose two sides agree and whose composites are all listed holds.
+    Any other is decided position by position: a listed composite by its
+    row, an unlisted one built, lifted and decided by :func:`composes_to`.
     """
-    arrays = [h.map for h in lifted]
-    gathers = [_gather(a) for a in arrays]
-    for i, j, k in composable_pairs(maps):
-        first, then = (j, i) if contravariant else (i, j)
-        if k is not None:
-            holds = arrays[k] == gathers[first](arrays[then])
+    ids: dict[FiniteSpace, int] = {}
+    ends = [(ids.setdefault(m.dom, len(ids)), ids.setdefault(m.cod, len(ids))) for m in maps]
+    size = [s.n for s in ids]
+    lsize = size[:]  # the sizes of the lifted spaces, read when covariant
+    if not contravariant:
+        for (d, c), h in zip(ends, lifted):
+            lsize[d], lsize[c] = h.dom.n, h.cod.n
+    if max(size + lsize, default=0) > BYTE_POINTS:
+        raise BoundExceeded(f"map pair scans run on spaces of at most {BYTE_POINTS} points")
+    if contravariant:
+        rows = [bytes(h.map) for h in lifted]
+    else:
+        rows = [bytes((_code(h.map, lsize[c]),)) for h, (_, c) in zip(lifted, ends)]
+    codes = [_code(m.map, size[c]) for m, (_, c) in zip(maps, ends)]
+    blocks: dict[tuple[int, int], list[int]] = {}
+    for k, e in enumerate(ends):
+        blocks.setdefault(e, []).append(k)
+    # per (X, Z): the first listed position of each code, the listed codes
+    # and one table per column of the lifted rows
+    arriving: dict[int, dict[int, tuple]] = {}
+    for (x, z), ks in blocks.items():
+        first: dict[int, int] = {}
+        for k in ks:
+            first.setdefault(codes[k], k)
+        columns = [bytearray(256) for _ in rows[ks[0]]]
+        for c, k in first.items():
+            for column, v in zip(columns, rows[k]):
+                column[c] = v
+        # a covariant row is one code, so its one column is translated directly
+        tables = tuple(map(bytes, columns)) if contravariant else bytes(columns[0])
+        arriving.setdefault(x, {})[z] = (first, bytes(first), tables)
+    # per (Y, Z): the codes of the block and its lifted rows, column by column
+    leaving: dict[int, list[tuple]] = {}
+    for (y, z), ks in blocks.items():
+        block_rows = map(rows.__getitem__, ks)
+        leaving.setdefault(y, []).append((
+            z, size[z], 0 if contravariant else lsize[z], ks, bytes(map(codes.__getitem__, ks)),
+            b"".join(map(bytes, zip(*block_rows))),
+        ))
+    nothing_listed = ({}, b"", () if contravariant else bytes(256))
+    for i, (x, y) in enumerate(ends):
+        pre = _precomposers(maps[i].map, size[y])
+        if contravariant:  # the array of lifted[i] as a table, whatever Z is
+            after: Sequence[bytes | None] = (rows[i].ljust(256, b"\0"),)
         else:
-            holds = composes_to(lifted[then], lifted[first], lift(compose(maps[j], maps[i])))
-        if not holds:
+            after = _precomposers(lifted[i].map, lsize[y])
+        to_x = arriving[x]
+        bad: list[int] = []
+        for z, nz, lz, ks, gcodes, operand in leaving.get(y, ()):
+            composite = gcodes.translate(pre[nz])
+            first, listed, tables = to_x.get(z, nothing_listed)
+            if contravariant:
+                left = b"".join(map(composite.translate, tables))
+            else:
+                left = composite.translate(tables)
+            right = operand.translate(after[lz])
+            if left == right and not composite.translate(None, listed):
+                continue
+            for p, (j, c) in enumerate(zip(ks, composite)):
+                if c in first:
+                    holds = rows[first[c]] == right[p :: len(ks)]
+                else:
+                    first_map, then_map = (
+                        (lifted[j], lifted[i]) if contravariant else (lifted[i], lifted[j])
+                    )
+                    holds = composes_to(then_map, first_map, lift(compose(maps[j], maps[i])))
+                if not holds:
+                    bad.append(j)
+        bad.sort()
+        for j in bad:
             yield i, j
 
 
@@ -417,13 +495,21 @@ def subset_is_compact(space: FiniteSpace, mask: int) -> bool:
     )
 
 
+@lru_cache(maxsize=None)
 def compact_saturated_sets(space: FiniteSpace) -> tuple[int, ...]:
-    """The compact saturated sets, ascending.
+    """The compact saturated sets, ascending; decided once per space.
 
     Saturated means an intersection of opens; the opens of a finite space
     are closed under all intersections, so the saturated sets are the opens.
     """
     return tuple(o for o in space.opens if subset_is_compact(space, o))
+
+
+@lru_cache(maxsize=None)
+def _compact_masks(space: FiniteSpace) -> frozenset[int]:
+    """Every subset of ``space`` that :func:`subset_is_compact` accepts,
+    each decided once per space."""
+    return frozenset(m for m in range(space.full + 1) if subset_is_compact(space, m))
 
 
 def patch_topology(space: FiniteSpace) -> FiniteSpace:
@@ -434,10 +520,10 @@ def patch_topology(space: FiniteSpace) -> FiniteSpace:
 
 
 def is_proper(f: ContinuousMap) -> bool:
-    """Preimages of compact saturated sets are compact."""
-    return all(
-        subset_is_compact(f.dom, f.preimage(k)) for k in compact_saturated_sets(f.cod)
-    )
+    """Preimages of compact saturated sets are compact, read from the
+    per-space memos of both quantifiers."""
+    compact = _compact_masks(f.dom)
+    return all(f.preimage(k) in compact for k in compact_saturated_sets(f.cod))
 
 
 @dataclass(frozen=True)

@@ -43,6 +43,7 @@ from .frames import (
     reg_coreflect,
 )
 from .monadlab import (
+    EndofunctorSpec,
     MonadSpec,
     NatTransSpec,
     ReflectorSpec,
@@ -55,6 +56,7 @@ from .monadlab import (
     check_naturality,
     check_unit_transition_epi,
     compose_reflector_monad,
+    composed_functor,
     count_descents,
     fakir_test,
     filter_monad,
@@ -119,6 +121,7 @@ FAULTS = {
     "pcf-mult-swap": "swap two points in the prime-closed-filter multiplication",
     "t0-coarsen": "replace the T0 quotient by the coarser component quotient",
     "composite-mult-collapse": "collapse the composite multiplication to a constant",
+    "ultra-lift-unswap": "lift the swap of the discrete two-point space by U to the identity",
 }
 
 # which suite is expected to catch each fault
@@ -128,6 +131,7 @@ FAULT_TARGETS = {
     "pcf-mult-swap": "monad-laws",
     "t0-coarsen": "reflector-universal",
     "composite-mult-collapse": "lemma4.8",
+    "ultra-lift-unswap": "filter-naturality",
 }
 
 _FAULT_KIND = {
@@ -162,10 +166,31 @@ def _mult_mutated(monad: MonadSpec, post) -> MonadSpec:
     return MonadSpec(monad.name + "!", monad.functor, monad.unit, mult)
 
 
+def _lift_unswapped(monad: MonadSpec) -> MonadSpec:
+    """The monad whose functor lifts the swap of the discrete two-point
+    space to the identity, a valid map between the right ends; its unit
+    and multiplication run between the bent functors."""
+    discrete = build_space(2, [{0}, {1}])
+    swap = ContinuousMap(discrete, discrete, (1, 0))
+
+    def mor(f: ContinuousMap) -> ContinuousMap:
+        lifted = monad.mor(f)
+        return identity_map(lifted.cod) if f == swap else lifted
+
+    functor = EndofunctorSpec(monad.functor.name, monad.functor.obj, mor)
+    unit = NatTransSpec(monad.unit.name, monad.unit.source, functor, monad.unit.at)
+    mult = NatTransSpec(
+        monad.mult.name, composed_functor(functor, functor), functor, monad.mult.at
+    )
+    return MonadSpec(monad.name + "!", functor, unit, mult)
+
+
 def _monad(kind: str, bounds: RunBounds) -> MonadSpec:
     base = filter_monad(kind)
     if bounds.fault in _FAULT_KIND and _FAULT_KIND[bounds.fault] == kind:
         return _mult_mutated(base, _swap_first_two)
+    if bounds.fault == "ultra-lift-unswap" and kind == ULTRA:
+        return _lift_unswapped(base)
     return base
 
 
@@ -333,7 +358,7 @@ def suite_thm_4_1(bounds: RunBounds) -> list[CheckReport]:
         out.append(
             check_monad_morphism(
                 reflection_onto_composite(t0, monad),
-                monad, compose_reflector_monad(t0, monad), spaces, maps,
+                monad, _composite("t0", kind, bounds), spaces, maps,
                 f"thm4.1[r{label}]", desc,
             )
         )

@@ -14,6 +14,7 @@ from topolab.monadlab import filter_monad
 from topolab.suites import (
     _FAULT_KIND,
     FAULT_TARGETS,
+    FAULTS,
     SUITES,
     RunBounds,
     _swap_first_two,
@@ -138,6 +139,44 @@ def test_t0_coarsen_fails_the_full_run_without_crashing(capsys):
     } <= failing
 
 
+# The exact FAIL ids of ``check --suite all`` under each fault.
+FAULT_MATRIX = {
+    "sigma-mult-swap": {
+        "monad-laws[S]", "prop3.4[alpha->S]", "prop3.6[monad-morphism]", "thm4.6[S]",
+        "prop5.4[morphism]", "prop5.7[monad-morphism]", "filters[mult-natural-S]",
+    },
+    "ultra-mult-swap": {
+        "monad-laws[U]", "prop3.4[alpha->S]", "prop3.4[alpha->P]", "prop3.6[composite-laws]",
+        "prop3.6[monad-morphism]", "thm4.6[U]", "prop4.9", "thm4.11[monad-morphism]", "prop5.1",
+        "prop5.7[monad-morphism]", "filters[mult-natural-U]",
+    },
+    "pcf-mult-swap": {
+        "monad-laws[P]", "prop3.4[alpha->P]", "thm4.6[P]", "thm4.11[monad-morphism]",
+        "prop5.4[morphism]", "filters[mult-natural-P]",
+    },
+    "t0-coarsen": {
+        "prop3.6", "prop3.7[lattice-iso]", "lemma4.8[S-fixed-point]", "lemma4.8[P-fixed-point]",
+        "thm4.11", "prop5.4", "lemma5.3", "reflector-universal[t0]", "sobriety[matches-t0]",
+        "sobriety[filter-space]", "divergence[sobrify-t0]",
+    },
+    "composite-mult-collapse": {
+        "prop3.6[composite-laws]", "prop3.6[monad-morphism]", "thm4.1[rU]",
+        "lemma4.8[t0.U-idempotent]", "prop4.9", "thm4.11[monad-morphism]",
+    },
+    "ultra-lift-unswap": {
+        "prop3.6[monad-morphism]", "prop4.9", "thm4.11[monad-morphism]", "prop5.1",
+        "prop5.7[monad-morphism]", "filters[functor-U]", "filters[unit-natural-U]",
+    },
+}
+
+
+@pytest.mark.parametrize("fault", sorted(FAULT_MATRIX))
+def test_each_fault_fails_exactly_its_pinned_checks(fault):
+    assert set(FAULT_MATRIX) == set(FAULTS)
+    reports = run_suite("all", RunBounds(fault=fault))
+    assert {r.check_id for r in reports if not r.ok} == FAULT_MATRIX[fault]
+
+
 def test_run_suite_reports_a_failed_construction_as_a_fail(monkeypatch):
     def ill_defined(bounds):
         raise NotWellDefined("fiber over 0 carries both values 0 and 1")
@@ -221,6 +260,19 @@ def test_check_map_points_sets_the_map_corpus(monkeypatch, capsys):
         RunBounds(max_points=5, map_points=5, epi_cap=5),
         RunBounds(max_points=2, map_points=2),
     ]
+
+
+def test_a_pair_scan_past_four_points_exits_2(monkeypatch, capsys):
+    # a one-map 5-point corpus reaches the functoriality kernel at once
+    five = build_space(5, [{0}])
+    monkeypatch.setattr(
+        "topolab.suites._map_corpus", lambda bounds: ((five,), (identity_map(five),), "five")
+    )
+    flags = ["--max-points", "5", "--epi-cap", "5", "--map-points", "5"]
+    assert main(["check", "--suite", "filter-naturality", *flags]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: map pair scans run on spaces of at most 4 points\n"
+    assert captured.out == ""
 
 
 @pytest.mark.parametrize(

@@ -447,3 +447,36 @@ def test_functor_laws_witness_on_composite_outside_the_list():
     assert compose(bad[0], f) == target
     report = check_functor_laws(functor, spaces, maps)
     assert report.witness == f"W breaks composition at {f.map};{bad[0].map}"
+
+
+@pytest.mark.parametrize("listed", ["corpus", "unlisted", "twice"])
+def test_lift_fault_fails_at_the_first_pair_of_the_all_pairs_scan(listed):
+    """``ultra-lift-unswap`` lifts one map to a valid map with the right ends,
+    so only the array comparison of the pair kernel can catch it."""
+    from topolab import suites
+
+    bounds = suites.RunBounds(fault="ultra-lift-unswap")
+    functor = suites._monad(ULTRA, bounds).functor
+    spaces, maps, _ = suites._map_corpus(bounds)
+    discrete = build_space(2, [{0}, {1}])
+    swap = ContinuousMap(discrete, discrete, (1, 0))
+    assert functor.mor(swap) != filter_monad(ULTRA).mor(swap)
+    if listed == "corpus":
+        # from the CLI's suite: the first failing pair composes to a listed map
+        [report] = [
+            r for r in suites.run_suite("filter-naturality", bounds)
+            if r.check_id == "filters[functor-U]"
+        ]
+        witness = report.witness
+        f, bad = _first_breaks(functor, maps)
+        assert compose(bad[0], f) in maps
+    else:
+        # g after the swap reverses g, which is then not listed; twice, each
+        # composite resolves to its first position
+        maps = (swap,) + tuple(m for m in maps if m.dom == discrete and m.map[0] < m.map[1])
+        if listed == "twice":
+            maps *= 2
+        witness = check_functor_laws(functor, spaces, maps).witness
+        f, bad = _first_breaks(functor, maps)
+        assert f == swap and compose(bad[0], f) not in maps
+    assert witness == f"U breaks composition at {f.map};{bad[0].map}"

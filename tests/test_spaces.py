@@ -39,7 +39,7 @@ from topolab.spaces import (
     PreorderMatrix,
     commutes,
     compact_saturated_sets,
-    composable_pairs,
+    composition_breaks,
     composes_to,
     mediator_breaks,
     restriction_counts,
@@ -271,6 +271,41 @@ def test_all_small_maps_proper(classes3):
         for b in classes3:
             for f in enumerate_continuous_maps(a, b):
                 assert is_proper(f)
+
+
+def _proper_by_definition(f, compact):
+    """The per-call route: every compact open of the codomain pulls back to a
+    compact subset of the domain, each decided on the spot."""
+    return all(compact(f.dom, f.preimage(k)) for k in f.cod.opens if compact(f.cod, k))
+
+
+@pytest.mark.parametrize("compact", ["definition", "at-most-two-points"])
+def test_is_proper_reads_what_the_per_call_definition_decides(compact, monkeypatch):
+    """Every map of the 3-point corpus and the U, S and P units at 4 points.
+    Every subset of a finite space is compact, so a second run swaps in a
+    predicate that rejects some, and the memos must follow it."""
+    from topolab import spaces as spaces_module
+    from topolab.filters import unit
+
+    def clear():
+        compact_saturated_sets.cache_clear()
+        spaces_module._compact_masks.cache_clear()
+
+    if compact == "at-most-two-points":
+        monkeypatch.setattr(
+            spaces_module, "subset_is_compact", lambda space, mask: mask.bit_count() <= 2
+        )
+    clear()
+    try:
+        maps = list(maps_between(spaces_up_to(3)))
+        maps += [unit(kind, s) for kind in KINDS for s in spaces_up_to(4)]
+        verdicts = [is_proper(f) for f in maps]
+        definition = spaces_module.subset_is_compact
+        assert verdicts == [_proper_by_definition(f, definition) for f in maps]
+    finally:
+        monkeypatch.undo()
+        clear()
+    assert (False in verdicts) == (compact != "definition")
 
 
 def test_compact_saturated_sets_is_the_filter_over_all_subsets():
@@ -627,34 +662,85 @@ def test_mediator_breaks_is_the_naive_loop_along_non_injective_maps():
     assert seen != kept
 
 
-# --- the composable-pair table ----------------------------------------------
+# --- the hom-block kernel for functoriality ----------------------------------
 
 
-def _all_pairs(maps):
-    """Naive scan: every (i, j) with f.cod == g.dom, k the first listed g after f."""
-    first = {}
+def _all_pairs_breaks(maps, lifted, lift, contravariant):
+    """Naive scan: every (i, j) with f.cod == g.dom at which the lift of g after
+    f (the first listed map with its ends and array, else lift(compose(g, f)))
+    differs in an end or in its array from the composite of the two lifts."""
+    first, number = {}, {}
     for k, m in enumerate(maps):
         first.setdefault((m.dom, m.cod, m.map), k)
-    return [
-        (i, j, first.get((f.dom, g.cod, tuple(g.map[v] for v in f.map))))
-        for i, f in enumerate(maps)
-        for j, g in enumerate(maps)
-        if f.cod == g.dom
-    ]
+    dom = [number.setdefault(m.dom, len(number)) for m in maps]
+    cod = [number.setdefault(m.cod, len(number)) for m in maps]
+    breaks, unlisted = [], 0
+    for i, f in enumerate(maps):
+        for j, g in enumerate(maps):
+            if cod[i] != dom[j]:
+                continue
+            k = first.get((f.dom, g.cod, tuple(g.map[v] for v in f.map)))
+            unlisted += k is None
+            lifted_h = lift(compose(g, f)) if k is None else lifted[k]
+            early, late = (lifted[j], lifted[i]) if contravariant else (lifted[i], lifted[j])
+            if (lifted_h.dom, lifted_h.cod, lifted_h.map) != (
+                early.dom, late.cod, tuple(late.map[v] for v in early.map)
+            ):
+                breaks.append((i, j))
+    return breaks, unlisted
+
+
+def _bent(m):
+    """The constants into three-point spaces, but the constant 0."""
+    return m.cod.n == 3 and set(m.map) in ({1}, {2})
 
 
 @pytest.mark.parametrize("listed", ["closed", "first-400", "first-200-twice"])
 def test_composable_pairs_is_the_all_pairs_scan(listed):
+    """The kernel against the naive loop, covariant (the U lift) and
+    contravariant (the opens frame map), each corrupted on constants into
+    three-point spaces so that listed and unlisted composites both break."""
+    from topolab.frames import opens_frame_map
+    from topolab.monadlab import filter_monad
+
     maps = maps_between(spaces_up_to(3))
     if listed == "first-400":
         maps = maps[:400]
-    elif listed == "first-200-twice":  # k is the first of two positions
+    elif listed == "first-200-twice":  # a composite resolves to the first of two positions
         maps = maps[:200] * 2
-    pairs = list(composable_pairs(maps))
-    assert pairs == _all_pairs(maps)
-    # the closed corpus lists every composite, the prefixes leave some out
-    assert any(maps[i].dom.n == 1 for i, _, _ in pairs)
-    assert (None in {k for _, _, k in pairs}) == (listed != "closed")
+    u = filter_monad("ultra").functor.mor
+
+    def bent_u(m):
+        h = u(m)
+        if not _bent(m):
+            return h
+        return ContinuousMap(h.dom, h.cod, ((h.map[0] + 1) % h.cod.n,) * h.dom.n)
+
+    def bent_opens(m):
+        if _bent(m):
+            m = ContinuousMap(m.dom, m.cod, (0,) * m.dom.n)
+        return opens_frame_map(m)
+
+    listed_maps = {(m.dom, m.cod, m.map) for m in maps}
+    for lift, contravariant in ((bent_u, False), (bent_opens, True)):
+        lifted = [lift(m) for m in maps]
+        if listed == "first-200-twice":
+            # the second copies are lifted unbent, so the pairs through a bent
+            # constant's second copy break, while a composite equal to a bent
+            # constant still resolves to its first, bent copy
+            lifted[200:] = [u(m) if not contravariant else opens_frame_map(m) for m in maps[200:]]
+        expected, unlisted = _all_pairs_breaks(maps, lifted, lift, contravariant)
+        got = list(composition_breaks(maps, lifted, lift, contravariant))
+        assert got == expected
+        assert len({i for i, _ in got}) > 1
+        # the closed corpus lists every composite, the prefixes leave some out
+        assert (unlisted > 0) == (listed != "closed")
+        if listed == "first-400":  # some unlisted composite breaks
+            assert any(
+                (h.dom, h.cod, h.map) not in listed_maps and _bent(h)
+                for i, j in got
+                for h in [compose(maps[j], maps[i])]
+            )
 
 
 # --- composing g onto a known map: compose builds, composes_to decides ------
