@@ -14,13 +14,8 @@ from functools import lru_cache
 
 from .errors import BoundExceeded, InvalidInput
 from .frames import FiniteFrame, frame_from_leq
-from .spaces import (
-    ContinuousMap,
-    FiniteSpace,
-    build_space,
-    enumerate_continuous_maps,
-    find_homeomorphism,
-)
+from .spaces import FiniteSpace, build_space, find_homeomorphism
+from .spaces import maps_between  # noqa: F401  (re-exported: the map corpus is read from here too)
 
 MAX_POINTS = 5
 
@@ -113,15 +108,6 @@ def spaces_up_to(max_points: int, up_to_homeo: bool = True) -> tuple[FiniteSpace
     out: list[FiniteSpace] = []
     for n in range(1, max_points + 1):
         out.extend(enumerate_spaces(n, up_to_homeo))
-    return tuple(out)
-
-
-@lru_cache(maxsize=None)
-def maps_between(spaces: tuple[FiniteSpace, ...]) -> tuple[ContinuousMap, ...]:
-    out: list[ContinuousMap] = []
-    for a in spaces:
-        for b in spaces:
-            out.extend(enumerate_continuous_maps(a, b))
     return tuple(out)
 
 

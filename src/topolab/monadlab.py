@@ -30,6 +30,7 @@ from .spaces import (
     enumerate_continuous_maps,
     identity_map,
     is_homeomorphism,
+    maps_between,
     restriction_counts,
 )
 
@@ -249,18 +250,21 @@ def reflection_onto_composite(R: ReflectorSpec, monad: MonadSpec) -> NatTransSpe
 def check_functor_laws(
     functor: EndofunctorSpec,
     spaces: tuple[FiniteSpace, ...],
-    maps: tuple[ContinuousMap, ...],
+    *,
     check_id: str = "functor-laws",
     corpus_desc: str = "",
 ) -> CheckReport:
-    """Identities on every corpus space, composition on every composable pair.
+    """The functor laws on the full subcategory on ``spaces``: identities on
+    every space, composition on every composable pair of its maps.
 
-    Each map is lifted once, and its lift must run between the lifted ends.
-    Composition is then quantified over the pairs ``(f, g)`` of ``maps``
-    with ``f.cod == g.dom`` only, f-major in corpus order, so the witness is
-    the first failing pair of the all-pairs scan; the lift of a listed
-    composite is the one compared against.
+    The maps are :func:`maps_between` of ``spaces``, every map between
+    them, so every composite is one of them.  Each map is lifted once, and
+    its lift must run between the lifted ends.  Composition is then
+    decided by :func:`composition_breaks` over the pairs ``(f, g)`` with
+    ``f.cod == g.dom``, f-major in corpus order, so the witness is the
+    first failing pair of the all-pairs scan.
     """
+    maps = maps_between(spaces)
     desc = corpus_desc or f"{len(spaces)} spaces, {len(maps)} maps"
     name = functor.name
     for space in spaces:
@@ -273,7 +277,7 @@ def check_functor_laws(
                 check_id, desc,
                 f"{name} sends {m.map} off {name}({m.dom!r}) -> {name}({m.cod!r})",
             )
-    for i, j in composition_breaks(maps, lifted, functor.mor):
+    for i, j in composition_breaks(spaces, lifted):
         return failed(
             check_id, desc, f"{name} breaks composition at {maps[i].map};{maps[j].map}"
         )
@@ -322,7 +326,7 @@ def check_monad_morphism(
     source: MonadSpec,
     target: MonadSpec,
     spaces: tuple[FiniteSpace, ...],
-    maps: tuple[ContinuousMap, ...] = (),
+    maps: tuple[ContinuousMap, ...],
     check_id: str = "monad-morphism",
     corpus_desc: str = "",
 ) -> CheckReport:

@@ -118,15 +118,15 @@ REFLECT_OPS = {T0: t0_reflect, SOBER: sobrify, HAUSDORFF: hausdorff_reflect}
 def factor_through_reflection(
     f: ContinuousMap,
     r: ContinuousMap,
-    in_class=None,
+    in_class,
     then: ContinuousMap | None = None,
 ) -> ContinuousMap:
     """The unique map phi with phi . r = f, defined on the fibers of r.
 
     With ``then``, phi . r = then . f instead; that composite is read as the
     array of ``then`` gathered along ``f`` and never built.  ``in_class`` is
-    the membership predicate of the reflective class; when given, the
-    codomain of the map factored must satisfy it.
+    the membership predicate of the reflective class, which the codomain of
+    the map factored must satisfy.
     """
     cod, arr = f.cod, f.map
     if then is not None:
@@ -135,7 +135,7 @@ def factor_through_reflection(
         cod, arr = then.cod, tuple(map(then.map.__getitem__, arr))
     if f.dom != r.dom:
         raise HypothesisViolated("f and r must share their domain")
-    if in_class is not None and not in_class(cod):
+    if not in_class(cod):
         raise HypothesisViolated("codomain is not in the reflective class")
     values: dict[int, int] = {}
     for c, v in zip(r.map, arr):

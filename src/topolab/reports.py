@@ -57,8 +57,8 @@ def passed(check_id: str, corpus: str, note: str = "") -> CheckReport:
     return CheckReport(check_id, corpus, PASS, note=note)
 
 
-def failed(check_id: str, corpus: str, witness: str, note: str = "") -> CheckReport:
-    return CheckReport(check_id, corpus, FAIL, witness=witness, note=note)
+def failed(check_id: str, corpus: str, witness: str) -> CheckReport:
+    return CheckReport(check_id, corpus, FAIL, witness=witness)
 
 
 def not_applicable(check_id: str, corpus: str, note: str = "") -> CheckReport:

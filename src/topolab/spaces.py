@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import product, repeat
+from itertools import groupby, product, repeat
 from operator import and_, itemgetter, rshift
 from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
@@ -275,18 +275,19 @@ def _precomposers(arr: tuple[int, ...], ny: int) -> tuple[bytes | None, ...]:
 
 
 def composition_breaks(
-    maps: Sequence[ContinuousMap],
+    spaces: tuple[FiniteSpace, ...],
     lifted: Sequence[M],
-    lift: Callable[[ContinuousMap], M],
     contravariant: bool = False,
 ) -> Iterator[tuple[int, int]]:
-    """Positions ``(i, j)`` of the composable pairs ``f = maps[i]``,
-    ``g = maps[j]`` at which ``lift`` breaks composition, f-major in input order.
+    """Positions ``(i, j)`` of the pairs ``f = maps[i]``, ``g = maps[j]`` with
+    ``f.cod == g.dom`` at which a lift breaks composition, f-major, where
+    ``maps`` is :func:`maps_between` of ``spaces``: the full subcategory on
+    these distinct spaces, so every composite is listed exactly once.
 
-    ``lifted[i]`` is ``lift(maps[i])``.  A covariant lift must send g after f
-    to ``lifted[j]`` after ``lifted[i]``, a contravariant one to ``lifted[i]``
-    after ``lifted[j]``.  The caller has checked once per map that every
-    lifted map has the lifted domain and codomain.
+    ``lifted[k]`` is the lift of ``maps[k]``.  A covariant lift must send g
+    after f to ``lifted[j]`` after ``lifted[i]``, a contravariant one to
+    ``lifted[i]`` after ``lifted[j]``.  The caller has checked once per map
+    that every lifted map has the lifted domain and codomain.
 
     Decided a hom block at a time.  A map between spaces of at most
     ``BYTE_POINTS`` points is the byte ``code(f) = sum f(x)·|Y|^x``.  Each
@@ -295,16 +296,18 @@ def composition_breaks(
     - one ``bytes.translate`` of the block's codes gives the code of every
       g after f;
     - per-(X, Z) column tables give, column by column, the lifted row of
-      the first listed map with each code;
+      the map with each code;
     - one translate of the block's lifted rows, stored column by column, by
       the table of ``lifted[i]`` gives every composite of the lifts.
-    A block whose two sides agree and whose composites are all listed holds.
-    Any other is decided position by position: a listed composite by its
-    row, an unlisted one built, lifted and decided by :func:`composes_to`.
+    A block whose two sides agree holds; in any other, each g whose rows
+    differ breaks.  The blocks of g arrive in corpus order.
     """
-    ids: dict[FiniteSpace, int] = {}
-    ends = [(ids.setdefault(m.dom, len(ids)), ids.setdefault(m.cod, len(ids))) for m in maps]
-    size = [s.n for s in ids]
+    maps = maps_between(spaces)
+    if len(lifted) != len(maps):
+        raise InvalidInput(f"{len(lifted)} lifts for the {len(maps)} maps between the spaces")
+    ids = {s: k for k, s in enumerate(spaces)}
+    ends = [(ids[m.dom], ids[m.cod]) for m in maps]
+    size = [s.n for s in spaces]
     lsize = size[:]  # the sizes of the lifted spaces, read when covariant
     if not contravariant:
         for (d, c), h in zip(ends, lifted):
@@ -316,63 +319,43 @@ def composition_breaks(
     else:
         rows = [bytes((_code(h.map, lsize[c]),)) for h, (_, c) in zip(lifted, ends)]
     codes = [_code(m.map, size[c]) for m, (_, c) in zip(maps, ends)]
-    blocks: dict[tuple[int, int], list[int]] = {}
-    for k, e in enumerate(ends):
-        blocks.setdefault(e, []).append(k)
-    # per (X, Z): the first listed position of each code, the listed codes
-    # and one table per column of the lifted rows
-    arriving: dict[int, dict[int, tuple]] = {}
-    for (x, z), ks in blocks.items():
-        first: dict[int, int] = {}
-        for k in ks:
-            first.setdefault(codes[k], k)
+    # per hom block (D, C), whose maps are listed together: one table per
+    # column of the lifted rows, indexed by code, then the sizes of C and of
+    # its lift, the block's positions, its codes and its lifted rows, column
+    # by column
+    homs: dict[int, dict[int, tuple]] = {}
+    for (d, c), block in groupby(range(len(maps)), ends.__getitem__):
+        ks = list(block)
         columns = [bytearray(256) for _ in rows[ks[0]]]
-        for c, k in first.items():
+        for k in ks:
             for column, v in zip(columns, rows[k]):
-                column[c] = v
+                column[codes[k]] = v
         # a covariant row is one code, so its one column is translated directly
-        tables = tuple(map(bytes, columns)) if contravariant else bytes(columns[0])
-        arriving.setdefault(x, {})[z] = (first, bytes(first), tables)
-    # per (Y, Z): the codes of the block and its lifted rows, column by column
-    leaving: dict[int, list[tuple]] = {}
-    for (y, z), ks in blocks.items():
-        block_rows = map(rows.__getitem__, ks)
-        leaving.setdefault(y, []).append((
-            z, size[z], 0 if contravariant else lsize[z], ks, bytes(map(codes.__getitem__, ks)),
-            b"".join(map(bytes, zip(*block_rows))),
-        ))
-    nothing_listed = ({}, b"", () if contravariant else bytes(256))
+        homs.setdefault(d, {})[c] = (
+            tuple(map(bytes, columns)) if contravariant else bytes(columns[0]),
+            size[c], lsize[c], ks, bytes(map(codes.__getitem__, ks)),
+            b"".join(map(bytes, zip(*map(rows.__getitem__, ks)))),
+        )
     for i, (x, y) in enumerate(ends):
         pre = _precomposers(maps[i].map, size[y])
         if contravariant:  # the array of lifted[i] as a table, whatever Z is
-            after: Sequence[bytes | None] = (rows[i].ljust(256, b"\0"),)
+            after: Sequence[bytes | None] = (rows[i].ljust(256, b"\0"),) * (BYTE_POINTS + 1)
         else:
             after = _precomposers(lifted[i].map, lsize[y])
-        to_x = arriving[x]
-        bad: list[int] = []
-        for z, nz, lz, ks, gcodes, operand in leaving.get(y, ()):
+        to_x = homs[x]
+        for z, (_, nz, lz, ks, gcodes, operand) in homs[y].items():
             composite = gcodes.translate(pre[nz])
-            first, listed, tables = to_x.get(z, nothing_listed)
+            tables = to_x[z][0]
             if contravariant:
                 left = b"".join(map(composite.translate, tables))
             else:
                 left = composite.translate(tables)
             right = operand.translate(after[lz])
-            if left == right and not composite.translate(None, listed):
-                continue
-            for p, (j, c) in enumerate(zip(ks, composite)):
-                if c in first:
-                    holds = rows[first[c]] == right[p :: len(ks)]
-                else:
-                    first_map, then_map = (
-                        (lifted[j], lifted[i]) if contravariant else (lifted[i], lifted[j])
-                    )
-                    holds = composes_to(then_map, first_map, lift(compose(maps[j], maps[i])))
-                if not holds:
-                    bad.append(j)
-        bad.sort()
-        for j in bad:
-            yield i, j
+            if left != right:
+                step = len(ks)
+                for p, j in enumerate(ks):
+                    if left[p::step] != right[p::step]:
+                        yield i, j
 
 
 def build_space(n: int, generators: Sequence[Iterable[int]] = ()) -> FiniteSpace:
@@ -664,6 +647,17 @@ def enumerate_continuous_maps(dom: FiniteSpace, cod: FiniteSpace) -> tuple[Conti
                 allowed ^= low
         arrays = grown
     return tuple(ContinuousMap(dom, cod, arr) for arr in arrays)
+
+
+@lru_cache(maxsize=None)
+def maps_between(spaces: tuple[FiniteSpace, ...]) -> tuple[ContinuousMap, ...]:
+    """Every continuous map between the ``spaces``, hom block by hom block:
+    domain-major, then codomain, each block in enumeration order."""
+    out: list[ContinuousMap] = []
+    for a in spaces:
+        for b in spaces:
+            out.extend(enumerate_continuous_maps(a, b))
+    return tuple(out)
 
 
 def restriction_counts(

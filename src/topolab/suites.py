@@ -757,7 +757,9 @@ def suite_filter_naturality(bounds: RunBounds) -> list[CheckReport]:
     for kind, label in ((ULTRA, "U"), (OPEN_PRIME, "S"), (CLOSED_PRIME, "P")):
         monad = _monad(kind, bounds)
         out.append(
-            check_functor_laws(monad.functor, spaces, maps, f"filters[functor-{label}]", desc)
+            check_functor_laws(
+                monad.functor, spaces, check_id=f"filters[functor-{label}]", corpus_desc=desc
+            )
         )
         out.append(
             check_naturality(monad.unit, maps, f"filters[unit-natural-{label}]", desc)
@@ -909,7 +911,7 @@ def _recount_classes(n: int) -> int:
 
 
 def suite_frame_bridge(bounds: RunBounds) -> list[CheckReport]:
-    _, maps, desc = _map_corpus(bounds)
+    spaces, maps, desc = _map_corpus(bounds)
     frame_maps = [opens_frame_map(f) for f in maps]
     misplaced = [
         f"{f.map}"
@@ -920,7 +922,7 @@ def suite_frame_bridge(bounds: RunBounds) -> list[CheckReport]:
     # when every frame map runs between the frames of its ends
     functorial = misplaced or (
         f"{maps[i].map};{maps[j].map}"
-        for i, j in composition_breaks(maps, frame_maps, opens_frame_map, contravariant=True)
+        for i, j in composition_breaks(spaces, frame_maps, contravariant=True)
     )
     chain = opens_frame(build_space(3, [{0}])).k
     return [

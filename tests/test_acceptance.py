@@ -12,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+import topolab
 from topolab import (
     CLOSED_PRIME,
     OPEN_PRIME,
@@ -204,7 +205,9 @@ def test_criterion_10_corpus_and_determinism():
     pinned = PINNED_CHECK_ALL.read_text(encoding="utf-8").splitlines()[:-1]
     deterministic = deterministic and first == pinned
 
-    env = dict(os.environ)
+    # the child imports the same package as this process
+    src = str(Path(topolab.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     outputs = []
     for seed in ("1", "2"):
         env["PYTHONHASHSEED"] = seed

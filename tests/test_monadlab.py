@@ -72,9 +72,9 @@ def _swap_mult(monad):
 
 
 def test_functor_laws_all_monads(corpus):
-    spaces, maps = corpus
+    spaces, _ = corpus
     for kind in (ULTRA, OPEN_PRIME, CLOSED_PRIME):
-        assert check_functor_laws(filter_monad(kind).functor, spaces[:8], maps[:400]).ok
+        assert check_functor_laws(filter_monad(kind).functor, spaces[:8]).ok
 
 
 def test_monad_laws_pass(corpus):
@@ -390,7 +390,7 @@ def test_functor_laws_fail_on_a_lift_with_the_wrong_ends(end):
     # constants are continuous, so the wrong lift is a valid map
     wrong = ContinuousMap(ends["dom"], ends["cod"], (0, 0))
     functor = EndofunctorSpec("W", lambda s: s, lambda m: wrong if m == target else m)
-    report = check_functor_laws(functor, spaces, maps)
+    report = check_functor_laws(functor, spaces)
     assert not report.ok
     assert report.witness == f"W sends {target.map} off W({target.dom!r}) -> W({target.cod!r})"
 
@@ -425,31 +425,11 @@ def test_functor_laws_witness_order_on_closed_corpus():
     functor = _wrong_at(target)
     f, bad = _first_breaks(functor, maps)
     assert len(bad) > 1
-    report = check_functor_laws(functor, spaces, maps)
+    report = check_functor_laws(functor, spaces)
     assert report.witness == f"W breaks composition at {f.map};{bad[0].map}"
 
 
-def test_functor_laws_witness_on_composite_outside_the_list():
-    spaces = spaces_up_to(3, True)
-    maps = maps_between(spaces)[:400]
-    listed = set(maps)
-    # a composite that is not itself listed, so the pair scan has to build it
-    target = next(
-        h
-        for f in maps[len(maps) // 2 :]
-        for g in maps
-        if f.cod == g.dom and g.cod.n > 1
-        for h in (compose(g, f),)
-        if h not in listed
-    )
-    functor = _wrong_at(target)
-    f, bad = _first_breaks(functor, maps)
-    assert compose(bad[0], f) == target
-    report = check_functor_laws(functor, spaces, maps)
-    assert report.witness == f"W breaks composition at {f.map};{bad[0].map}"
-
-
-@pytest.mark.parametrize("listed", ["corpus", "unlisted", "twice"])
+@pytest.mark.parametrize("listed", ["corpus"])
 def test_lift_fault_fails_at_the_first_pair_of_the_all_pairs_scan(listed):
     """``ultra-lift-unswap`` lifts one map to a valid map with the right ends,
     so only the array comparison of the pair kernel can catch it."""
@@ -457,26 +437,14 @@ def test_lift_fault_fails_at_the_first_pair_of_the_all_pairs_scan(listed):
 
     bounds = suites.RunBounds(fault="ultra-lift-unswap")
     functor = suites._monad(ULTRA, bounds).functor
-    spaces, maps, _ = suites._map_corpus(bounds)
+    _, maps, _ = suites._map_corpus(bounds)
     discrete = build_space(2, [{0}, {1}])
     swap = ContinuousMap(discrete, discrete, (1, 0))
     assert functor.mor(swap) != filter_monad(ULTRA).mor(swap)
-    if listed == "corpus":
-        # from the CLI's suite: the first failing pair composes to a listed map
-        [report] = [
-            r for r in suites.run_suite("filter-naturality", bounds)
-            if r.check_id == "filters[functor-U]"
-        ]
-        witness = report.witness
-        f, bad = _first_breaks(functor, maps)
-        assert compose(bad[0], f) in maps
-    else:
-        # g after the swap reverses g, which is then not listed; twice, each
-        # composite resolves to its first position
-        maps = (swap,) + tuple(m for m in maps if m.dom == discrete and m.map[0] < m.map[1])
-        if listed == "twice":
-            maps *= 2
-        witness = check_functor_laws(functor, spaces, maps).witness
-        f, bad = _first_breaks(functor, maps)
-        assert f == swap and compose(bad[0], f) not in maps
-    assert witness == f"U breaks composition at {f.map};{bad[0].map}"
+    # from the CLI's suite
+    [report] = [
+        r for r in suites.run_suite("filter-naturality", bounds)
+        if r.check_id == "filters[functor-U]"
+    ]
+    f, bad = _first_breaks(functor, maps)
+    assert report.witness == f"U breaks composition at {f.map};{bad[0].map}"

@@ -134,11 +134,12 @@ def test_factor_rejects_wrong_class(e1):
 
 
 def test_factor_not_well_defined(sierpinski):
-    # collapsing to a point cannot factor the identity of a two-point space
+    # collapsing to a point cannot factor the identity of a two-point space;
+    # Sierpinski space is T0, so it is the fibre check that raises
     collapsed, h = hausdorff_reflect(sierpinski)
     assert collapsed.n == 1
     with pytest.raises(NotWellDefined):
-        factor_through_reflection(identity_map(sierpinski), h, None)
+        factor_through_reflection(identity_map(sierpinski), h, in_t0)
 
 
 def test_factor_of_a_composite_is_the_factor_of_the_built_composite(classes3):

@@ -665,82 +665,78 @@ def test_mediator_breaks_is_the_naive_loop_along_non_injective_maps():
 # --- the hom-block kernel for functoriality ----------------------------------
 
 
-def _all_pairs_breaks(maps, lifted, lift, contravariant):
+def _all_pairs_breaks(maps, lifted, contravariant):
     """Naive scan: every (i, j) with f.cod == g.dom at which the lift of g after
-    f (the first listed map with its ends and array, else lift(compose(g, f)))
-    differs in an end or in its array from the composite of the two lifts."""
-    first, number = {}, {}
+    f (the map listed with its ends and array) differs in an end or in its
+    array from the composite of the two lifts."""
+    position, number = {}, {}
     for k, m in enumerate(maps):
-        first.setdefault((m.dom, m.cod, m.map), k)
+        position[m.dom, m.cod, m.map] = k
     dom = [number.setdefault(m.dom, len(number)) for m in maps]
     cod = [number.setdefault(m.cod, len(number)) for m in maps]
-    breaks, unlisted = [], 0
+    breaks = []
     for i, f in enumerate(maps):
         for j, g in enumerate(maps):
             if cod[i] != dom[j]:
                 continue
-            k = first.get((f.dom, g.cod, tuple(g.map[v] for v in f.map)))
-            unlisted += k is None
-            lifted_h = lift(compose(g, f)) if k is None else lifted[k]
+            lifted_h = lifted[position[f.dom, g.cod, tuple(g.map[v] for v in f.map)]]
             early, late = (lifted[j], lifted[i]) if contravariant else (lifted[i], lifted[j])
             if (lifted_h.dom, lifted_h.cod, lifted_h.map) != (
                 early.dom, late.cod, tuple(late.map[v] for v in early.map)
             ):
                 breaks.append((i, j))
-    return breaks, unlisted
+    return breaks
 
 
-def _bent(m):
-    """The constants into three-point spaces, but the constant 0."""
-    return m.cod.n == 3 and set(m.map) in ({1}, {2})
+# a 4-point space with 8 opens; its constant 3 to itself has the top code,
+# 3·(1 + 4 + 16 + 64) = 255
+_FOUR_POINTS = build_space(4, [{0}, {1}, {0, 2}, {0, 1, 3}])
 
 
-@pytest.mark.parametrize("listed", ["closed", "first-400", "first-200-twice"])
-def test_composable_pairs_is_the_all_pairs_scan(listed):
+@pytest.mark.parametrize("corpus", ["closed", "four-points"])
+def test_composable_pairs_is_the_all_pairs_scan(corpus):
     """The kernel against the naive loop, covariant (the U lift) and
-    contravariant (the opens frame map), each corrupted on constants into
-    three-point spaces so that listed and unlisted composites both break."""
+    contravariant (the opens frame map), each corrupted on the constants
+    into the largest spaces other than the constant 0, so that some pairs
+    break."""
     from topolab.frames import opens_frame_map
     from topolab.monadlab import filter_monad
 
-    maps = maps_between(spaces_up_to(3))
-    if listed == "first-400":
-        maps = maps[:400]
-    elif listed == "first-200-twice":  # a composite resolves to the first of two positions
-        maps = maps[:200] * 2
+    if corpus == "closed":
+        spaces = spaces_up_to(3)
+    else:
+        spaces = spaces_up_to(4)[:3] + (_FOUR_POINTS,)
+    maps = maps_between(spaces)
+    top = max(s.n for s in spaces)
     u = filter_monad("ultra").functor.mor
+
+    def bent(m):
+        return m.cod.n == top and len(set(m.map)) == 1 and m.map[0] != 0
 
     def bent_u(m):
         h = u(m)
-        if not _bent(m):
+        if not bent(m):
             return h
         return ContinuousMap(h.dom, h.cod, ((h.map[0] + 1) % h.cod.n,) * h.dom.n)
 
     def bent_opens(m):
-        if _bent(m):
+        if bent(m):
             m = ContinuousMap(m.dom, m.cod, (0,) * m.dom.n)
         return opens_frame_map(m)
 
-    listed_maps = {(m.dom, m.cod, m.map) for m in maps}
     for lift, contravariant in ((bent_u, False), (bent_opens, True)):
         lifted = [lift(m) for m in maps]
-        if listed == "first-200-twice":
-            # the second copies are lifted unbent, so the pairs through a bent
-            # constant's second copy break, while a composite equal to a bent
-            # constant still resolves to its first, bent copy
-            lifted[200:] = [u(m) if not contravariant else opens_frame_map(m) for m in maps[200:]]
-        expected, unlisted = _all_pairs_breaks(maps, lifted, lift, contravariant)
-        got = list(composition_breaks(maps, lifted, lift, contravariant))
+        expected = _all_pairs_breaks(maps, lifted, contravariant)
+        got = list(composition_breaks(spaces, lifted, contravariant))
         assert got == expected
         assert len({i for i, _ in got}) > 1
-        # the closed corpus lists every composite, the prefixes leave some out
-        assert (unlisted > 0) == (listed != "closed")
-        if listed == "first-400":  # some unlisted composite breaks
-            assert any(
-                (h.dom, h.cod, h.map) not in listed_maps and _bent(h)
-                for i, j in got
-                for h in [compose(maps[j], maps[i])]
-            )
+
+
+def test_composition_breaks_takes_one_lift_per_map():
+    spaces = spaces_up_to(2)
+    maps = maps_between(spaces)
+    with pytest.raises(InvalidInput, match=f"{len(maps) - 1} lifts for the {len(maps)} maps"):
+        list(composition_breaks(spaces, maps[:-1]))
 
 
 # --- composing g onto a known map: compose builds, composes_to decides ------
