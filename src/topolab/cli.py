@@ -161,11 +161,6 @@ def cmd_check(args) -> int:
     map_points = args.map_points
     if map_points is None:
         map_points = min(RunBounds.map_points, args.max_points)
-    elif not 1 <= map_points <= min(MAX_POINTS, args.max_points, args.epi_cap):
-        raise InvalidInput(
-            f"map_points must lie in 1..{MAX_POINTS} and not exceed --max-points "
-            f"({args.max_points}) or --epi-cap ({args.epi_cap}), got {map_points}"
-        )
     bounds = RunBounds(
         max_points=args.max_points,
         map_points=map_points,

@@ -42,8 +42,4 @@ DIVERGENCES = {
         "All open covers in a finite space are finite, so relative "
         "compactness of opens collapses to inclusion."
     ),
-    "compactification-adds-nothing": (
-        "Finite spaces are already compact: the filter-space units are "
-        "surjective and compactifying only separates, never extends."
-    ),
 }

@@ -4,13 +4,15 @@ the comparison maps out of the ultrafilter space.
 
 A filter point is stored redundantly as its element family *and* its
 principal generator (every filter on a finite lattice is principal); the
-redundancy is asserted at construction time.
+redundancy is asserted at construction time, and the structure maps read
+the generators only.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, reduce
+from operator import or_
 from typing import Sequence
 
 from .errors import FilterNotWellFormed, InvalidInput
@@ -20,6 +22,7 @@ ULTRA = "ultra"
 OPEN_PRIME = "open-prime"
 CLOSED_PRIME = "closed-prime"
 KINDS = (ULTRA, OPEN_PRIME, CLOSED_PRIME)
+LABELS = {ULTRA: "U", OPEN_PRIME: "S", CLOSED_PRIME: "P"}  # the paper's names of the monads
 
 
 @dataclass(frozen=True)
@@ -37,19 +40,19 @@ class LiftedSpace:
 
     ``_above[mask]``, for every subset ``mask`` of the base, is the index of
     the point generated by the least ambient member above ``mask``, or None
-    when no point has that generator; it is built once, here.
+    when no point has that generator; it is built once, here, and every
+    structure map (F f, unit, mult, alpha) reads its array from it through
+    ``points_above``.
     """
 
     base: FiniteSpace
     kind: str
     points: tuple[FilterPoint, ...]
     space: FiniteSpace
-    _index: dict[int, int] = field(init=False, repr=False, compare=False)
     _above: tuple[int | None, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         index = {p.generator: i for i, p in enumerate(self.points)}
-        object.__setattr__(self, "_index", index)
         above = tuple(
             index.get(_least_above(self.kind, self.base, m)) for m in range(self.base.full + 1)
         )
@@ -65,12 +68,6 @@ class LiftedSpace:
             gen = _least_above(self.kind, self.base, mask)
             raise FilterNotWellFormed(f"no point with generator {gen:#x}")
         return out
-
-    def index_of(self, generator: int) -> int:
-        try:
-            return self._index[generator]
-        except KeyError:
-            raise FilterNotWellFormed(f"no point with generator {generator:#x}") from None
 
 
 def ambient_lattice(kind: str, space: FiniteSpace) -> tuple[int, ...]:
@@ -183,21 +180,6 @@ def member_set(kind: str, space: FiniteSpace, subset: int) -> int:
     return _member_mask(lift_space(kind, space).points, subset)
 
 
-def _principal_index(lifted: LiftedSpace, elements: tuple[int, ...], what: str) -> int:
-    """Index of the lifted point whose filter is exactly ``elements``.
-
-    The generator is the meet of the family; the point it names must carry
-    the same family, or the construction produced a non-principal filter.
-    """
-    gen = lifted.base.full
-    for m in elements:
-        gen &= m
-    idx = lifted.index_of(gen)
-    if lifted.points[idx].elements != elements:
-        raise FilterNotWellFormed(f"{what} is not principal-consistent")
-    return idx
-
-
 def lift_map(kind: str, f: ContinuousMap) -> ContinuousMap:
     """Functor action: push each filter forward along ``f``.
 
@@ -219,27 +201,31 @@ def unit(kind: str, space: FiniteSpace) -> ContinuousMap:
 
 
 def mult(kind: str, space: FiniteSpace) -> ContinuousMap:
-    """Flatten a filter of filters: keep the sets whose member-set it contains."""
+    """Flatten a filter of filters: keep the sets whose member-set it contains.
+
+    The point of FFX generated by G flattens to {a : every p in G contains a}
+    = {a : a contains the generator of every p in G}, so it is generated by
+    the least ambient member above the union of those generators.
+    """
     l1 = lift_space(kind, space)
     l2 = lift_space(kind, l1.space)
-    ambient = ambient_lattice(kind, space)
-    arr = []
-    for big in l2.points:
-        big_elems = frozenset(big.elements)
-        flat = tuple(sorted(a for a in ambient if _member_mask(l1.points, a) in big_elems))
-        arr.append(_principal_index(l1, flat, "flattened filter"))
-    return ContinuousMap(l2.space, l1.space, tuple(arr))
+    unions = [
+        reduce(or_, (p.generator for i, p in enumerate(l1.points) if big.generator >> i & 1), 0)
+        for big in l2.points
+    ]
+    return ContinuousMap(l2.space, l1.space, l1.points_above(unions))
 
 
 def alpha(target_kind: str, space: FiniteSpace) -> ContinuousMap:
-    """Restrict an ultrafilter to the open or to the closed part of its ambient."""
+    """Restrict an ultrafilter to the open or to the closed part of its ambient.
+
+    The ultrafilter generated by g restricts to the members of the target
+    ambient that contain g, so it goes to the point generated by the least
+    of them.
+    """
     if target_kind not in (OPEN_PRIME, CLOSED_PRIME):
         raise InvalidInput("alpha targets the open-prime or closed-prime space")
     src = lift_space(ULTRA, space)
     dst = lift_space(target_kind, space)
-    keep = set(ambient_lattice(target_kind, space))
-    arr = []
-    for p in src.points:
-        restricted = tuple(sorted(m for m in p.elements if m in keep))
-        arr.append(_principal_index(dst, restricted, "restricted filter"))
-    return ContinuousMap(src.space, dst.space, tuple(arr))
+    arr = dst.points_above([p.generator for p in src.points])
+    return ContinuousMap(src.space, dst.space, arr)

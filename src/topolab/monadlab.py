@@ -107,7 +107,7 @@ def filter_monad(kind: str) -> MonadSpec:
     if kind not in filters.KINDS:
         raise InvalidInput(f"unknown filter kind {kind!r}")
     functor = EndofunctorSpec(
-        {"ultra": "U", "open-prime": "S", "closed-prime": "P"}[kind],
+        filters.LABELS[kind],
         lambda s: filters.lift_space(kind, s).space,
         _cached(lambda f: filters.lift_map(kind, f)),
     )

@@ -31,14 +31,15 @@ def space_from_json(data: Any) -> FiniteSpace:
     if not isinstance(data, dict) or set(data) != {"points", "opens"}:
         raise InvalidInput('a space needs exactly the keys "points" and "opens"')
     n = data["points"]
-    if not isinstance(n, int) or n < 1:
+    # JSON true/false load as bool, an int subclass; neither is a count or an index
+    if type(n) is not int or n < 1:
         raise InvalidInput('"points" must be a positive integer')
     opens_lists = data["opens"]
     if not isinstance(opens_lists, list):
         raise InvalidInput('"opens" must be a list of index lists')
     masks = []
     for entry in opens_lists:
-        if not isinstance(entry, list) or any(not isinstance(i, int) for i in entry):
+        if not isinstance(entry, list) or any(type(i) is not int for i in entry):
             raise InvalidInput(f"open {entry!r} is not a list of integers")
         if entry != sorted(set(entry)):
             raise InvalidInput(f"open {entry!r} is not sorted and duplicate-free")

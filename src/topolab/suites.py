@@ -31,7 +31,7 @@ from .errors import (
     UnknownFault,
     UnknownSuite,
 )
-from .filters import CLOSED_PRIME, OPEN_PRIME, ULTRA, lift_space, member_set, unit
+from .filters import CLOSED_PRIME, LABELS, OPEN_PRIME, ULTRA, lift_space, member_set, unit
 from .frames import (
     chain_frame,
     check_compact_regular_coreflection,
@@ -255,7 +255,7 @@ def suite_monad_laws(bounds: RunBounds) -> list[CheckReport]:
     desc = _desc(bounds.max_points)
     return [
         check_monad_laws(_monad(kind, bounds), spaces, f"monad-laws[{label}]", desc)
-        for kind, label in ((ULTRA, "U"), (OPEN_PRIME, "S"), (CLOSED_PRIME, "P"))
+        for kind, label in LABELS.items()
     ]
 
 
@@ -265,9 +265,9 @@ def suite_prop_3_4(bounds: RunBounds) -> list[CheckReport]:
     out = [
         check_monad_morphism(
             alpha_transformation(kind), u, _monad(kind, bounds), spaces, maps,
-            f"prop3.4[alpha->{label}]", desc,
+            f"prop3.4[alpha->{LABELS[kind]}]", desc,
         )
-        for kind, label in ((OPEN_PRIME, "S"), (CLOSED_PRIME, "P"))
+        for kind in (OPEN_PRIME, CLOSED_PRIME)
     ]
     onto = alpha_transformation(CLOSED_PRIME)
     out.append(
@@ -353,7 +353,7 @@ def suite_thm_4_1(bounds: RunBounds) -> list[CheckReport]:
     spaces, maps, desc = _map_corpus(bounds)
     t0 = _reflector("t0", bounds)
     out = []
-    for kind, label in ((ULTRA, "U"), (OPEN_PRIME, "S"), (CLOSED_PRIME, "P")):
+    for kind, label in LABELS.items():
         monad = _monad(kind, bounds)
         out.append(
             check_monad_morphism(
@@ -383,7 +383,7 @@ def suite_thm_4_6(bounds: RunBounds) -> list[CheckReport]:
 
     return [
         _verdict(f"thm4.6[{label}]", _desc(bounds.map_points), witnesses(_monad(kind, bounds)))
-        for kind, label in ((ULTRA, "U"), (OPEN_PRIME, "S"), (CLOSED_PRIME, "P"))
+        for kind, label in LABELS.items()
     ]
 
 
@@ -427,8 +427,8 @@ def suite_lemma_4_8(bounds: RunBounds) -> list[CheckReport]:
                 yield f"at {space!r}"
 
     out += [
-        _verdict(f"lemma4.8[{label}-fixed-point]", desc, moved(_monad(kind, bounds)))
-        for kind, label in ((OPEN_PRIME, "S"), (CLOSED_PRIME, "P"))
+        _verdict(f"lemma4.8[{LABELS[kind]}-fixed-point]", desc, moved(_monad(kind, bounds)))
+        for kind in (OPEN_PRIME, CLOSED_PRIME)
     ]
     return out
 
@@ -754,7 +754,7 @@ def suite_reflector_universal(bounds: RunBounds) -> list[CheckReport]:
 def suite_filter_naturality(bounds: RunBounds) -> list[CheckReport]:
     spaces, maps, desc = _map_corpus(bounds)
     out = []
-    for kind, label in ((ULTRA, "U"), (OPEN_PRIME, "S"), (CLOSED_PRIME, "P")):
+    for kind, label in LABELS.items():
         monad = _monad(kind, bounds)
         out.append(
             check_functor_laws(
@@ -767,10 +767,10 @@ def suite_filter_naturality(bounds: RunBounds) -> list[CheckReport]:
         out.append(
             check_naturality(monad.mult, maps, f"filters[mult-natural-{label}]", desc)
         )
-    for kind, label in ((OPEN_PRIME, "S"), (CLOSED_PRIME, "P")):
+    for kind in (OPEN_PRIME, CLOSED_PRIME):
         out.append(
             check_naturality(
-                alpha_transformation(kind), maps, f"filters[alpha-natural-{label}]", desc
+                alpha_transformation(kind), maps, f"filters[alpha-natural-{LABELS[kind]}]", desc
             )
         )
     unit_preimage = (
@@ -969,13 +969,17 @@ SUITES = {
 
 
 def _validate_bounds(bounds: RunBounds) -> None:
-    """Reject bounds that would quantify over nothing or past a corpus cap."""
-    for name in ("max_points", "map_points", "epi_cap"):
+    """Reject bounds that would quantify over nothing or past a corpus cap,
+    and a map corpus larger than the law corpus or the epimorphism codomains."""
+    for name in ("max_points", "epi_cap"):
         value = getattr(bounds, name)
         if not 1 <= value <= MAX_POINTS:
             raise InvalidInput(f"{name} must lie in 1..{MAX_POINTS}, got {value}")
-    if bounds.epi_cap < bounds.map_points:
-        raise InvalidInput("the epimorphism cap must cover the map corpus size")
+    if not 1 <= bounds.map_points <= min(bounds.max_points, bounds.epi_cap):
+        raise InvalidInput(
+            f"map_points must lie in 1..{MAX_POINTS} and not exceed max_points "
+            f"({bounds.max_points}) or epi_cap ({bounds.epi_cap}), got {bounds.map_points}"
+        )
 
 
 def run_suite(suite_id: str, bounds: RunBounds | None = None) -> list[CheckReport]:

@@ -38,6 +38,7 @@ from topolab import (
     universal_separation,
 )
 from topolab.corpus import lattice_class_counts, maps_between, recount_lattices, spaces_up_to
+from topolab.divergences import DIVERGENCES
 from topolab.monadlab import count_descents, horizontal
 from topolab.suites import FAULT_TARGETS
 
@@ -234,3 +235,10 @@ def test_criterion_11_documented_divergences():
     # each assertion must carry its pointer into the divergence registry
     ok = ok and all(r.note for r in reports)
     _verdict(11, "finite-scale degeneracies assert positively with their notes", ok)
+
+
+def test_every_divergence_is_the_source_of_a_note():
+    # a note quotes the head of its registry entry, cut at 60 or 64 characters
+    notes = {r.note.removesuffix("...") for r in run_suite("all") if r.note}
+    unread = [key for key, text in DIVERGENCES.items() if not any(map(text.startswith, notes))]
+    assert not unread

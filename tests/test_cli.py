@@ -45,6 +45,23 @@ def test_analyze_invalid_file(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"points": true, "opens": [[], [false]]}',
+        '{"points": 1, "opens": [[], [false]]}',
+        '{"points": 2, "opens": [[], [true], [0, 1]]}',
+    ],
+)
+def test_analyze_rejects_booleans(tmp_path, text, capsys):
+    bad = tmp_path / "bool.json"
+    bad.write_text(text, encoding="utf-8")
+    assert main(["analyze", str(bad)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and "Traceback" not in captured.err
+    assert captured.out == ""
+
+
 def test_analyze_missing_file(tmp_path, capsys):
     assert main(["analyze", str(tmp_path / "nope.json")]) == 2
 
@@ -223,10 +240,16 @@ def test_check_rejects_out_of_range_bounds(flags, capsys):
 
 @pytest.mark.parametrize(
     "bounds",
-    [RunBounds(map_points=0)],
+    [
+        RunBounds(map_points=0),
+        # a map corpus (3 points by default) past the law corpus or the epi cap
+        RunBounds(max_points=2),
+        RunBounds(max_points=2, epi_cap=2),
+        RunBounds(epi_cap=2),
+    ],
 )
 def test_run_suite_rejects_out_of_range_bounds(bounds):
-    with pytest.raises(InvalidInput, match="must lie in"):
+    with pytest.raises(InvalidInput, match=r"^map_points must lie in 1\.\.5"):
         run_suite("lemma5.8", bounds)
 
 

@@ -116,8 +116,8 @@ def test_lift_map_example(e1, sierpinski):
     cod = lift_space(OPEN_PRIME, sierpinski)
     # {0}-generated filter lands on the {1}-generated one, the whole-space
     # filter on the whole-space one
-    assert cod.points[sf.map[dom.index_of(0b001)]].generator == 0b10
-    assert cod.points[sf.map[dom.index_of(0b111)]].generator == 0b11
+    assert cod.points[sf.map[dom.points_above([0b001])[0]]].generator == 0b10
+    assert cod.points[sf.map[dom.points_above([0b111])[0]]].generator == 0b11
 
 
 def _point_with(lifted, family):
@@ -168,29 +168,52 @@ def test_lift_map_and_unit_raise_on_a_missing_point(monkeypatch, e1):
         full = lift_space(kind, e1)
         for drop in range(len(full.points)):
             short = LiftedSpace(e1, kind, full.points[:drop] + full.points[drop + 1 :], full.space)
-            monkeypatch.setattr(
-                filters, "lift_space", lambda k, s: short if s is e1 else lift_space(k, s)
-            )
-            # every point is hit: the identity pushes each one to itself, and
-            # each point is generated by the least member above some {x}
-            with pytest.raises(FilterNotWellFormed, match="no point with generator"):
-                lift_map(kind, ContinuousMap(twin, e1, tuple(range(e1.n))))
-            with pytest.raises(FilterNotWellFormed, match="no point with generator"):
-                unit(kind, e1)
-            monkeypatch.undo()
+            # mult also reads the lift of full.space, whose points are full's:
+            # there the point stays listed and only its table entry goes
+            holed = LiftedSpace(e1, kind, full.points, full.space)
+            holes = tuple(None if i == drop else i for i in full._above)
+            object.__setattr__(holed, "_above", holes)
+            for lifted in (short, holed):
+                monkeypatch.setattr(
+                    filters,
+                    "lift_space",
+                    lambda k, s: lifted if k == kind and s is e1 else lift_space(k, s),
+                )
+                # every point is hit: the identity pushes each one to itself,
+                # each point is generated by the least member above some {x},
+                # and mult and alpha are onto
+                with pytest.raises(FilterNotWellFormed, match="no point with generator"):
+                    lift_map(kind, ContinuousMap(twin, e1, tuple(range(e1.n))))
+                with pytest.raises(FilterNotWellFormed, match="no point with generator"):
+                    unit(kind, e1)
+                if kind != ULTRA:
+                    with pytest.raises(FilterNotWellFormed, match="no point with generator"):
+                        alpha(kind, e1)
+                if lifted is holed:
+                    with pytest.raises(FilterNotWellFormed, match="no point with generator"):
+                        mult(kind, e1)
+                monkeypatch.undo()
 
 
-def test_index_of_raises_on_an_unknown_generator(e1):
-    for kind in KINDS:
-        lifted = lift_space(kind, e1)
-        generators = {p.generator for p in lifted.points}
-        assert 0 not in generators  # proper filters only, so 0 is always a miss
-        for gen in range(e1.full + 1):
-            if gen in generators:
-                assert lifted.points[lifted.index_of(gen)].generator == gen
-            else:
-                with pytest.raises(FilterNotWellFormed):
-                    lifted.index_of(gen)
+def test_points_above_reads_the_least_ambient_member_above():
+    misses = 0
+    for space in spaces_up_to(3, up_to_homeo=False):
+        for kind in KINDS:
+            lifted = lift_space(kind, space)
+            ambient = ambient_lattice(kind, space)
+            generators = [p.generator for p in lifted.points]
+            for mask in range(space.full + 1):
+                least = space.full
+                for m in ambient:
+                    if m & mask == mask:
+                        least &= m
+                if least in generators:
+                    assert lifted.points_above([mask]) == (generators.index(least),)
+                else:
+                    misses += least != 0  # proper filters only, so 0 is always a miss
+                    with pytest.raises(FilterNotWellFormed, match=f"generator {least:#x}$"):
+                        lifted.points_above([mask])
+    assert misses  # some nonempty least member generates no point
 
 
 def test_functor_composition(classes3):
@@ -271,6 +294,24 @@ def test_mult_after_unit_laws(classes3):
             assert compose(m, lift_map(kind, unit(kind, space))).map == ident
 
 
+def test_mult_is_the_flattening_by_member_sets():
+    for kind in KINDS:
+        for space in spaces_up_to(4, up_to_homeo=False):
+            m = mult(kind, space)
+            l1 = lift_space(kind, space)
+            l2 = lift_space(kind, l1.space)
+            assert m.dom == l2.space and m.cod == l1.space
+            ambient = ambient_lattice(kind, space)
+            # the flattening keeps the sets whose member-set the filter of filters holds
+            assert m.map == tuple(
+                _point_with(
+                    l1,
+                    tuple(a for a in ambient if member_set(kind, space, a) in big.elements),
+                )
+                for big in l2.points
+            ), (kind, space)
+
+
 # --- comparison maps --------------------------------------------------------
 
 
@@ -307,6 +348,19 @@ def test_alpha_preimage_of_member_sets(classes3):
             assert a.preimage(member_set(OPEN_PRIME, space, o)) == member_set(
                 ULTRA, space, o
             )
+
+
+def test_alpha_is_the_restriction_to_the_target_ambient():
+    for kind in (OPEN_PRIME, CLOSED_PRIME):
+        for space in spaces_up_to(4, up_to_homeo=False):
+            a = alpha(kind, space)
+            src = lift_space(ULTRA, space)
+            dst = lift_space(kind, space)
+            assert a.dom == src.space and a.cod == dst.space
+            keep = set(ambient_lattice(kind, space))
+            assert a.map == tuple(
+                _point_with(dst, tuple(m for m in p.elements if m in keep)) for p in src.points
+            ), (kind, space)
 
 
 # --- structure of the lifted spaces ----------------------------------------
