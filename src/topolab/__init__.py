@@ -33,7 +33,6 @@ from .spaces import (
     inverse_map,
     is_homeomorphism,
     is_proper,
-    minimal_neighborhood,
     patch_topology,
     saturation,
     specialization,
@@ -87,20 +86,16 @@ from .monadlab import (
 from .frames import (
     FiniteFrame,
     FrameMap,
-    boolean_frame,
     chain_frame,
     check_compact_regular_coreflection,
     check_ideal_comonad_laws,
     check_ideal_preserves_monos,
     enumerate_frame_maps,
     frame_from_leq,
-    ideal_comonad,
     is_regular,
     is_stably_continuous,
     opens_frame,
     opens_frame_map,
-    pseudocomplement,
-    rather_below,
     reg_coreflect,
     way_below_lattice,
 )

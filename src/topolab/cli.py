@@ -72,8 +72,8 @@ def build_parser() -> argparse.ArgumentParser:
     check.add_argument(
         "--map-points", type=int, default=None, metavar="N",
         help="size bound for the spaces of map-quantified checks; at most "
-        f"--max-points and --epi-cap (default: the smaller of {RunBounds.map_points} "
-        "and --max-points)",
+        f"--max-points and --epi-cap (default: the smallest of {RunBounds.map_points}, "
+        "--max-points and --epi-cap)",
     )
     check.add_argument(
         "--inject-fault", default=None, metavar="ID",
@@ -160,7 +160,7 @@ def cmd_reflect(args) -> int:
 def cmd_check(args) -> int:
     map_points = args.map_points
     if map_points is None:
-        map_points = min(RunBounds.map_points, args.max_points)
+        map_points = min(RunBounds.map_points, args.max_points, args.epi_cap)
     bounds = RunBounds(
         max_points=args.max_points,
         map_points=map_points,

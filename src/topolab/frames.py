@@ -125,11 +125,6 @@ def chain_frame(k: int) -> FiniteFrame:
     return frame_from_leq(k, [[a <= b for b in range(k)] for a in range(k)])
 
 
-def boolean_frame(atoms: int) -> FiniteFrame:
-    k = 1 << atoms
-    return frame_from_leq(k, [[a & ~b == 0 for b in range(k)] for a in range(k)])
-
-
 @lru_cache(maxsize=None)
 def opens_frame(space: FiniteSpace) -> FiniteFrame:
     """The lattice of opens ordered by inclusion."""
@@ -174,15 +169,6 @@ def _approximated(frame: FiniteFrame, members: int, a: int) -> bool:
 def _subset_regular(frame: FiniteFrame, members: int) -> bool:
     # regularity of a candidate, with pseudocomplements relativised to it
     return all(_approximated(frame, members, a) for a in range(frame.k) if members >> a & 1)
-
-
-def pseudocomplement(frame: FiniteFrame, a: int) -> int:
-    """Largest element meeting ``a`` in bottom."""
-    return _sub_pseudocomplement(frame, (1 << frame.k) - 1, a)
-
-
-def rather_below(frame: FiniteFrame, a: int, b: int) -> bool:
-    return _sub_rather_below(frame, (1 << frame.k) - 1, a, b)
 
 
 def is_regular(frame: FiniteFrame) -> bool:
@@ -284,7 +270,7 @@ class IdealFrame:
         try:
             return self._index[members]
         except KeyError:
-            raise ValueError(f"{members:#x} is not an ideal of the base frame") from None
+            raise InvalidInput(f"{members:#x} is not an ideal of the base frame") from None
 
 
 def _is_ideal(frame: FiniteFrame, members: int) -> bool:
@@ -353,12 +339,6 @@ def ideal_map(f: FrameMap) -> FrameMap:
                         down |= 1 << b
         arr.append(cod_l.index_of(down))
     return FrameMap(dom_l.frame, cod_l.frame, tuple(arr))
-
-
-def ideal_comonad(frame: FiniteFrame) -> tuple[FiniteFrame, FrameMap, FrameMap]:
-    """The ideal frame with its counit and comultiplication."""
-    lifted = ideal_frame(frame)
-    return lifted.frame, ideal_supremum(frame), ideal_comultiplication(frame)
 
 
 def check_ideal_comonad_laws(

@@ -9,7 +9,7 @@ which makes equality of spaces structural.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import groupby, product, repeat
 from operator import and_, itemgetter, rshift
 from typing import Callable, Iterable, Iterator, Sequence, TypeVar
@@ -81,15 +81,19 @@ class FiniteSpace:
             raise InvalidInput("opens must be strictly ascending and duplicate-free")
         if 0 not in self.opens or full not in self.opens:
             raise InvalidInput("opens must contain the empty and the full set")
-        family = frozenset(self.opens)
         for a in self.opens:
             if a & ~full:
                 raise InvalidInput(f"open {a:#x} mentions points outside the space")
-            for b in self.opens:
-                if a | b not in family or a & b not in family:
-                    raise InvalidInput("opens are not closed under union/intersection")
+        # U_x, the intersection of the opens containing x; a family with the
+        # empty and the full set is closed under union and intersection
+        # exactly when it is the unions of these (Stong 1966)
+        hoods = tuple(
+            reduce(and_, (o for o in self.opens if o >> x & 1)) for x in range(self.n)
+        )
+        family = frozenset(self.opens)
+        if family != _unions(hoods):
+            raise InvalidInput("opens are not closed under union/intersection")
         object.__setattr__(self, "_open_set", family)
-        hoods = tuple(saturation(self, 1 << x) for x in range(self.n))
         object.__setattr__(self, "hoods", hoods)
         object.__setattr__(self, "_hash", hash((self.n, self.opens)))
         pairs = [
@@ -358,49 +362,39 @@ def composition_breaks(
                         yield i, j
 
 
+def _unions(masks: Iterable[int]) -> frozenset[int]:
+    """Every union of some of the ``masks``, the empty union 0 included."""
+    out = {0}
+    for m in masks:
+        out |= {u | m for u in out}
+    return frozenset(out)
+
+
 def build_space(n: int, generators: Sequence[Iterable[int]] = ()) -> FiniteSpace:
-    """Smallest topology on ``n`` points containing every generator set."""
+    """Smallest topology on ``n`` points containing every generator set: the
+    unions of the U_x, each the intersection of the generators containing x."""
     if n < 1:
         raise InvalidInput("spaces must have at least one point")
     full = (1 << n) - 1
-    family = {0, full}
-    for g in generators:
-        family.add(g if isinstance(g, int) else mask_of(g, n))
-    while True:
-        extra = set()
-        for a in family:
-            for b in family:
-                if a | b not in family:
-                    extra.add(a | b)
-                if a & b not in family:
-                    extra.add(a & b)
-        if not extra:
-            break
-        family |= extra
-    return FiniteSpace(n, tuple(sorted(family)))
+    masks = [g if isinstance(g, int) else mask_of(g, n) for g in generators]
+    for g in masks:
+        if g & ~full:
+            raise InvalidInput(f"generator {g:#x} mentions points outside the space")
+    hoods = [reduce(and_, (g for g in masks if g >> x & 1), full) for x in range(n)]
+    return FiniteSpace(n, tuple(sorted(_unions(hoods))))
 
 
 def closure(space: FiniteSpace, mask: int) -> int:
-    """Smallest closed set containing ``mask``."""
-    c = space.full
-    for o in space.opens:
-        closed = space.full ^ o
-        if closed & mask == mask:
-            c &= closed
-    return c
+    """Smallest closed set containing ``mask``: the points whose U_x meets it."""
+    return sum(1 << x for x, h in enumerate(space.hoods) if h & mask)
 
 
 def saturation(space: FiniteSpace, mask: int) -> int:
-    """Intersection of all opens containing ``mask``."""
-    s = space.full
-    for o in space.opens:
-        if o & mask == mask:
-            s &= o
+    """Intersection of all opens containing ``mask``: the union of its U_x."""
+    s = 0
+    for x in mask_to_points(mask):
+        s |= space.hoods[x]
     return s
-
-
-def minimal_neighborhood(space: FiniteSpace, x: int) -> int:
-    return space.hoods[x]
 
 
 def specialization(space: FiniteSpace) -> PreorderMatrix:
@@ -608,10 +602,11 @@ def classify(space: FiniteSpace) -> SpaceProfile:
 
 
 def _interior_of(space: FiniteSpace, mask: int) -> int:
+    """Largest open inside ``mask``: the union of the U_x inside it."""
     m = 0
-    for o in space.opens:
-        if o & ~mask == 0:
-            m |= o
+    for h in space.hoods:
+        if h & ~mask == 0:
+            m |= h
     return m
 
 
@@ -627,8 +622,7 @@ def enumerate_continuous_maps(dom: FiniteSpace, cod: FiniteSpace) -> tuple[Conti
     is made per partial array.
     """
     hoods, full = cod.hoods, cod.full
-    # closure of {w}: the points v with w in U_v
-    below = [sum(1 << v for v in range(cod.n) if hoods[v] >> w & 1) for w in range(cod.n)]
+    below = [closure(cod, 1 << w) for w in range(cod.n)]  # the v with w in U_v
     arrays: list[tuple[int, ...]] = [()]
     for i in range(dom.n):
         # the earlier points j < i with j <= i, and those with i <= j

@@ -92,7 +92,6 @@ from .spaces import (
     is_homeomorphism,
     is_proper,
     mediator_breaks,
-    minimal_neighborhood,
     patch_topology,
     specialization,
     way_below_open,
@@ -789,7 +788,7 @@ def suite_filter_naturality(bounds: RunBounds) -> list[CheckReport]:
         f"at {space!r}"
         for space in spaces
         if {p.generator for p in lift_space(OPEN_PRIME, space).points}
-        != {minimal_neighborhood(space, x) for x in range(space.n)}
+        != set(space.hoods)
     )
     out.append(_verdict("filters[unit-preimage]", desc, unit_preimage))
     out.append(_verdict("filters[lift-stably-compact]", desc, stably_compact))

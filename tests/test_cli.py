@@ -1,13 +1,16 @@
 """Command-line contract: commands, flags, exit codes, reproducible output."""
 
+import ast
 import json
 import types
+from pathlib import Path
 
 import pytest
 
 import topolab
 from topolab.cli import main
 from topolab.serialization import dumps, space_to_json
+from topolab import errors
 from topolab.errors import InvalidInput, NotWellDefined
 from topolab.corpus import MAX_POINTS, spaces_up_to
 from topolab.monadlab import filter_monad
@@ -213,6 +216,38 @@ def test_run_suite_propagates_other_errors(monkeypatch):
         run_suite("malformed")
 
 
+def _raised_names(path):
+    """``(line, name)`` of each ``raise`` with an exception in the module,
+    outside its ``if __name__ == "__main__":`` guard."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    guarded = {
+        id(node)
+        for top in tree.body
+        if isinstance(top, ast.If) and ast.unparse(top.test) == "__name__ == '__main__'"
+        for node in ast.walk(top)
+    }
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Raise) and node.exc is not None and id(node) not in guarded:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            yield node.lineno, ast.unparse(exc)
+
+
+def test_every_raise_in_the_package_is_a_workbench_error():
+    # run_suite and main turn a TopolabError into a FAIL or exit 2; any other
+    # exception would end a run in a traceback
+    package = Path(topolab.__file__).resolve().parent
+    stray = [
+        f"{path.name}:{line}: {name}"
+        for path in sorted(package.glob("*.py"))
+        for line, name in _raised_names(path)
+        if not (
+            isinstance(getattr(errors, name, None), type)
+            and issubclass(getattr(errors, name), errors.TopolabError)
+        )
+    ]
+    assert stray == []
+
+
 def test_package_exports_no_submodules():
     assert topolab.__all__
     assert not [n for n in topolab.__all__ if isinstance(getattr(topolab, n), types.ModuleType)]
@@ -277,12 +312,27 @@ def test_check_map_points_sets_the_map_corpus(monkeypatch, capsys):
     monkeypatch.setattr("topolab.cli.run_suite", record)
     assert main(["check", "--map-points", "4"]) == 0
     assert main(["check", "--max-points", "5", "--epi-cap", "5", "--map-points", "5"]) == 0
-    assert main(["check", "--max-points", "2"]) == 0  # no flag: min(3, --max-points)
+    assert main(["check", "--max-points", "2"]) == 0  # no flag: min(3, --max-points, --epi-cap)
     assert seen == [
         RunBounds(map_points=4),
         RunBounds(max_points=5, map_points=5, epi_cap=5),
         RunBounds(max_points=2, map_points=2),
     ]
+
+
+def test_lowering_only_the_epi_cap_lowers_the_default_map_corpus(monkeypatch, capsys):
+    assert main(["check", "--suite", "corpus-counts", "--epi-cap", "2"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == "" and "[FAIL]" not in captured.out
+    seen = []
+
+    def record(suite_id, bounds=None):
+        seen.append(bounds)
+        return []
+
+    monkeypatch.setattr("topolab.cli.run_suite", record)
+    assert main(["check", "--epi-cap", "2"]) == 0  # no flag: min(3, --max-points, --epi-cap)
+    assert seen == [RunBounds(map_points=2, epi_cap=2)]
 
 
 def test_a_pair_scan_past_four_points_exits_2(monkeypatch, capsys):

@@ -28,7 +28,6 @@ from topolab import (
     is_homeomorphism,
     lift_map,
     lift_space,
-    minimal_neighborhood,
     mult,
     unit,
 )
@@ -375,7 +374,7 @@ def test_lifted_spaces_stably_compact(classes3):
 def test_open_prime_points_are_minimal_neighborhoods(classes4):
     for space in classes4:
         gens = {p.generator for p in lift_space(OPEN_PRIME, space).points}
-        assert gens == {minimal_neighborhood(space, x) for x in range(space.n)}
+        assert gens == set(space.hoods)
 
 
 def test_closed_prime_points_are_point_closures(classes4):

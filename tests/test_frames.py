@@ -6,7 +6,6 @@ import pytest
 from topolab import (
     FrameMap,
     InvalidInput,
-    boolean_frame,
     chain_frame,
     check_compact_regular_coreflection,
     check_ideal_comonad_laws,
@@ -14,21 +13,21 @@ from topolab import (
     enumerate_frame_maps,
     enumerate_lattices,
     frame_from_leq,
-    ideal_comonad,
     is_regular,
     is_stably_continuous,
     opens_frame,
     opens_frame_map,
-    pseudocomplement,
-    rather_below,
     reg_coreflect,
     way_below_lattice,
 )
 from topolab.frames import (
     _largest_regular_by_enumeration,
     _largest_regular_by_fixpoint,
+    _sub_pseudocomplement,
+    _sub_rather_below,
     compose_frame_maps,
     frame_is_compact,
+    ideal_comultiplication,
     ideal_frame,
     ideal_map,
     ideal_supremum,
@@ -89,7 +88,14 @@ def test_opens_frame_of_e1_is_chain(e1):
 
 
 def test_opens_frame_of_discrete_is_boolean(discrete2):
-    assert opens_frame(discrete2).leq == boolean_frame(2).leq
+    # the opens 0, {0}, {1}, {0,1} of the discrete 2-point space, by inclusion
+    assert discrete2.opens == (0, 1, 2, 3)
+    assert opens_frame(discrete2).leq == (
+        (True, True, True, True),
+        (False, True, False, True),
+        (False, False, True, True),
+        (False, False, False, True),
+    )
 
 
 def test_opens_frame_contravariant(e1, sierpinski):
@@ -105,26 +111,26 @@ def test_opens_frame_contravariant(e1, sierpinski):
 
 def test_pseudocomplement_chain():
     c3 = chain_frame(3)
-    assert pseudocomplement(c3, 1) == 0
-    assert pseudocomplement(c3, 0) == 2
-    assert pseudocomplement(c3, 2) == 0
+    assert _sub_pseudocomplement(c3, 0b111, 1) == 0
+    assert _sub_pseudocomplement(c3, 0b111, 0) == 2
+    assert _sub_pseudocomplement(c3, 0b111, 2) == 0
 
 
-def test_pseudocomplement_boolean_is_complement():
-    b = boolean_frame(2)
+def test_pseudocomplement_boolean_is_complement(discrete2):
+    b = opens_frame(discrete2)
     for a in range(4):
-        assert pseudocomplement(b, a) == 3 ^ a
+        assert _sub_pseudocomplement(b, 0b1111, a) == 3 ^ a
 
 
 def test_rather_below_bottom():
     c3 = chain_frame(3)
-    assert all(rather_below(c3, 0, b) for b in range(3))
-    assert not rather_below(c3, 1, 1)
+    assert all(_sub_rather_below(c3, 0b111, 0, b) for b in range(3))
+    assert not _sub_rather_below(c3, 0b111, 1, 1)
 
 
-def test_regularity():
+def test_regularity(discrete2):
     assert not is_regular(chain_frame(3))
-    assert is_regular(boolean_frame(2))
+    assert is_regular(opens_frame(discrete2))
     assert is_regular(chain_frame(2))
 
 
@@ -139,8 +145,8 @@ def test_reg_coreflect_chain3():
     assert incl.map == (0, 2)
 
 
-def test_reg_coreflect_boolean_identity():
-    b = boolean_frame(2)
+def test_reg_coreflect_boolean_identity(discrete2):
+    b = opens_frame(discrete2)
     sub, incl = reg_coreflect(b)
     assert sub.k == 4 and incl.map == (0, 1, 2, 3)
 
@@ -164,14 +170,14 @@ def test_reg_coreflect_unique_maximum():
 
 def test_ideal_frame_chain3_matches_base():
     c3 = chain_frame(3)
-    il, sup, _ = ideal_comonad(c3)
+    il, sup = ideal_frame(c3).frame, ideal_supremum(c3)
     assert il.k == 3
     assert sup.map == (0, 1, 2)
 
 
 def test_ideal_frame_singleton():
     one = chain_frame(1)
-    il, sup, comult = ideal_comonad(one)
+    il, sup, comult = ideal_frame(one).frame, ideal_supremum(one), ideal_comultiplication(one)
     assert il.k == 1 and sup.map == (0,) and comult.map == (0,)
 
 
@@ -188,7 +194,7 @@ def test_ideal_frame_index_of_finds_every_ideal_and_raises_on_a_miss():
         lifted = ideal_frame(frame)
         for i, members in enumerate(lifted.ideals):
             assert lifted.index_of(members) == i
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidInput, match="is not an ideal of the base frame"):
             lifted.index_of(0)  # an ideal is never empty
 
 
@@ -209,15 +215,15 @@ def test_way_below_is_order():
                 assert way_below_lattice(frame, a, b) == frame.leq[a][b]
 
 
-def test_way_below_matches_literal_oracle():
-    for frame in (chain_frame(3), boolean_frame(2)):
+def test_way_below_matches_literal_oracle(discrete2):
+    for frame in (chain_frame(3), opens_frame(discrete2)):
         for a in range(frame.k):
             for b in range(frame.k):
                 assert way_below_lattice(frame, a, b) == oracle_way_below(frame, a, b)
 
 
-def test_bottom_way_below_everything():
-    b = boolean_frame(2)
+def test_bottom_way_below_everything(discrete2):
+    b = opens_frame(discrete2)
     assert all(way_below_lattice(b, b.bottom, a) for a in range(b.k))
 
 

@@ -6,6 +6,7 @@ Derived expectations are recomputed here with independent set-based oracles
 
 import ast
 import itertools
+from operator import and_, or_
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -32,11 +33,12 @@ from topolab import (
     way_below_open,
     way_below_via_subset,
 )
-from topolab.corpus import enumerate_spaces, maps_between, spaces_up_to
+from topolab.corpus import enumerate_spaces, maps_between, recount_topologies, spaces_up_to
 from topolab.filters import KINDS, lift_map
 from topolab.spaces import (
     _ARRAYS,
     PreorderMatrix,
+    _interior_of,
     commutes,
     compact_saturated_sets,
     composition_breaks,
@@ -119,6 +121,8 @@ def test_build_space_rejects_empty():
 def test_build_space_rejects_out_of_range_generator():
     with pytest.raises(InvalidInput):
         build_space(2, [{5}])
+    with pytest.raises(InvalidInput, match="outside the space"):
+        build_space(2, [0b101])
 
 
 def test_space_validation_rejects_non_topology():
@@ -126,6 +130,98 @@ def test_space_validation_rejects_non_topology():
         FiniteSpace(2, (0, 1, 2, 3, 3))
     with pytest.raises(InvalidInput):
         FiniteSpace(3, (0, 0b001, 0b010, 0b111))  # missing the union {0,1}
+
+
+# --- the opens-scan routines that hoods replaced, as references -------------
+
+
+def closed_under_union_and_intersection(family):
+    return all(a | b in family and a & b in family for a in family for b in family)
+
+
+def scan_saturation(space, mask):
+    s = space.full
+    for o in space.opens:
+        if o & mask == mask:
+            s &= o
+    return s
+
+
+def scan_closure(space, mask):
+    c = space.full
+    for o in space.opens:
+        if (space.full ^ o) & mask == mask:
+            c &= space.full ^ o
+    return c
+
+
+def scan_interior(space, mask):
+    m = 0
+    for o in space.opens:
+        if o & ~mask == 0:
+            m |= o
+    return m
+
+
+def fixpoint_space(n, masks):
+    """The smallest family with the empty set, the full set and ``masks``
+    that is closed under pairwise union and intersection."""
+    family = {0, (1 << n) - 1, *masks}
+    while True:
+        extra = {op(a, b) for a in family for b in family for op in (or_, and_)} - family
+        if not extra:
+            return FiniteSpace(n, tuple(sorted(family)))
+        family |= extra
+
+
+@pytest.mark.parametrize("n, topologies", [(1, 1), (2, 4), (3, 29), (4, 355)])
+def test_space_accepts_exactly_the_families_closed_under_union_and_intersection(n, topologies):
+    full = (1 << n) - 1
+    middles = range(1, full)
+    accepted = 0
+    for picks in itertools.product((False, True), repeat=len(middles)):
+        family = {0, full, *itertools.compress(middles, picks)}
+        closed = closed_under_union_and_intersection(family)
+        try:
+            FiniteSpace(n, tuple(sorted(family)))
+        except InvalidInput as exc:
+            assert not closed and str(exc) == "opens are not closed under union/intersection"
+        else:
+            assert closed
+            accepted += 1
+    assert accepted == topologies == recount_topologies(n)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_saturation_closure_and_interior_read_the_hoods_as_the_opens_scans_do(n):
+    for space in enumerate_spaces(n):
+        for x in range(n):
+            assert space.hoods[x] == saturation(space, 1 << x) == scan_saturation(space, 1 << x)
+        for mask in range(space.full + 1):
+            assert saturation(space, mask) == scan_saturation(space, mask)
+            assert closure(space, mask) == scan_closure(space, mask)
+            assert _interior_of(space, mask) == scan_interior(space, mask)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_build_space_is_the_union_intersection_fixpoint(n):
+    masks = range(1 << n)
+    for k in (0, 1, 2):
+        for gens in itertools.combinations(masks, k):
+            assert build_space(n, gens) == fixpoint_space(n, gens), gens
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=5).flatmap(
+        lambda n: st.tuples(
+            st.just(n), st.lists(st.integers(min_value=0, max_value=(1 << n) - 1), max_size=5)
+        )
+    )
+)
+def test_random_build_space_is_the_union_intersection_fixpoint(drawn):
+    n, gens = drawn
+    assert build_space(n, gens) == fixpoint_space(n, gens)
 
 
 def test_space_equality_is_structural(e1, sierpinski):
