@@ -86,12 +86,15 @@ class FiniteSpace:
                 raise InvalidInput(f"open {a:#x} mentions points outside the space")
         # U_x, the intersection of the opens containing x; a family with the
         # empty and the full set is closed under union and intersection
-        # exactly when it is the unions of these (Stong 1966)
+        # exactly when it is the unions of these (Stong 1966).  Each open is
+        # the union of the U_x of its points, so that equality holds exactly
+        # when o | U_x is open for every open o and every x: n * |opens|
+        # lookups, never an enumeration of the unions of U_x.
         hoods = tuple(
             reduce(and_, (o for o in self.opens if o >> x & 1)) for x in range(self.n)
         )
         family = frozenset(self.opens)
-        if family != _unions(hoods):
+        if any(o | h not in family for h in set(hoods) for o in self.opens):
             raise InvalidInput("opens are not closed under union/intersection")
         object.__setattr__(self, "_open_set", family)
         object.__setattr__(self, "hoods", hoods)

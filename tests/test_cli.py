@@ -65,6 +65,19 @@ def test_analyze_rejects_booleans(tmp_path, text, capsys):
     assert captured.out == ""
 
 
+def test_analyze_rejects_a_large_family_with_a_union_gap(tmp_path, capsys):
+    # 40 points, opens the empty set, the full set and the complements of the
+    # singletons: the singletons are the U_x and have 2^40 unions
+    n = 40
+    full = (1 << n) - 1
+    masks = sorted({0, full, *(full ^ 1 << x for x in range(n))})
+    opens = [[y for y in range(n) if m >> y & 1] for m in masks]
+    bad = tmp_path / "gap.json"
+    bad.write_text(json.dumps({"points": n, "opens": opens}), encoding="utf-8")
+    assert main(["analyze", str(bad)]) == 2
+    assert "not closed under union/intersection" in capsys.readouterr().err
+
+
 def test_analyze_missing_file(tmp_path, capsys):
     assert main(["analyze", str(tmp_path / "nope.json")]) == 2
 

@@ -6,6 +6,7 @@ Derived expectations are recomputed here with independent set-based oracles
 
 import ast
 import itertools
+import time
 from operator import and_, or_
 
 import pytest
@@ -190,6 +191,18 @@ def test_space_accepts_exactly_the_families_closed_under_union_and_intersection(
             assert closed
             accepted += 1
     assert accepted == topologies == recount_topologies(n)
+
+
+@pytest.mark.parametrize("n", [40, 200])
+def test_space_rejects_a_union_gap_without_enumerating_the_unions(n):
+    """The complements of the singletons have the singletons as U_x, whose
+    unions number 2^n; the constructor must reject without listing them."""
+    full = (1 << n) - 1
+    opens = tuple(sorted({0, full, *(full ^ 1 << x for x in range(n))}))
+    start = time.perf_counter()
+    with pytest.raises(InvalidInput, match="^opens are not closed under union/intersection$"):
+        FiniteSpace(n, opens)
+    assert time.perf_counter() - start < 5.0
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
