@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 from .corpus import MAX_POINTS, enumerate_spaces
@@ -120,14 +121,25 @@ def cmd_analyze(args) -> int:
     return 0
 
 
+@contextmanager
+def _writing(path: Path):
+    """Report a failed write of ``path`` as bad input, the mirror of ``cannot read``."""
+    try:
+        yield
+    except OSError as exc:
+        raise InvalidInput(f"cannot write {path}: {exc}") from exc
+
+
 def _write_results(args, tag: str, documents: dict, result) -> None:
     """Write ``<stem>.<tag>.<key>.json`` per document, then profile the result space."""
     src = Path(args.space)
     out = Path(args.out) if args.out else src.parent
-    out.mkdir(parents=True, exist_ok=True)
+    with _writing(out):
+        out.mkdir(parents=True, exist_ok=True)
     for key, data in documents.items():
         path = out / f"{src.stem}.{tag}.{key}.json"
-        path.write_text(dumps(data), encoding="utf-8")
+        with _writing(path):
+            path.write_text(dumps(data), encoding="utf-8")
         print(f"wrote {path}")
     print(f"result points: {result.n}")
     for line in _profile_lines(result):
@@ -194,7 +206,8 @@ def cmd_export_dot(args) -> int:
     lifted = lift_space(kind, space)
     text = specialization_dot(space) + lifted_dot(lifted, name=f"lifted_{args.monad}")
     out = Path(args.out) if args.out else Path(args.space).with_suffix(".dot")
-    out.write_text(text, encoding="utf-8")
+    with _writing(out):
+        out.write_text(text, encoding="utf-8")
     print(f"wrote {out}")
     return 0
 

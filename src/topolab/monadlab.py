@@ -2,15 +2,16 @@
 finite spaces, with the law checkers and the reflector-composition engine.
 
 Functors and transformations are extensional: evaluated per object and per
-morphism, memoized on the canonical space encoding.  Every categorical claim
-is decided by finite evaluation over an explicit corpus.
+morphism, and memoized in one dict per action, keyed by the space or map
+itself.  Every categorical claim is decided by finite evaluation over an
+explicit corpus.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from . import filters
 from .errors import HypothesisViolated, InvalidInput, NoSplitting
@@ -35,8 +36,41 @@ from .spaces import (
 )
 
 
+class _CacheInfo(NamedTuple):
+    """The counts of one memo, named as those of ``lru_cache``."""
+
+    hits: int
+    misses: int
+    currsize: int
+
+
+_MISSING = object()
+
+
 def _cached(fn):
-    return lru_cache(maxsize=None)(fn)
+    """Memoize a one-argument action in one dict keyed by the argument itself.
+
+    An entry is one dict slot, argument to result; ``lru_cache`` would add a
+    key tuple per entry, and these memos hold one entry per space or map
+    decided.  A call that raises stores nothing, and a hit returns the stored
+    object.  The wrapper is a plain function, hashable by identity, so the
+    frozen specs that hold it can themselves be memo keys.
+    """
+    memo: dict = {}
+    hits = misses = 0
+
+    def wrapper(arg):
+        nonlocal hits, misses
+        result = memo.get(arg, _MISSING)
+        if result is _MISSING:
+            misses += 1
+            result = memo[arg] = fn(arg)
+        else:
+            hits += 1
+        return result
+
+    wrapper.cache_info = lambda: _CacheInfo(hits, misses, len(memo))
+    return wrapper
 
 
 @dataclass(frozen=True)

@@ -83,8 +83,13 @@ def _load(path: str) -> Any:
             return json.load(fh)
     except OSError as exc:
         raise InvalidInput(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise InvalidInput(f"{path} is not UTF-8 text: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise InvalidInput(f"{path} is not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        # the decoder recurses once per nested array or object
+        raise InvalidInput(f"{path} nests too deeply to decode") from exc
 
 
 # ---------------------------------------------------------------------------

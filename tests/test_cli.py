@@ -82,6 +82,46 @@ def test_analyze_missing_file(tmp_path, capsys):
     assert main(["analyze", str(tmp_path / "nope.json")]) == 2
 
 
+@pytest.mark.parametrize(
+    "command", [["analyze"], ["compactify"], ["reflect"], ["export-dot"]]
+)
+@pytest.mark.parametrize(
+    "raw, diagnostic",
+    [
+        (b"\xff\xfe{}", "is not UTF-8 text"),
+        (b"[" * 200_000, "nests too deeply"),
+    ],
+    ids=["not-utf8", "deep-nesting"],
+)
+def test_undecodable_input_exits_2(tmp_path, command, raw, diagnostic, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(raw)
+    assert main([*command, str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad} {diagnostic}")
+    assert "Traceback" not in err
+
+
+def _assert_cannot_write(capsys, path):
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {path}: ")
+    assert "Traceback" not in err
+
+
+def test_export_dot_into_a_missing_directory_exits_2(e1_file, tmp_path, capsys):
+    target = tmp_path / "missing" / "dir" / "x.dot"
+    assert main(["export-dot", str(e1_file), "--out", str(target)]) == 2
+    _assert_cannot_write(capsys, target)
+    assert not target.parent.exists()
+
+
+@pytest.mark.parametrize("command", ["compactify", "reflect"])
+def test_writing_results_under_a_regular_file_exits_2(e1_file, command, capsys):
+    out_dir = e1_file / "out"
+    assert main([command, str(e1_file), "--out", str(out_dir)]) == 2
+    _assert_cannot_write(capsys, out_dir)
+
+
 def test_compactify_sigma(e1_file, tmp_path, capsys):
     out_dir = tmp_path / "out"
     assert main(["compactify", str(e1_file), "--monad", "sigma", "--out", str(out_dir)]) == 0

@@ -1,15 +1,20 @@
-"""The benchmark's outside-in layer trace still finds every name it wraps.
+"""The benchmark's outside-in layer trace still finds every name it wraps,
+and still reads the counts of the monad memos.
 
 ``perfbench/layers.py`` wraps public functions and methods by name; renaming or
-deleting one of them would only show when the benchmark is traced. Its source
-is read and executed here without importing it, so nothing is written next to
-it.
+deleting one of them would only show when the benchmark is traced. It sums the
+``cache_info()`` of the memos into its ``memo.*`` metrics, which would read 0
+if the memos stopped reporting. Its source is read and executed here without
+importing it, so nothing is written next to it.
 """
 
 import types
 from pathlib import Path
 
 import topolab.suites  # noqa: F401  (loads every module the trace resolves)
+from topolab.corpus import maps_between, spaces_up_to
+from topolab.filters import KINDS, ULTRA
+from topolab.monadlab import check_naturality, filter_monad
 
 LAYERS = Path(__file__).resolve().parent.parent / "perfbench" / "layers.py"
 
@@ -36,3 +41,29 @@ def test_layer_trace_installs_and_removes_cleanly():
     for (module, attr), original in originals.items():
         assert layers._resolve(module, attr)[2] is original, attr
     assert topolab.suites.SUITES == suites
+
+
+def test_layer_trace_sums_the_monad_memo_counts():
+    layers = _layers_module()
+    memos = [
+        action
+        for monad in map(filter_monad, KINDS)
+        for action in (monad.functor.mor, monad.unit.at, monad.mult.at)
+    ]
+    unit = filter_monad(ULTRA).unit
+    maps = maps_between(spaces_up_to(2))
+    calls_before = sum(m.cache_info().hits + m.cache_info().misses for m in memos)
+    trace = layers.LayerTrace()
+    try:
+        trace.install()
+        assert check_naturality(unit, maps).ok
+        counters = trace.counters()
+    finally:
+        trace.remove()
+    infos = [m.cache_info() for m in memos]
+    assert counters["memo.size"] > 0
+    assert counters["memo.size"] == sum(info.currsize for info in infos)
+    assert counters["memo.hits"] == sum(info.hits for info in infos)
+    assert counters["memo.misses"] == sum(info.misses for info in infos)
+    # each square reads the unit at both ends and the lift of f
+    assert counters["memo.hits"] + counters["memo.misses"] == calls_before + 3 * len(maps)

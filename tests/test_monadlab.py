@@ -1,5 +1,8 @@
 """Engine tests: law checkers, the composite pipeline, universality."""
 
+import gc
+import tracemalloc
+
 import pytest
 
 from topolab import (
@@ -37,7 +40,13 @@ from topolab import (
     universal_separation,
 )
 from topolab.corpus import maps_between, spaces_up_to
-from topolab.monadlab import EndofunctorSpec, count_descents, horizontal, monad_preserves_epis
+from topolab.monadlab import (
+    EndofunctorSpec,
+    _cached,
+    count_descents,
+    horizontal,
+    monad_preserves_epis,
+)
 
 T0 = reflector_spec("t0")
 HAUSDORFF = reflector_spec("hausdorff")
@@ -448,3 +457,78 @@ def test_lift_fault_fails_at_the_first_pair_of_the_all_pairs_scan(listed):
     ]
     f, bad = _first_breaks(functor, maps)
     assert report.witness == f"U breaks composition at {f.map};{bad[0].map}"
+
+
+# ---------------------------------------------------------------------------
+# the per-action memo
+
+
+def test_memo_counts_a_scripted_call_sequence(point, sierpinski, discrete2):
+    computed = []
+    memo = _cached(lambda s: computed.append(s) or s.n)
+    calls = (sierpinski, point, sierpinski, sierpinski, discrete2, point, sierpinski)
+    assert [memo(s) for s in calls] == [2, 1, 2, 2, 2, 1, 2]
+    assert computed == [sierpinski, point, discrete2]
+    info = memo.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (4, 3, 3)
+
+
+def test_memo_hit_returns_the_stored_object_for_an_equal_key(sierpinski):
+    f = identity_map(sierpinski)
+    twin = ContinuousMap(sierpinski, sierpinski, (0, 1))
+    assert twin == f and twin is not f
+    memo = _cached(lambda m: compose(m, m))  # a new map on every evaluation
+    first = memo(f)
+    assert memo(f) is first
+    assert memo(twin) is first
+    assert memo.cache_info() == (2, 1, 1)
+
+
+def test_memo_stores_nothing_for_a_raising_call(sierpinski):
+    outcomes = [HypothesisViolated("no component yet"), None]
+
+    def component(space):
+        failure = outcomes.pop(0)
+        if failure is not None:
+            raise failure
+        return identity_map(space)
+
+    memo = _cached(component)
+    with pytest.raises(HypothesisViolated):
+        memo(sierpinski)
+    assert memo.cache_info() == (0, 1, 0)
+    stored = memo(sierpinski)  # evaluated again, not read back
+    assert outcomes == []
+    assert memo(sierpinski) is stored
+    assert memo.cache_info() == (1, 2, 1)
+
+
+def test_specs_holding_memos_are_memo_keys():
+    # the frozen specs hold the memo wrappers as fields and are hashed as
+    # the lru_cache keys of compose_reflector_monad
+    monad = filter_monad(ULTRA)
+    assert hash(monad) == hash(filter_monad(ULTRA))
+    assert compose_reflector_monad(T0, monad) is compose_reflector_monad(T0, monad)
+
+
+def test_memo_entry_costs_one_dict_slot():
+    # the dict slot and its share of the table take about 50 bytes an
+    # entry; a key tuple per entry, as lru_cache stores, takes nearly 100
+    maps = maps_between(spaces_up_to(3))
+    assert len(maps) == 1462
+    memo = _cached(lambda f: f)
+    # no collection inside the window: freeing earlier garbage would
+    # lower the count
+    gc.collect()
+    gc.disable()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for f in maps:
+            memo(f)
+        per_entry = (tracemalloc.get_traced_memory()[0] - before) / len(maps)
+    finally:
+        tracemalloc.stop()
+        gc.enable()
+    assert memo.cache_info().currsize == len(maps)
+    assert per_entry < 80
