@@ -76,7 +76,6 @@ from .reflectors import (
 )
 from .reports import CheckReport, failed, passed
 from .spaces import (
-    SUBFAMILY_ENUM_LIMIT,
     ContinuousMap,
     FiniteSpace,
     build_space,
@@ -682,11 +681,9 @@ def suite_example_2_2(bounds: RunBounds) -> list[CheckReport]:
 def suite_topo_invariants(bounds: RunBounds) -> list[CheckReport]:
     spaces = spaces_up_to(bounds.max_points)
     desc = _desc(bounds.max_points)
-    # the definitional route refuses past the subfamily limit; shortcut-only beyond
     way_below = (
         f"({o},{under}) on {space!r}"
         for space in spaces
-        if len(space.opens) <= SUBFAMILY_ENUM_LIMIT
         for o in space.opens
         for under in space.opens
         if way_below_open(space, o, under) != way_below_via_subset(space, o, under)

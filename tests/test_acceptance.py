@@ -4,6 +4,7 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
 lines; everything is exact (discrete mathematics, no tolerances).
 """
 
+import hashlib
 import os
 import subprocess
 import sys
@@ -45,6 +46,10 @@ from topolab.suites import FAULT_TARGETS
 T0 = reflector_spec("t0")
 HAUSDORFF = reflector_spec("hausdorff")
 PINNED_CHECK_ALL = Path(__file__).resolve().parent.parent / "perfbench" / "check-all.stdout"
+# sha256 of the report lines (each ending in a newline) of the six suites that
+# read max_points, run in this order with max_points=5
+LAW_SUITES = ("monad-laws", "prop3.7", "example2.2", "topo-invariants", "sobriety", "divergences")
+PINNED_FIVE_POINT_SHA256 = "8b0208b66c74628e041756d92e228e6bafab3962b98409157a9c377e1956a626"
 
 
 def _verdict(number: int, description: str, ok: bool) -> None:
@@ -181,6 +186,14 @@ def test_criterion_9_frames():
     ok = _suite_ok("ideal-comonad") and _suite_ok("lemma5.8") and _suite_ok("prop5.9")
     ok = ok and len(enumerate_lattices(8)) == sum(lattice_class_counts(8).values())
     _verdict(9, "ideal comonad, regular coreflection, and mono preservation", ok)
+
+
+def test_five_point_law_reports_are_pinned():
+    bounds = RunBounds(max_points=5)
+    lines = [r.line() for suite in LAW_SUITES for r in run_suite(suite, bounds)]
+    assert len(lines) == 20
+    digest = hashlib.sha256("".join(line + "\n" for line in lines).encode()).hexdigest()
+    assert digest == PINNED_FIVE_POINT_SHA256
 
 
 def test_criterion_10_corpus_and_determinism():

@@ -216,7 +216,8 @@ def test_way_below_is_order():
 
 
 def test_way_below_matches_literal_oracle(discrete2):
-    for frame in (chain_frame(3), opens_frame(discrete2)):
+    # every lattice the frame suites quantify over (at most 8 elements)
+    for frame in (chain_frame(3), opens_frame(discrete2), *enumerate_lattices(8)):
         for a in range(frame.k):
             for b in range(frame.k):
                 assert way_below_lattice(frame, a, b) == oracle_way_below(frame, a, b)

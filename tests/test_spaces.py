@@ -325,21 +325,71 @@ def test_way_below_agrees_with_subset_on_classes(classes3):
                 assert way_below_open(space, o, u) == way_below_via_subset(space, o, u)
 
 
-def test_way_below_agrees_on_four_point_discrete():
-    space = build_space(4, [{0}, {1}, {2}, {3}])  # 16 opens, the worst case
+def subfamily_unions(space):
+    """The distinct unions of all 2^|opens| subfamilies of the topology."""
     opens = space.opens
-    for o in opens:
-        for u in opens:
-            assert way_below_open(space, o, u) == (o & ~u == 0)
+    unions = [0] * (1 << len(opens))
+    for bits in range(1, 1 << len(opens)):
+        low = (bits & -bits).bit_length() - 1
+        unions[bits] = unions[bits & (bits - 1)] | opens[low]
+    return tuple(sorted(set(unions)))
+
+
+def test_covers_are_decided_by_the_opens_as_by_every_subfamily():
+    """Both quantifiers over open covers, read through the opens, agree with
+    the same quantifiers over every subfamily of the topology.  A cover of a
+    finite space is finite, so it is its own finite subfamily and covers a
+    set exactly when its union does; the subfamily route reads each cover
+    through its union, out of the full table."""
+    spaces = [s for n in range(1, 5) for s in enumerate_spaces(n)]
+    assert len(spaces) == 389  # every labeled space with at most 4 points
+    for space in spaces:
+        unions = subfamily_unions(space)
+        assert unions == space.opens, space
+        for o in space.opens:
+            for u in space.opens:
+                covered = all(o & ~w == 0 for w in unions if u & ~w == 0)
+                assert way_below_open(space, o, u) == covered, (space, o, u)
+        for mask in range(space.full + 1):
+            covered = all(mask & ~w == 0 for w in unions if mask & ~w == 0)
+            assert subset_is_compact(space, mask) == covered, (space, mask)
+
+
+def test_way_below_past_eighteen_opens_is_the_definition(monkeypatch):
+    """On the 5-point discrete space (32 opens) ``classify`` reads the
+    definitional way-below relation, never the inclusion shortcut."""
+    from topolab import spaces as spaces_module
+
+    def shortcut(space, smaller, larger):
+        raise AssertionError("the inclusion shortcut was called")
+
+    space = build_space(5, [{x} for x in range(5)])
+    assert len(space.opens) == 32
+    monkeypatch.setattr(spaces_module, "way_below_via_subset", shortcut)
+    classify.cache_clear()
+    try:
+        assert classify(space).is_stable
+        matrix = spaces_module._way_below_matrix(space)
+    finally:
+        monkeypatch.undo()
+        classify.cache_clear()
+    assert len(matrix) == 32 * 32
+    assert all(wb == (o & ~u == 0) for (o, u), wb in matrix.items())
 
 
 # --- compactness and patch --------------------------------------------------
 
 
-def test_every_subset_compact(classes3):
-    for space in classes3:
-        for mask in range(space.full + 1):
-            assert subset_is_compact(space, mask)
+@pytest.mark.parametrize("n", [3, 5])
+def test_compactness_fails_on_a_space_whose_hoods_are_bent(n):
+    """A discrete space (8 or 32 opens) whose U_0 is widened to {0, 1}
+    behind the constructor's back: the open {0} covers itself, and the
+    decider must see that U_0 does not lie inside it."""
+    space = build_space(n, [{x} for x in range(n)])
+    assert all(subset_is_compact(space, mask) for mask in range(space.full + 1))
+    object.__setattr__(space, "hoods", (0b11,) + space.hoods[1:])
+    assert not subset_is_compact(space, 0b1)
+    assert subset_is_compact(space, 0b10)
 
 
 def test_patch_of_sierpinski_is_discrete(sierpinski):
