@@ -325,6 +325,14 @@ def test_way_below_agrees_with_subset_on_classes(classes3):
                 assert way_below_open(space, o, u) == way_below_via_subset(space, o, u)
 
 
+def test_way_below_agrees_on_four_point_discrete():
+    space = build_space(4, [{0}, {1}, {2}, {3}])  # 16 opens
+    opens = space.opens
+    for o in opens:
+        for u in opens:
+            assert way_below_open(space, o, u) == (o & ~u == 0)
+
+
 def subfamily_unions(space):
     """The distinct unions of all 2^|opens| subfamilies of the topology."""
     opens = space.opens
@@ -378,6 +386,12 @@ def test_way_below_past_eighteen_opens_is_the_definition(monkeypatch):
 
 
 # --- compactness and patch --------------------------------------------------
+
+
+def test_every_subset_compact(classes3):
+    for space in classes3:
+        for mask in range(space.full + 1):
+            assert subset_is_compact(space, mask)
 
 
 @pytest.mark.parametrize("n", [3, 5])
