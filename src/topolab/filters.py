@@ -2,10 +2,9 @@
 and prime closed filters, together with their units, multiplications, and
 the comparison maps out of the ultrafilter space.
 
-A filter point is stored redundantly as its element family *and* its
-principal generator (every filter on a finite lattice is principal); the
-redundancy is asserted at construction time, and the structure maps read
-the generators only.
+Every filter on a finite lattice is principal, so a filter point is its
+generator g: its filter is the up-set of g in the ambient lattice, and a
+member m of the ambient lies in it exactly when ``m & g == g``.
 """
 
 from __future__ import annotations
@@ -27,10 +26,9 @@ LABELS = {ULTRA: "U", OPEN_PRIME: "S", CLOSED_PRIME: "P"}  # the paper's names o
 
 @dataclass(frozen=True)
 class FilterPoint:
-    """A proper filter in the ambient lattice, prime in the sense of its kind."""
+    """A proper prime filter of its kind: the up-set of ``generator`` in the ambient."""
 
     kind: str
-    elements: tuple[int, ...]
     generator: int
 
 
@@ -92,48 +90,33 @@ def _least_above(kind: str, space: FiniteSpace, mask: int) -> int:
     raise InvalidInput(f"unknown filter kind {kind!r}")
 
 
-def _principal_filter(kind: str, ambient: tuple[int, ...], generator: int) -> FilterPoint:
-    elements = tuple(sorted(m for m in ambient if m & generator == generator))
-    return FilterPoint(kind, elements, generator)
-
-
-def _is_prime(kind: str, elements: frozenset[int], ambient: tuple[int, ...], full: int) -> bool:
+def _is_prime(kind: str, g: int, ambient: tuple[int, ...], full: int) -> bool:
+    """Whether the up-set of ``g`` in ``ambient`` is prime in the sense of ``kind``."""
     if kind == ULTRA:
-        return all((m in elements) != (full ^ m in elements) for m in ambient)
+        return all((m & g == g) != ((full ^ m) & g == g) for m in ambient)
     # union-splitting over the ambient (open or closed) lattice
     for a in ambient:
         for b in ambient:
-            if a | b in elements and a not in elements and b not in elements:
+            if (a | b) & g == g and a & g != g and b & g != g:
                 return False
     return True
 
 
 def check_filter_point(point: FilterPoint, space: FiniteSpace) -> None:
-    """Assert every structural invariant; raises FilterNotWellFormed."""
+    """Check what a generator can get wrong; raises FilterNotWellFormed.
+
+    The up-set of a member of an ambient that holds the full set and is
+    closed under intersection (the opens, the closeds, all subsets) is
+    upward closed, closed under meets and generated by that member, so what
+    is left is properness, membership of the ambient and primality.
+    """
     ambient = ambient_lattice(point.kind, space)
-    elems = frozenset(point.elements)
-    if 0 in elems:
+    g = point.generator
+    if g == 0:
         raise FilterNotWellFormed("filter is not proper: contains the empty set")
-    if space.full not in elems:
-        raise FilterNotWellFormed("filter misses the full set")
-    for m in elems:
-        if m not in ambient:
-            raise FilterNotWellFormed("filter element outside its ambient lattice")
-        for a in ambient:
-            if a & m == m and a not in elems:
-                raise FilterNotWellFormed("filter is not upward closed")
-    for a in elems:
-        for b in elems:
-            if a & b not in elems:
-                raise FilterNotWellFormed("filter is not closed under intersection")
-    gen = space.full
-    for m in elems:
-        gen &= m
-    if gen != point.generator or gen not in elems:
-        raise FilterNotWellFormed("stored generator disagrees with the element family")
-    if tuple(sorted(m for m in ambient if m & gen == gen)) != point.elements:
-        raise FilterNotWellFormed("elements are not the up-set of the generator")
-    if not _is_prime(point.kind, elems, ambient, space.full):
+    if g not in ambient:
+        raise FilterNotWellFormed("generator outside its ambient lattice")
+    if not _is_prime(point.kind, g, ambient, space.full):
         raise FilterNotWellFormed(f"filter is not {point.kind}-prime")
 
 
@@ -141,19 +124,18 @@ def check_filter_point(point: FilterPoint, space: FiniteSpace) -> None:
 def lift_space(kind: str, space: FiniteSpace) -> LiftedSpace:
     """Enumerate the filter points of the given kind and topologise them.
 
-    Points come in ascending generator order.  Every candidate filter is
-    enumerated from the ambient lattice and tested; nothing about which
-    generators survive is assumed up front.
+    Points come in ascending generator order.  Every nonzero member of the
+    ambient lattice is a candidate generator (proper filters only), and the
+    primality of its up-set is tested; nothing about which generators
+    survive is assumed up front.
     """
     ambient = ambient_lattice(kind, space)
     points = []
     for gen in sorted(ambient):
-        if gen == 0:
-            continue  # proper filters only
-        cand = _principal_filter(kind, ambient, gen)
-        if _is_prime(kind, frozenset(cand.elements), ambient, space.full):
-            check_filter_point(cand, space)
-            points.append(cand)
+        if gen and _is_prime(kind, gen, ambient, space.full):
+            point = FilterPoint(kind, gen)
+            check_filter_point(point, space)
+            points.append(point)
     pts = tuple(points)
 
     if kind in (ULTRA, OPEN_PRIME):

@@ -536,12 +536,9 @@ def classify(space: FiniteSpace) -> SpaceProfile:
     )
 
     wb = _way_below_matrix(space)
+    below = [(o, u) for o in space.opens for u in space.opens if wb[(o, u)]]
     stable = wb[(space.full, space.full)] and all(
-        not (wb[(o, u)] and wb[(w, v)]) or wb[(o & w, u & v)]
-        for o in space.opens
-        for u in space.opens
-        for w in space.opens
-        for v in space.opens
+        wb[(o & w, u & v)] for o, u in below for w, v in below
     )
 
     locally_compact = all(
@@ -549,7 +546,8 @@ def classify(space: FiniteSpace) -> SpaceProfile:
             saturation(space, 1 << x) & ~_interior_of(space, k) == 0
             and k & ~o == 0
             and subset_is_compact(space, k)
-            for k in range(space.full + 1)
+            # a witness holds U_x and lies inside o, so U_x <= k <= o as numbers
+            for k in range(space.hoods[x], o + 1)
             if (k >> x & 1)
         )
         for x in range(space.n)

@@ -591,15 +591,14 @@ def suite_lemma_5_3(bounds: RunBounds) -> list[CheckReport]:
         for space in spaces:
             lifted = lift_space(ULTRA, space)
             _, r = t0.reflect(lifted.space)
-            closeds = set(space.closeds)
-            for i, p in enumerate(lifted.points):
-                for j, q in enumerate(lifted.points):
-                    same_class = r(i) == r(j)
-                    closed_parts_equal = (
-                        tuple(m for m in p.elements if m in closeds)
-                        == tuple(m for m in q.elements if m in closeds)
-                    )
-                    if same_class != closed_parts_equal:
+            # the closed part of a filter: the closeds that contain its generator
+            closed_parts = [
+                tuple(h for h in space.closeds if h & p.generator == p.generator)
+                for p in lifted.points
+            ]
+            for i, a in enumerate(closed_parts):
+                for j, b in enumerate(closed_parts):
+                    if (r(i) == r(j)) != (a == b):
                         yield f"filters {i},{j} on {space!r}"
 
     return [_verdict("lemma5.3", _desc(bounds.map_points), witnesses())]

@@ -1,19 +1,22 @@
 """Command-line contract: commands, flags, exit codes, reproducible output."""
 
 import ast
+import hashlib
 import json
+import time
 import types
 from pathlib import Path
 
 import pytest
 
 import topolab
-from topolab.cli import main
+from topolab.cli import MONAD_KINDS, main
 from topolab.serialization import dumps, space_to_json
 from topolab import errors
 from topolab.errors import InvalidInput, NotWellDefined
 from topolab.corpus import MAX_POINTS, spaces_up_to
 from topolab.monadlab import filter_monad
+from topolab.reflectors import REFLECT_OPS
 from topolab.suites import (
     _FAULT_KIND,
     FAULT_TARGETS,
@@ -148,6 +151,62 @@ def test_reflect_hausdorff(e1_file, tmp_path, capsys):
     assert "result points: 1" in capsys.readouterr().out
     space = json.loads((out_dir / "e1.hausdorff.space.json").read_text())
     assert space["points"] == 1
+
+
+def _indiscrete(n):
+    return [[], list(range(n))]
+
+
+def _chain(n):
+    return [list(range(k)) for k in range(n + 1)]
+
+
+@pytest.mark.parametrize(
+    "command, points, opens, line",
+    [
+        (["analyze"], 20, _indiscrete, "points: 20"),
+        (["reflect", "--via", "t0"], 20, _indiscrete, "result points: 1"),
+        (["compactify", "--monad", "ultra"], 14, _chain, "result points: 14"),
+        (["compactify", "--monad", "pcf"], 16, _chain, "result points: 16"),
+        (["reflect", "--via", "sober"], 16, _chain, "result points: 16"),
+    ],
+    ids=["analyze-indiscrete20", "t0-indiscrete20", "ultra-chain14", "pcf-chain16",
+         "sober-chain16"],
+)
+def test_file_commands_finish_on_larger_inputs(tmp_path, capsys, command, points, opens, line):
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"points": points, "opens": opens(points)}), encoding="utf-8")
+    start = time.perf_counter()
+    assert main([command[0], str(path), *command[1:]]) == 0
+    assert time.perf_counter() - start < 10
+    assert line in capsys.readouterr().out.splitlines()
+
+
+# sha256 of the file commands run on every class with at most 3 points: per
+# run, its arguments, exit code and stdout and the text of every file it
+# wrote, with the temporary directory written as "TMP"
+PINNED_FILE_COMMANDS_SHA256 = "19fefdb5cb2a0feefd1904c189193aec9f26e131b81f8d9fa9fa8b100635b9d2"
+
+
+def test_file_command_outputs_are_pinned(tmp_path, capsys):
+    runs = [["analyze"]]
+    runs += [["compactify", "--monad", m] for m in sorted(MONAD_KINDS)]
+    runs += [["reflect", "--via", r] for r in sorted(REFLECT_OPS)]
+    runs += [["export-dot", "--monad", m] for m in sorted(MONAD_KINDS)]
+    digest = hashlib.sha256()
+    files = 0
+    for i, space in enumerate(spaces_up_to(3)):
+        path = tmp_path / f"space{i}.json"
+        path.write_text(dumps(space_to_json(space)), encoding="utf-8")
+        for run in runs:
+            code = main([run[0], str(path), *run[1:]])
+            out = capsys.readouterr().out
+            written = [Path(w[len("wrote "):]) for w in out.splitlines() if w.startswith("wrote ")]
+            files += len(written)
+            record = [*run, str(code), out, *(w.read_text(encoding="utf-8") for w in written)]
+            digest.update("\0".join(record).replace(str(tmp_path), "TMP").encode())
+    assert files == 13 * (3 * 3 + 3 * 2 + 3)  # 13 classes; 3, 2 and 1 files a run
+    assert digest.hexdigest() == PINNED_FILE_COMMANDS_SHA256
 
 
 def test_check_single_suite(capsys):

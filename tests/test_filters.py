@@ -16,6 +16,7 @@ from topolab import (
     ULTRA,
     ContinuousMap,
     FilterNotWellFormed,
+    FilterPoint,
     FiniteSpace,
     alpha,
     build_space,
@@ -64,6 +65,14 @@ def oracle_prime_filters(kind, space):
     return out
 
 
+def _filters(lifted):
+    """The filter of each lifted point: the up-set of its generator in the ambient."""
+    ambient = ambient_lattice(lifted.kind, lifted.base)
+    return [
+        tuple(sorted(m for m in ambient if m & p.generator == p.generator)) for p in lifted.points
+    ]
+
+
 # --- enumeration ------------------------------------------------------------
 
 
@@ -88,7 +97,7 @@ def test_ultra_points_of_discrete(discrete3):
 def test_enumeration_matches_oracle(classes3):
     for space in classes3:
         for kind in (ULTRA, OPEN_PRIME, CLOSED_PRIME):
-            got = {frozenset(p.elements) for p in lift_space(kind, space).points}
+            got = set(map(frozenset, _filters(lift_space(kind, space))))
             assert got == oracle_prime_filters(kind, space), (kind, space)
 
 
@@ -97,6 +106,26 @@ def test_filter_points_pass_invariant_audit(classes3):
         for kind in (ULTRA, OPEN_PRIME, CLOSED_PRIME):
             for p in lift_space(kind, space).points:
                 check_filter_point(p, space)
+
+
+def test_check_filter_point_rejects_the_zero_generator(e1):
+    for kind in KINDS:
+        with pytest.raises(FilterNotWellFormed, match="not proper: contains the empty set"):
+            check_filter_point(FilterPoint(kind, 0), e1)
+
+
+def test_check_filter_point_rejects_a_generator_outside_the_ambient(e1):
+    assert 0b010 not in e1.opens
+    with pytest.raises(FilterNotWellFormed, match="generator outside its ambient lattice"):
+        check_filter_point(FilterPoint(OPEN_PRIME, 0b010), e1)
+
+
+def test_check_filter_point_rejects_a_non_prime_generator(discrete2):
+    # the up-set of the full set holds {0} | {1} but neither {0} nor {1},
+    # which for U is neither {0} nor its complement
+    for kind in KINDS:
+        with pytest.raises(FilterNotWellFormed, match=f"filter is not {kind}-prime"):
+            check_filter_point(FilterPoint(kind, discrete2.full), discrete2)
 
 
 # --- functor action ---------------------------------------------------------
@@ -121,7 +150,7 @@ def test_lift_map_example(e1, sierpinski):
 
 def _point_with(lifted, family):
     """Index of the one lifted point whose filter is exactly ``family``."""
-    matches = [i for i, q in enumerate(lifted.points) if q.elements == family]
+    matches = [i for i, filt in enumerate(_filters(lifted)) if filt == family]
     assert len(matches) == 1, (lifted.kind, family)
     return matches[0]
 
@@ -131,8 +160,8 @@ def _pushforward_by_preimages(kind, f):
     cod_l = lift_space(kind, f.cod)
     ambient = ambient_lattice(kind, f.cod)
     return tuple(
-        _point_with(cod_l, tuple(sorted(b for b in ambient if f.preimage(b) in p.elements)))
-        for p in lift_space(kind, f.dom).points
+        _point_with(cod_l, tuple(sorted(b for b in ambient if f.preimage(b) in filt)))
+        for filt in _filters(lift_space(kind, f.dom))
     )
 
 
@@ -305,9 +334,9 @@ def test_mult_is_the_flattening_by_member_sets():
             assert m.map == tuple(
                 _point_with(
                     l1,
-                    tuple(a for a in ambient if member_set(kind, space, a) in big.elements),
+                    tuple(a for a in ambient if member_set(kind, space, a) in big),
                 )
-                for big in l2.points
+                for big in _filters(l2)
             ), (kind, space)
 
 
@@ -358,7 +387,7 @@ def test_alpha_is_the_restriction_to_the_target_ambient():
             assert a.dom == src.space and a.cod == dst.space
             keep = set(ambient_lattice(kind, space))
             assert a.map == tuple(
-                _point_with(dst, tuple(m for m in p.elements if m in keep)) for p in src.points
+                _point_with(dst, tuple(m for m in filt if m in keep)) for filt in _filters(src)
             ), (kind, space)
 
 
@@ -394,5 +423,5 @@ small_space = st.integers(min_value=1, max_value=3).flatmap(
 @given(small_space)
 def test_random_space_filters_match_oracle(space):
     for kind in (ULTRA, OPEN_PRIME, CLOSED_PRIME):
-        got = {frozenset(p.elements) for p in lift_space(kind, space).points}
+        got = set(map(frozenset, _filters(lift_space(kind, space))))
         assert got == oracle_prime_filters(kind, space)

@@ -5,6 +5,7 @@ Derived expectations are recomputed here with independent set-based oracles
 """
 
 import ast
+import dataclasses
 import itertools
 import time
 from operator import and_, or_
@@ -299,6 +300,67 @@ def test_every_small_space_weakly_sober(classes3):
 def test_hausdorff_iff_discrete(classes3):
     for space in classes3:
         assert classify(space).is_hausdorff == (len(space.opens) == 1 << space.n)
+
+
+def _profile_by_full_scans(space):
+    """``classify`` with stability scanned over every quadruple of opens and
+    local compactness over every subset as the candidate neighbourhood."""
+    from topolab import spaces as spaces_module
+
+    profile = classify(space)
+    wb = spaces_module._way_below_matrix(space)
+    stable = wb[(space.full, space.full)] and all(
+        not (wb[(o, u)] and wb[(w, v)]) or wb[(o & w, u & v)]
+        for o in space.opens
+        for u in space.opens
+        for w in space.opens
+        for v in space.opens
+    )
+    locally_compact = all(
+        any(
+            saturation(space, 1 << x) & ~_interior_of(space, k) == 0
+            and k & ~o == 0
+            and spaces_module.subset_is_compact(space, k)
+            for k in range(space.full + 1)
+            if (k >> x & 1)
+        )
+        for x in range(space.n)
+        for o in space.opens
+        if o >> x & 1
+    )
+    salbany = locally_compact and stable and profile.is_weakly_sober
+    return dataclasses.replace(
+        profile,
+        is_stable=stable,
+        is_locally_compact=locally_compact,
+        is_salbany=salbany,
+        is_stably_compact=profile.is_T0 and salbany,
+    )
+
+
+@pytest.mark.parametrize("predicates", ["definition", "no-singletons"])
+def test_classify_scans_give_the_full_scans_profile(predicates, monkeypatch):
+    """Every finite space is stable and locally compact, so a second run
+    swaps in way-below and compactness predicates that fail on some opens
+    and subsets, and the two scans must still agree."""
+    from topolab import spaces as spaces_module
+
+    if predicates == "no-singletons":
+        monkeypatch.setattr(
+            spaces_module, "way_below_open", lambda space, o, u: o & ~u == 0 and o.bit_count() != 1
+        )
+        monkeypatch.setattr(spaces_module, "subset_is_compact", lambda space, k: k.bit_count() != 1)
+    spaces = spaces_up_to(4, up_to_homeo=False)
+    assert len(spaces) == 389  # every labeled space with at most 4 points
+    classify.cache_clear()
+    try:
+        profiles = [classify(space) for space in spaces]
+        assert profiles == [_profile_by_full_scans(space) for space in spaces]
+    finally:
+        monkeypatch.undo()
+        classify.cache_clear()
+    verdicts = {(p.is_stable, p.is_locally_compact) for p in profiles}
+    assert (verdicts == {(True, True)}) == (predicates == "definition"), verdicts
 
 
 # --- way below --------------------------------------------------------------
