@@ -21,7 +21,6 @@ from .errors import (
 from .spaces import (
     ContinuousMap,
     FiniteSpace,
-    PreorderMatrix,
     SpaceProfile,
     build_space,
     classify,
@@ -35,14 +34,12 @@ from .spaces import (
     is_proper,
     patch_topology,
     saturation,
-    specialization,
     subset_is_compact,
     way_below_open,
     way_below_via_subset,
 )
 from .filters import (
     CLOSED_PRIME,
-    FilterPoint,
     KINDS,
     LiftedSpace,
     OPEN_PRIME,

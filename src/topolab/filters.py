@@ -25,16 +25,9 @@ LABELS = {ULTRA: "U", OPEN_PRIME: "S", CLOSED_PRIME: "P"}  # the paper's names o
 
 
 @dataclass(frozen=True)
-class FilterPoint:
-    """A proper prime filter of its kind: the up-set of ``generator`` in the ambient."""
-
-    kind: str
-    generator: int
-
-
-@dataclass(frozen=True)
 class LiftedSpace:
-    """A filter space over a base space, with its points kept alongside.
+    """A filter space over a base space, with the generators of its points
+    kept alongside: point i is the filter generated by ``generators[i]``.
 
     ``_above[mask]``, for every subset ``mask`` of the base, is the index of
     the point generated by the least ambient member above ``mask``, or None
@@ -45,12 +38,12 @@ class LiftedSpace:
 
     base: FiniteSpace
     kind: str
-    points: tuple[FilterPoint, ...]
+    generators: tuple[int, ...]
     space: FiniteSpace
     _above: tuple[int | None, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        index = {p.generator: i for i, p in enumerate(self.points)}
+        index = {g: i for i, g in enumerate(self.generators)}
         above = tuple(
             index.get(_least_above(self.kind, self.base, m)) for m in range(self.base.full + 1)
         )
@@ -102,7 +95,7 @@ def _is_prime(kind: str, g: int, ambient: tuple[int, ...], full: int) -> bool:
     return True
 
 
-def check_filter_point(point: FilterPoint, space: FiniteSpace) -> None:
+def check_filter_point(kind: str, generator: int, space: FiniteSpace) -> None:
     """Check what a generator can get wrong; raises FilterNotWellFormed.
 
     The up-set of a member of an ambient that holds the full set and is
@@ -110,14 +103,13 @@ def check_filter_point(point: FilterPoint, space: FiniteSpace) -> None:
     upward closed, closed under meets and generated by that member, so what
     is left is properness, membership of the ambient and primality.
     """
-    ambient = ambient_lattice(point.kind, space)
-    g = point.generator
-    if g == 0:
+    ambient = ambient_lattice(kind, space)
+    if generator == 0:
         raise FilterNotWellFormed("filter is not proper: contains the empty set")
-    if g not in ambient:
+    if generator not in ambient:
         raise FilterNotWellFormed("generator outside its ambient lattice")
-    if not _is_prime(point.kind, g, ambient, space.full):
-        raise FilterNotWellFormed(f"filter is not {point.kind}-prime")
+    if not _is_prime(kind, generator, ambient, space.full):
+        raise FilterNotWellFormed(f"filter is not {kind}-prime")
 
 
 @lru_cache(maxsize=None)
@@ -130,36 +122,34 @@ def lift_space(kind: str, space: FiniteSpace) -> LiftedSpace:
     survive is assumed up front.
     """
     ambient = ambient_lattice(kind, space)
-    points = []
+    kept = []
     for gen in sorted(ambient):
         if gen and _is_prime(kind, gen, ambient, space.full):
-            point = FilterPoint(kind, gen)
-            check_filter_point(point, space)
-            points.append(point)
-    pts = tuple(points)
+            check_filter_point(kind, gen, space)
+            kept.append(gen)
+    gens = tuple(kept)
 
     if kind in (ULTRA, OPEN_PRIME):
-        gens = [_member_mask(pts, o) for o in space.opens]
+        opens = [_member_mask(gens, o) for o in space.opens]
     else:
         # closed sets of the lifted space are generated; opens are complements
-        full_pts = (1 << len(pts)) - 1
-        gens = [full_pts ^ _member_mask(pts, h) for h in space.closeds]
-    lifted = build_space(len(pts), gens)
-    return LiftedSpace(space, kind, pts, lifted)
+        full_pts = (1 << len(gens)) - 1
+        opens = [full_pts ^ _member_mask(gens, h) for h in space.closeds]
+    return LiftedSpace(space, kind, gens, build_space(len(gens), opens))
 
 
-def _member_mask(points: tuple[FilterPoint, ...], subset: int) -> int:
+def _member_mask(generators: tuple[int, ...], subset: int) -> int:
     """Mask of lifted points whose filter contains ``subset``."""
     m = 0
-    for i, p in enumerate(points):
-        if subset & p.generator == p.generator:
+    for i, g in enumerate(generators):
+        if subset & g == g:
             m |= 1 << i
     return m
 
 
 def member_set(kind: str, space: FiniteSpace, subset: int) -> int:
     """The set of filter points containing ``subset``, as a mask on lift_space."""
-    return _member_mask(lift_space(kind, space).points, subset)
+    return _member_mask(lift_space(kind, space).generators, subset)
 
 
 def lift_map(kind: str, f: ContinuousMap) -> ContinuousMap:
@@ -171,7 +161,7 @@ def lift_map(kind: str, f: ContinuousMap) -> ContinuousMap:
     """
     dom_l = lift_space(kind, f.dom)
     cod_l = lift_space(kind, f.cod)
-    arr = cod_l.points_above([image_under(f.map, p.generator) for p in dom_l.points])
+    arr = cod_l.points_above([image_under(f.map, g) for g in dom_l.generators])
     return ContinuousMap(dom_l.space, cod_l.space, arr)
 
 
@@ -192,8 +182,8 @@ def mult(kind: str, space: FiniteSpace) -> ContinuousMap:
     l1 = lift_space(kind, space)
     l2 = lift_space(kind, l1.space)
     unions = [
-        reduce(or_, (p.generator for i, p in enumerate(l1.points) if big.generator >> i & 1), 0)
-        for big in l2.points
+        reduce(or_, (g for i, g in enumerate(l1.generators) if big >> i & 1), 0)
+        for big in l2.generators
     ]
     return ContinuousMap(l2.space, l1.space, l1.points_above(unions))
 
@@ -209,5 +199,5 @@ def alpha(target_kind: str, space: FiniteSpace) -> ContinuousMap:
         raise InvalidInput("alpha targets the open-prime or closed-prime space")
     src = lift_space(ULTRA, space)
     dst = lift_space(target_kind, space)
-    arr = dst.points_above([p.generator for p in src.points])
+    arr = dst.points_above(src.generators)
     return ContinuousMap(src.space, dst.space, arr)

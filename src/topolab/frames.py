@@ -258,7 +258,6 @@ def reg_coreflect(frame: FiniteFrame) -> tuple[FiniteFrame, FrameMap]:
 class IdealFrame:
     """The frame of ideals of a base frame, with the ideal masks retained."""
 
-    base: FiniteFrame
     ideals: tuple[int, ...]
     frame: FiniteFrame
     _index: dict[int, int] = field(init=False, repr=False, compare=False)
@@ -296,7 +295,7 @@ def ideal_frame(frame: FiniteFrame) -> IdealFrame:
         m for m in range(1 << frame.k) if _is_ideal(frame, m)
     )
     leq = [[a & ~b == 0 for b in ideals] for a in ideals]
-    return IdealFrame(frame, ideals, frame_from_leq(len(ideals), leq))
+    return IdealFrame(ideals, frame_from_leq(len(ideals), leq))
 
 
 def ideal_supremum(frame: FiniteFrame) -> FrameMap:

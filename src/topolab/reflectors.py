@@ -49,14 +49,14 @@ def t0_reflect(space: FiniteSpace) -> tuple[FiniteSpace, ContinuousMap]:
 
     Two points are indistinguishable exactly when they have the same minimal
     neighbourhood.  Classes are ordered by ascending closure mask, which
-    fixes the labelling of the quotient.  A space that is already T0 comes
-    back unchanged with the identity as unit.
+    fixes the labelling of the quotient.  A space that is already T0, one
+    class per point, comes back unchanged with the identity as unit.
     """
-    if classify(space).is_T0:
-        return space, identity_map(space)
     classes: dict[int, int] = {}  # minimal neighbourhood -> its class mask
     for x, hood in enumerate(space.hoods):
         classes[hood] = classes.get(hood, 0) | 1 << x
+    if len(classes) == space.n:
+        return space, identity_map(space)
     ordering = sorted(classes, key=lambda hood: closure(space, classes[hood]))
     rank = {hood: i for i, hood in enumerate(ordering)}
     arr = tuple(rank[hood] for hood in space.hoods)

@@ -65,7 +65,7 @@ def lifted_sidecar_to_json(lifted: LiftedSpace) -> dict[str, Any]:
     return {
         "kind": lifted.kind,
         "base": space_to_json(lifted.base),
-        "generators": [list(mask_to_points(p.generator)) for p in lifted.points],
+        "generators": [list(mask_to_points(g)) for g in lifted.generators],
     }
 
 
@@ -117,7 +117,5 @@ def specialization_dot(space: FiniteSpace, name: str = "specialization") -> str:
 
 def lifted_dot(lifted: LiftedSpace, name: str = "lifted") -> str:
     """Lifted-space specialization digraph with generator labels."""
-    labels = [
-        "^{" + ",".join(map(str, mask_to_points(p.generator))) + "}" for p in lifted.points
-    ]
+    labels = ["^{" + ",".join(map(str, mask_to_points(g))) + "}" for g in lifted.generators]
     return _order_dot(name, lifted.space, "f", labels)

@@ -189,23 +189,6 @@ class ContinuousMap:
         return len(set(self.map)) == self.cod.n
 
 
-@dataclass(frozen=True)
-class PreorderMatrix:
-    """Specialization preorder; ``leq[x][y]`` means x lies in the closure of {y}."""
-
-    n: int
-    leq: tuple[tuple[bool, ...], ...]
-
-    @property
-    def is_antisymmetric(self) -> bool:
-        return all(
-            not (self.leq[x][y] and self.leq[y][x])
-            for x in range(self.n)
-            for y in range(self.n)
-            if x != y
-        )
-
-
 def identity_map(space: FiniteSpace) -> ContinuousMap:
     return ContinuousMap(space, space, tuple(range(space.n)))
 
@@ -394,13 +377,6 @@ def saturation(space: FiniteSpace, mask: int) -> int:
     for x in mask_to_points(mask):
         s |= space.hoods[x]
     return s
-
-
-def specialization(space: FiniteSpace) -> PreorderMatrix:
-    """x <= y iff every open containing x contains y, that is y in U_x."""
-    return PreorderMatrix(
-        space.n, tuple(tuple(bool(h >> y & 1) for y in range(space.n)) for h in space.hoods)
-    )
 
 
 def way_below_open(space: FiniteSpace, smaller: int, larger: int) -> bool:

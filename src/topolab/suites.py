@@ -92,7 +92,6 @@ from .spaces import (
     is_proper,
     mediator_breaks,
     patch_topology,
-    specialization,
     way_below_open,
     way_below_via_subset,
 )
@@ -593,8 +592,7 @@ def suite_lemma_5_3(bounds: RunBounds) -> list[CheckReport]:
             _, r = t0.reflect(lifted.space)
             # the closed part of a filter: the closeds that contain its generator
             closed_parts = [
-                tuple(h for h in space.closeds if h & p.generator == p.generator)
-                for p in lifted.points
+                tuple(h for h in space.closeds if h & g == g) for g in lifted.generators
             ]
             for i, a in enumerate(closed_parts):
                 for j, b in enumerate(closed_parts):
@@ -694,10 +692,16 @@ def suite_topo_invariants(bounds: RunBounds) -> list[CheckReport]:
         for patched in [patch_topology(space)]
         if not classify(patched).is_hausdorff or patch_topology(patched) != patched
     )
+    # antisymmetry read from hoods, apart from classify's open-set T0 test:
+    # no x != y with y in U_x and x in U_y
     order_t0 = (
         f"{space!r}"
         for space in spaces
-        if specialization(space).is_antisymmetric != classify(space).is_T0
+        if classify(space).is_T0 != all(
+            not (hood >> y & 1 and space.hoods[y] >> x & 1)
+            for x, hood in enumerate(space.hoods)
+            for y in range(x + 1, space.n)
+        )
     )
     out = [
         _verdict(
@@ -783,8 +787,7 @@ def suite_filter_naturality(bounds: RunBounds) -> list[CheckReport]:
     hoods = (
         f"at {space!r}"
         for space in spaces
-        if {p.generator for p in lift_space(OPEN_PRIME, space).points}
-        != set(space.hoods)
+        if set(lift_space(OPEN_PRIME, space).generators) != set(space.hoods)
     )
     out.append(_verdict("filters[unit-preimage]", desc, unit_preimage))
     out.append(_verdict("filters[lift-stably-compact]", desc, stably_compact))
@@ -902,7 +905,10 @@ def suite_corpus_counts(bounds: RunBounds) -> list[CheckReport]:
 def _recount_classes(n: int) -> int:
     """Class count by permutation canonicalization of the specialization
     preorders (Stong 1966), independent of the homeomorphism search."""
-    return len({_poset_canonical(n, specialization(s).leq) for s in enumerate_spaces(n)})
+    return len({
+        _poset_canonical(n, tuple(tuple(bool(h >> y & 1) for y in range(n)) for h in s.hoods))
+        for s in enumerate_spaces(n)
+    })
 
 
 def suite_frame_bridge(bounds: RunBounds) -> list[CheckReport]:

@@ -302,11 +302,26 @@ FAULT_MATRIX = {
 }
 
 
+# sha256 of the full report of ``check --suite all`` under each fault: every
+# report's line(), each ended by "\n", so the witnesses and the N/A line of
+# composite-mult-collapse are pinned too
+FAULT_REPORT_SHA256 = {
+    "composite-mult-collapse": "37e1961e5f50149dcb081a0201226651b091778b600045f8033668899e384e44",
+    "pcf-mult-swap": "8e10045cf17e49f7d198fbcb8bd9a5fe4cdd64b97cfdadf44da8850f22c81dcc",
+    "sigma-mult-swap": "96908fd4ca981e71f887ab1646426d6673643471adb344fc7b2f9254ffdffd22",
+    "t0-coarsen": "ece624a5d289662b5d6357b3c2be15cac7da24239b32e0eba12ebe2ee619ea48",
+    "ultra-lift-unswap": "2ec321a5cd2641f2b6b85cb2aef43c95856d31f12b832aed330415805a91da0e",
+    "ultra-mult-swap": "a7ba35dcb5f90ce4db9f853b2c02e85e464856cc7465271cab992a8b8f1e80ca",
+}
+
+
 @pytest.mark.parametrize("fault", sorted(FAULT_MATRIX))
 def test_each_fault_fails_exactly_its_pinned_checks(fault):
-    assert set(FAULT_MATRIX) == set(FAULTS)
+    assert set(FAULT_MATRIX) == set(FAULTS) == set(FAULT_REPORT_SHA256)
     reports = run_suite("all", RunBounds(fault=fault))
     assert {r.check_id for r in reports if not r.ok} == FAULT_MATRIX[fault]
+    text = "".join(r.line() + "\n" for r in reports)
+    assert hashlib.sha256(text.encode()).hexdigest() == FAULT_REPORT_SHA256[fault]
 
 
 def test_run_suite_reports_a_failed_construction_as_a_fail(monkeypatch):

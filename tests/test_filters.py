@@ -16,7 +16,6 @@ from topolab import (
     ULTRA,
     ContinuousMap,
     FilterNotWellFormed,
-    FilterPoint,
     FiniteSpace,
     alpha,
     build_space,
@@ -68,9 +67,7 @@ def oracle_prime_filters(kind, space):
 def _filters(lifted):
     """The filter of each lifted point: the up-set of its generator in the ambient."""
     ambient = ambient_lattice(lifted.kind, lifted.base)
-    return [
-        tuple(sorted(m for m in ambient if m & p.generator == p.generator)) for p in lifted.points
-    ]
+    return [tuple(sorted(m for m in ambient if m & g == g)) for g in lifted.generators]
 
 
 # --- enumeration ------------------------------------------------------------
@@ -78,19 +75,19 @@ def _filters(lifted):
 
 def test_open_prime_points_of_e1(e1):
     lifted = lift_space(OPEN_PRIME, e1)
-    assert [p.generator for p in lifted.points] == [0b001, 0b111]
+    assert list(lifted.generators) == [0b001, 0b111]
     assert find_homeomorphism(lifted.space, build_space(2, [{1}])) is not None
 
 
 def test_closed_prime_points_of_e1(e1):
     lifted = lift_space(CLOSED_PRIME, e1)
-    assert [p.generator for p in lifted.points] == [0b110, 0b111]
+    assert list(lifted.generators) == [0b110, 0b111]
     assert find_homeomorphism(lifted.space, build_space(2, [{1}])) is not None
 
 
 def test_ultra_points_of_discrete(discrete3):
     lifted = lift_space(ULTRA, discrete3)
-    assert [p.generator for p in lifted.points] == [1, 2, 4]
+    assert list(lifted.generators) == [1, 2, 4]
     assert len(lifted.space.opens) == 8
 
 
@@ -104,20 +101,20 @@ def test_enumeration_matches_oracle(classes3):
 def test_filter_points_pass_invariant_audit(classes3):
     for space in classes3:
         for kind in (ULTRA, OPEN_PRIME, CLOSED_PRIME):
-            for p in lift_space(kind, space).points:
-                check_filter_point(p, space)
+            for g in lift_space(kind, space).generators:
+                check_filter_point(kind, g, space)
 
 
 def test_check_filter_point_rejects_the_zero_generator(e1):
     for kind in KINDS:
         with pytest.raises(FilterNotWellFormed, match="not proper: contains the empty set"):
-            check_filter_point(FilterPoint(kind, 0), e1)
+            check_filter_point(kind, 0, e1)
 
 
 def test_check_filter_point_rejects_a_generator_outside_the_ambient(e1):
     assert 0b010 not in e1.opens
     with pytest.raises(FilterNotWellFormed, match="generator outside its ambient lattice"):
-        check_filter_point(FilterPoint(OPEN_PRIME, 0b010), e1)
+        check_filter_point(OPEN_PRIME, 0b010, e1)
 
 
 def test_check_filter_point_rejects_a_non_prime_generator(discrete2):
@@ -125,7 +122,7 @@ def test_check_filter_point_rejects_a_non_prime_generator(discrete2):
     # which for U is neither {0} nor its complement
     for kind in KINDS:
         with pytest.raises(FilterNotWellFormed, match=f"filter is not {kind}-prime"):
-            check_filter_point(FilterPoint(kind, discrete2.full), discrete2)
+            check_filter_point(kind, discrete2.full, discrete2)
 
 
 # --- functor action ---------------------------------------------------------
@@ -144,8 +141,8 @@ def test_lift_map_example(e1, sierpinski):
     cod = lift_space(OPEN_PRIME, sierpinski)
     # {0}-generated filter lands on the {1}-generated one, the whole-space
     # filter on the whole-space one
-    assert cod.points[sf.map[dom.points_above([0b001])[0]]].generator == 0b10
-    assert cod.points[sf.map[dom.points_above([0b111])[0]]].generator == 0b11
+    assert cod.generators[sf.map[dom.points_above([0b001])[0]]] == 0b10
+    assert cod.generators[sf.map[dom.points_above([0b111])[0]]] == 0b11
 
 
 def _point_with(lifted, family):
@@ -194,11 +191,12 @@ def test_lift_map_and_unit_raise_on_a_missing_point(monkeypatch, e1):
     twin = FiniteSpace(e1.n, e1.opens)  # equal to e1, told apart by identity
     for kind in KINDS:
         full = lift_space(kind, e1)
-        for drop in range(len(full.points)):
-            short = LiftedSpace(e1, kind, full.points[:drop] + full.points[drop + 1 :], full.space)
+        gens = full.generators
+        for drop in range(len(gens)):
+            short = LiftedSpace(e1, kind, gens[:drop] + gens[drop + 1 :], full.space)
             # mult also reads the lift of full.space, whose points are full's:
             # there the point stays listed and only its table entry goes
-            holed = LiftedSpace(e1, kind, full.points, full.space)
+            holed = LiftedSpace(e1, kind, gens, full.space)
             holes = tuple(None if i == drop else i for i in full._above)
             object.__setattr__(holed, "_above", holes)
             for lifted in (short, holed):
@@ -229,7 +227,7 @@ def test_points_above_reads_the_least_ambient_member_above():
         for kind in KINDS:
             lifted = lift_space(kind, space)
             ambient = ambient_lattice(kind, space)
-            generators = [p.generator for p in lifted.points]
+            generators = list(lifted.generators)
             for mask in range(space.full + 1):
                 least = space.full
                 for m in ambient:
@@ -263,15 +261,15 @@ def test_ultra_unit_is_principal(e1):
     lifted = lift_space(ULTRA, e1)
     eta = unit(ULTRA, e1)
     for x in range(3):
-        assert lifted.points[eta(x)].generator == 1 << x
+        assert lifted.generators[eta(x)] == 1 << x
 
 
 def test_open_unit_on_e1(e1):
     lifted = lift_space(OPEN_PRIME, e1)
     e = unit(OPEN_PRIME, e1)
-    assert lifted.points[e(0)].generator == 0b001
-    assert lifted.points[e(1)].generator == 0b111
-    assert lifted.points[e(2)].generator == 0b111
+    assert lifted.generators[e(0)] == 0b001
+    assert lifted.generators[e(1)] == 0b111
+    assert lifted.generators[e(2)] == 0b111
 
 
 def test_closed_unit_generators(classes3):
@@ -279,7 +277,7 @@ def test_closed_unit_generators(classes3):
         lifted = lift_space(CLOSED_PRIME, space)
         d = unit(CLOSED_PRIME, space)
         for x in range(space.n):
-            assert lifted.points[d(x)].generator == closure(space, 1 << x)
+            assert lifted.generators[d(x)] == closure(space, 1 << x)
 
 
 def test_unit_preimage_identity(classes3):
@@ -308,8 +306,8 @@ def test_mult_open_prime_on_e1(e1):
     assert dom.space.n == 2
     # the filter generated by the open point flattens onto the open-point
     # filter, the whole-space one onto the whole-space filter
-    assert cod.points[m.map[0]].generator == 0b001
-    assert cod.points[m.map[1]].generator == 0b111
+    assert cod.generators[m.map[0]] == 0b001
+    assert cod.generators[m.map[1]] == 0b111
 
 
 def test_mult_after_unit_laws(classes3):
@@ -354,12 +352,12 @@ def test_alpha_commutes_with_units(classes3):
 def test_alpha_on_e1(e1):
     a = alpha(OPEN_PRIME, e1)
     cod = lift_space(OPEN_PRIME, e1)
-    assert cod.points[a.map[0]].generator == 0b001  # principal at the open point
-    assert cod.points[a.map[1]].generator == 0b111
+    assert cod.generators[a.map[0]] == 0b001  # principal at the open point
+    assert cod.generators[a.map[1]] == 0b111
     b = alpha(CLOSED_PRIME, e1)
     codb = lift_space(CLOSED_PRIME, e1)
-    assert codb.points[b.map[0]].generator == 0b111
-    assert codb.points[b.map[1]].generator == 0b110
+    assert codb.generators[b.map[0]] == 0b111
+    assert codb.generators[b.map[1]] == 0b110
 
 
 def test_alpha_surjective(classes3):
@@ -402,13 +400,13 @@ def test_lifted_spaces_stably_compact(classes3):
 
 def test_open_prime_points_are_minimal_neighborhoods(classes4):
     for space in classes4:
-        gens = {p.generator for p in lift_space(OPEN_PRIME, space).points}
+        gens = set(lift_space(OPEN_PRIME, space).generators)
         assert gens == set(space.hoods)
 
 
 def test_closed_prime_points_are_point_closures(classes4):
     for space in classes4:
-        gens = {p.generator for p in lift_space(CLOSED_PRIME, space).points}
+        gens = set(lift_space(CLOSED_PRIME, space).generators)
         assert gens == {closure(space, 1 << x) for x in range(space.n)}
 
 

@@ -4,6 +4,7 @@ ideals, way-below."""
 import pytest
 
 from topolab import (
+    CoreflectionMismatch,
     FrameMap,
     InvalidInput,
     chain_frame,
@@ -33,7 +34,7 @@ from topolab.frames import (
     ideal_supremum,
     subframes,
 )
-from topolab import suites
+from topolab import frames, suites
 from topolab.corpus import maps_between, spaces_up_to
 from topolab.spaces import ContinuousMap, compose, composes_to, enumerate_continuous_maps
 
@@ -166,6 +167,28 @@ def test_reg_coreflect_unique_maximum():
         for s in subframes(frame):
             if _subset_regular(frame, s):
                 assert s & ~best == 0  # every regular subframe sits inside the best
+
+
+def test_reg_coreflect_raises_when_the_fixpoint_disagrees(monkeypatch):
+    c3 = chain_frame(3)
+    assert _largest_regular_by_enumeration(c3) == 0b101
+    monkeypatch.setattr(frames, "_largest_regular_by_fixpoint", lambda frame: 0b111)
+    with pytest.raises(
+        CoreflectionMismatch, match="enumeration found 0x5 but the fixpoint found 0x7"
+    ):
+        reg_coreflect(c3)
+
+
+def test_reg_coreflect_raises_on_two_incomparable_maximal_regular_subframes(monkeypatch):
+    # the chain 0 < 1 < 2 < 3 told that every subframe but itself is regular:
+    # {0,1,3} and {0,2,3} are then both maximal and neither holds the other
+    c4 = chain_frame(4)
+    assert subframes(c4) == (0b1001, 0b1011, 0b1101, 0b1111)
+    monkeypatch.setattr(frames, "_subset_regular", lambda frame, members: members != 0b1111)
+    with pytest.raises(
+        CoreflectionMismatch, match="two inclusion-incomparable maximal regular subframes"
+    ):
+        reg_coreflect(c4)
 
 
 def test_ideal_frame_chain3_matches_base():

@@ -7,6 +7,7 @@ import pytest
 
 from topolab import (
     CLOSED_PRIME,
+    KINDS,
     ContinuousMap,
     OPEN_PRIME,
     ULTRA,
@@ -149,6 +150,18 @@ def test_naturality_checker_catches_breakage(corpus):
 
 
 # --- splittings ---------------------------------------------------------------
+
+
+def test_filter_transformations_print_the_naturality_pass_line():
+    # the naturality benchmark counts a transformation as failed unless its
+    # report prints exactly this line
+    maps = maps_between(spaces_up_to(2))
+    monads = [filter_monad(kind) for kind in KINDS]
+    transformations = [nt for monad in monads for nt in (monad.unit, monad.mult)]
+    transformations += [alpha_transformation(kind) for kind in (OPEN_PRIME, CLOSED_PRIME)]
+    assert len(transformations) == 8
+    for nt in transformations:
+        assert check_naturality(nt, maps).line() == f"[PASS] naturality [{len(maps)} maps]"
 
 
 def test_find_splitting_of_unit_at_lifted(e1):
