@@ -11,17 +11,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache, reduce
-from operator import or_
+from operator import and_, or_
 from typing import Sequence
 
-from .errors import FilterNotWellFormed, InvalidInput
-from .spaces import FiniteSpace, ContinuousMap, build_space, closure, image_under, saturation
+from .errors import BoundExceeded, FilterNotWellFormed, InvalidInput
+from .spaces import FiniteSpace, ContinuousMap, build_space, image_under
 
 ULTRA = "ultra"
 OPEN_PRIME = "open-prime"
 CLOSED_PRIME = "closed-prime"
 KINDS = (ULTRA, OPEN_PRIME, CLOSED_PRIME)
 LABELS = {ULTRA: "U", OPEN_PRIME: "S", CLOSED_PRIME: "P"}  # the paper's names of the monads
+ULTRA_MAX_POINTS = 16  # the U ambient lists all 2^n subsets of the base
 
 
 @dataclass(frozen=True)
@@ -29,57 +30,47 @@ class LiftedSpace:
     """A filter space over a base space, with the generators of its points
     kept alongside: point i is the filter generated by ``generators[i]``.
 
-    ``_above[mask]``, for every subset ``mask`` of the base, is the index of
-    the point generated by the least ambient member above ``mask``, or None
-    when no point has that generator; it is built once, here, and every
-    structure map (F f, unit, mult, alpha) reads its array from it through
-    ``points_above``.
+    Every structure map (F f, unit, mult, alpha) reads its array through
+    ``points_above``, which finds the point generated by the least ambient
+    member above a subset of the base: the meet of the members that contain
+    it, exact because each ambient is closed under intersection.  Each
+    answer is kept in ``_above``, so a subset is looked up once and subsets
+    nobody asks about are never looked up.
     """
 
     base: FiniteSpace
     kind: str
     generators: tuple[int, ...]
     space: FiniteSpace
-    _above: tuple[int | None, ...] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        index = {g: i for i, g in enumerate(self.generators)}
-        above = tuple(
-            index.get(_least_above(self.kind, self.base, m)) for m in range(self.base.full + 1)
-        )
-        object.__setattr__(self, "_above", above)
+    _above: dict[int, int] = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def points_above(self, masks: Sequence[int]) -> tuple[int, ...]:
         """For each subset in ``masks``, the index of the point generated by
         the least ambient member above it; raises FilterNotWellFormed when
         there is no such point."""
-        out = tuple(map(self._above.__getitem__, masks))
-        if None in out:
-            mask = next(m for m, i in zip(masks, out) if i is None)
-            gen = _least_above(self.kind, self.base, mask)
-            raise FilterNotWellFormed(f"no point with generator {gen:#x}")
-        return out
+        above = self._above
+        for mask in masks:
+            if mask not in above:
+                ambient = ambient_lattice(self.kind, self.base)
+                least = reduce(and_, (m for m in ambient if m & mask == mask), self.base.full)
+                if least not in self.generators:
+                    raise FilterNotWellFormed(f"no point with generator {least:#x}")
+                above[mask] = self.generators.index(least)
+        return tuple(map(above.__getitem__, masks))
 
 
 def ambient_lattice(kind: str, space: FiniteSpace) -> tuple[int, ...]:
     """The lattice a filter of this kind lives in."""
     if kind == ULTRA:
+        if space.n > ULTRA_MAX_POINTS:
+            raise BoundExceeded(
+                f"the ultrafilter lift is refused above {ULTRA_MAX_POINTS} points, got {space.n}"
+            )
         return tuple(range(space.full + 1))
     if kind == OPEN_PRIME:
         return space.opens
     if kind == CLOSED_PRIME:
         return space.closeds
-    raise InvalidInput(f"unknown filter kind {kind!r}")
-
-
-def _least_above(kind: str, space: FiniteSpace, mask: int) -> int:
-    """The least member of the ambient lattice that contains ``mask``."""
-    if kind == ULTRA:
-        return mask
-    if kind == OPEN_PRIME:
-        return saturation(space, mask)
-    if kind == CLOSED_PRIME:
-        return closure(space, mask)
     raise InvalidInput(f"unknown filter kind {kind!r}")
 
 

@@ -15,6 +15,7 @@ from topolab.serialization import dumps, space_to_json
 from topolab import errors
 from topolab.errors import InvalidInput, NotWellDefined
 from topolab.corpus import MAX_POINTS, spaces_up_to
+from topolab.filters import ULTRA_MAX_POINTS
 from topolab.monadlab import filter_monad
 from topolab.reflectors import REFLECT_OPS
 from topolab.suites import (
@@ -161,6 +162,21 @@ def _chain(n):
     return [list(range(k)) for k in range(n + 1)]
 
 
+_FORTY_POINT_RUNS = [
+    (command, 40, opens, line.format(n=n))
+    for opens, n in ((_chain, 40), (_indiscrete, 1))
+    for command, line in (
+        (["analyze"], "points: 40"),
+        (["reflect", "--via", "t0"], "result points: {n}"),
+        (["reflect", "--via", "sober"], "result points: {n}"),
+        (["compactify", "--monad", "sigma"], "result points: {n}"),
+        (["compactify", "--monad", "pcf"], "result points: {n}"),
+        (["export-dot", "--monad", "sigma"], "wrote TMP/big.dot"),
+        (["export-dot", "--monad", "pcf"], "wrote TMP/big.dot"),
+    )
+]
+
+
 @pytest.mark.parametrize(
     "command, points, opens, line",
     [
@@ -169,9 +185,11 @@ def _chain(n):
         (["compactify", "--monad", "ultra"], 14, _chain, "result points: 14"),
         (["compactify", "--monad", "pcf"], 16, _chain, "result points: 16"),
         (["reflect", "--via", "sober"], 16, _chain, "result points: 16"),
+        *_FORTY_POINT_RUNS,
     ],
     ids=["analyze-indiscrete20", "t0-indiscrete20", "ultra-chain14", "pcf-chain16",
-         "sober-chain16"],
+         "sober-chain16"]
+    + ["-".join([*c[::2], f"{o.__name__[1:]}40"]) for c, _, o, _ in _FORTY_POINT_RUNS],
 )
 def test_file_commands_finish_on_larger_inputs(tmp_path, capsys, command, points, opens, line):
     path = tmp_path / "big.json"
@@ -179,7 +197,21 @@ def test_file_commands_finish_on_larger_inputs(tmp_path, capsys, command, points
     start = time.perf_counter()
     assert main([command[0], str(path), *command[1:]]) == 0
     assert time.perf_counter() - start < 10
-    assert line in capsys.readouterr().out.splitlines()
+    assert line in capsys.readouterr().out.replace(str(tmp_path), "TMP").splitlines()
+
+
+@pytest.mark.parametrize("command", ["compactify", "export-dot"])
+@pytest.mark.parametrize("opens", [_chain, _indiscrete], ids=["chain40", "indiscrete40"])
+def test_ultra_refuses_forty_points(tmp_path, capsys, command, opens):
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"points": 40, "opens": opens(40)}), encoding="utf-8")
+    start = time.perf_counter()
+    assert main([command, str(path), "--monad", "ultra"]) == 2
+    assert time.perf_counter() - start < 2
+    captured = capsys.readouterr()
+    assert captured.err == (
+        f"error: the ultrafilter lift is refused above {ULTRA_MAX_POINTS} points, got 40\n"
+    )
 
 
 # sha256 of the file commands run on every class with at most 3 points: per

@@ -29,6 +29,7 @@ from topolab import (
     lift_map,
     lift_space,
     mult,
+    saturation,
     unit,
 )
 from topolab import filters
@@ -194,45 +195,47 @@ def test_lift_map_and_unit_raise_on_a_missing_point(monkeypatch, e1):
         gens = full.generators
         for drop in range(len(gens)):
             short = LiftedSpace(e1, kind, gens[:drop] + gens[drop + 1 :], full.space)
-            # mult also reads the lift of full.space, whose points are full's:
-            # there the point stays listed and only its table entry goes
-            holed = LiftedSpace(e1, kind, gens, full.space)
-            holes = tuple(None if i == drop else i for i in full._above)
-            object.__setattr__(holed, "_above", holes)
-            for lifted in (short, holed):
-                monkeypatch.setattr(
-                    filters,
-                    "lift_space",
-                    lambda k, s: lifted if k == kind and s is e1 else lift_space(k, s),
-                )
-                # every point is hit: the identity pushes each one to itself,
-                # each point is generated by the least member above some {x},
-                # and mult and alpha are onto
+            monkeypatch.setattr(
+                filters,
+                "lift_space",
+                lambda k, s: short if k == kind and s is e1 else lift_space(k, s),
+            )
+            # every point is hit: the identity pushes each one to itself,
+            # each point is generated by the least member above some {x},
+            # and alpha is onto
+            with pytest.raises(FilterNotWellFormed, match="no point with generator"):
+                lift_map(kind, ContinuousMap(twin, e1, tuple(range(e1.n))))
+            with pytest.raises(FilterNotWellFormed, match="no point with generator"):
+                unit(kind, e1)
+            if kind != ULTRA:
                 with pytest.raises(FilterNotWellFormed, match="no point with generator"):
-                    lift_map(kind, ContinuousMap(twin, e1, tuple(range(e1.n))))
-                with pytest.raises(FilterNotWellFormed, match="no point with generator"):
-                    unit(kind, e1)
-                if kind != ULTRA:
-                    with pytest.raises(FilterNotWellFormed, match="no point with generator"):
-                        alpha(kind, e1)
-                if lifted is holed:
-                    with pytest.raises(FilterNotWellFormed, match="no point with generator"):
-                        mult(kind, e1)
-                monkeypatch.undo()
+                    alpha(kind, e1)
+            monkeypatch.undo()
+        # mult flattens the points of the lift of full.space: give that lift
+        # one point, the improper filter generated by the empty set, whose
+        # empty union generates no point of full
+        improper = LiftedSpace(full.space, kind, (0,), build_space(1))
+        monkeypatch.setattr(
+            filters,
+            "lift_space",
+            lambda k, s: improper if k == kind and s is full.space else lift_space(k, s),
+        )
+        with pytest.raises(FilterNotWellFormed, match="no point with generator 0x0$"):
+            mult(kind, e1)
+        monkeypatch.undo()
 
 
 def test_points_above_reads_the_least_ambient_member_above():
+    # the shortcuts points_above does not take: the subset itself for U,
+    # its saturation for S, its closure for P
+    shortcut = {ULTRA: lambda space, mask: mask, OPEN_PRIME: saturation, CLOSED_PRIME: closure}
     misses = 0
     for space in spaces_up_to(3, up_to_homeo=False):
         for kind in KINDS:
             lifted = lift_space(kind, space)
-            ambient = ambient_lattice(kind, space)
             generators = list(lifted.generators)
             for mask in range(space.full + 1):
-                least = space.full
-                for m in ambient:
-                    if m & mask == mask:
-                        least &= m
+                least = shortcut[kind](space, mask)
                 if least in generators:
                     assert lifted.points_above([mask]) == (generators.index(least),)
                 else:
@@ -240,6 +243,19 @@ def test_points_above_reads_the_least_ambient_member_above():
                     with pytest.raises(FilterNotWellFormed, match=f"generator {least:#x}$"):
                         lifted.points_above([mask])
     assert misses  # some nonempty least member generates no point
+
+
+def test_ultra_is_the_identity_monad_literally():
+    # every filter is principal and its generator is a singleton, so U
+    # returns each space, unit, multiplication and map itself, not a copy
+    for space in spaces_up_to(4):
+        assert lift_space(ULTRA, space).space == space
+        assert unit(ULTRA, space).map == tuple(range(space.n))
+        assert mult(ULTRA, space).map == tuple(range(space.n))
+    maps = maps_between(spaces_up_to(3))
+    assert len(maps) == 1462
+    for f in maps:
+        assert lift_map(ULTRA, f) == f
 
 
 def test_functor_composition(classes3):

@@ -225,6 +225,26 @@ def test_ideal_comonad_laws():
     assert check_ideal_comonad_laws(enumerate_lattices(8)).ok
 
 
+def test_ideal_comonad_laws_catch_a_broken_coassociativity(monkeypatch):
+    # swapping the two atoms of the square 2 x 2 is a frame automorphism, so
+    # the comultiplication of its ideal frame after that swap is a frame map
+    # with the right ends; only the coassociativity square uses it
+    square = frame_from_leq(4, [[a & b == a for b in range(4)] for a in range(4)])
+    lifted = ideal_frame(square).frame  # the object the law check reads
+    real = ideal_comultiplication(lifted)
+    atoms = [x for x in range(4) if x not in (lifted.bottom, lifted.top)]
+    swap = list(range(4))
+    swap[atoms[0]], swap[atoms[1]] = atoms[1], atoms[0]
+    bent = FrameMap(lifted, real.cod, tuple(real.map[v] for v in swap))
+    monkeypatch.setattr(
+        frames,
+        "ideal_comultiplication",
+        lambda frame: bent if frame is lifted else ideal_comultiplication(frame),
+    )
+    report = check_ideal_comonad_laws((square,))
+    assert report.witness == f"coassociativity fails on {square!r}"
+
+
 def test_ideal_map_example():
     incl = FrameMap(chain_frame(2), chain_frame(3), (0, 2))
     lifted = ideal_map(incl)
