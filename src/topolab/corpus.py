@@ -134,40 +134,33 @@ def _poset_canonical(m: int, leq: tuple[tuple[bool, ...], ...]) -> tuple[bool, .
     return best
 
 
-def _downsets(m: int, leq) -> list[int]:
-    """The down-closed subsets of an m-element poset, as ascending masks."""
-    return [
-        mask
-        for mask in range(1 << m)
-        if all(
-            not (mask >> a & 1) or not leq[b][a] or (mask >> b & 1)
-            for a in range(m)
-            for b in range(m)
-        )
-    ]
-
-
 def _grow_posets(max_downsets: int, max_elements: int):
-    """All posets, up to iso, whose down-set lattice stays within the cap.
+    """All posets, up to iso, whose down-set lattice stays within the cap,
+    each as the pair (order matrix, down-sets as ascending masks).
 
     Every poset arises by attaching a maximal element above a down-set of a
     smaller poset, so growth plus canonical deduplication is exhaustive.
+    The down-sets of the grown poset are the old ones followed by d plus
+    the new element for each old d that contains ``below``; the new bit is
+    the highest, so that list is ascending too.
     """
-    seen: dict[tuple, tuple] = {(): ()}
+    seen: dict[tuple, tuple] = {(): ((), [0])}
     for m in range(1, max_elements + 1):
         grown: dict[tuple, tuple] = {}
-        for leq in seen.values():
+        top = 1 << (m - 1)  # the bit of the new maximal element
+        for leq, downsets in seen.values():
             prev = len(leq)
-            for below in _downsets(prev, leq):
+            for below in downsets:
+                extended = downsets + [d | top for d in downsets if d & below == below]
+                if len(extended) > max_downsets:
+                    continue
                 rows = [
                     tuple(list(leq[a]) + [bool(below >> a & 1)]) for a in range(prev)
                 ]
                 rows.append(tuple([False] * prev + [True]))
                 cand = tuple(rows)
-                if len(_downsets(m, cand)) > max_downsets:
-                    continue
                 canon = _poset_canonical(m, cand)
-                grown.setdefault(canon, cand)
+                grown.setdefault(canon, (cand, extended))
         seen = grown
         yield from seen.values()
 
@@ -181,8 +174,7 @@ def enumerate_lattices(max_size: int = 8) -> tuple[FiniteFrame, ...]:
     if max_size > 12:
         raise BoundExceeded("lattice corpus capped at 12 elements")
     frames = [frame_from_leq(1, [[True]])]  # downsets of the empty poset
-    for leq in _grow_posets(max_size, max_size - 1):
-        downsets = _downsets(len(leq), leq)
+    for _, downsets in _grow_posets(max_size, max_size - 1):
         rows = [[a & ~b == 0 for b in downsets] for a in downsets]
         frames.append(frame_from_leq(len(downsets), rows))
     frames.sort(key=lambda f: (f.k, f.leq))

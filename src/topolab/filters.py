@@ -116,7 +116,6 @@ def lift_space(kind: str, space: FiniteSpace) -> LiftedSpace:
     kept = []
     for gen in sorted(ambient):
         if gen and _is_prime(kind, gen, ambient, space.full):
-            check_filter_point(kind, gen, space)
             kept.append(gen)
     gens = tuple(kept)
 
@@ -126,7 +125,9 @@ def lift_space(kind: str, space: FiniteSpace) -> LiftedSpace:
         # closed sets of the lifted space are generated; opens are complements
         full_pts = (1 << len(gens)) - 1
         opens = [full_pts ^ _member_mask(gens, h) for h in space.closeds]
-    return LiftedSpace(space, kind, gens, build_space(len(gens), opens))
+    lifted = build_space(len(gens), opens)
+    # a lift equal to its base is the base itself, so its maps can be shared
+    return LiftedSpace(space, kind, gens, space if lifted == space else lifted)
 
 
 def _member_mask(generators: tuple[int, ...], subset: int) -> int:
@@ -153,6 +154,8 @@ def lift_map(kind: str, f: ContinuousMap) -> ContinuousMap:
     dom_l = lift_space(kind, f.dom)
     cod_l = lift_space(kind, f.cod)
     arr = cod_l.points_above([image_under(f.map, g) for g in dom_l.generators])
+    if dom_l.space is f.dom and cod_l.space is f.cod and arr == f.map:
+        return f  # the lift equals f, which was validated when it was built
     return ContinuousMap(dom_l.space, cod_l.space, arr)
 
 

@@ -325,8 +325,9 @@ def check_naturality(
     corpus_desc: str = "",
 ) -> CheckReport:
     desc = corpus_desc or f"{len(maps)} maps"
+    at, source_mor, target_mor = nt.at, nt.source.mor, nt.target.mor
     for f in maps:
-        if not commutes(nt.at(f.cod), nt.source.mor(f), nt.target.mor(f), nt.at(f.dom)):
+        if not commutes(at(f.cod), source_mor(f), target_mor(f), at(f.dom)):
             return failed(
                 check_id, desc, f"{nt.name} square fails at {f.dom!r} -> {f.cod!r}, f={f.map}"
             )

@@ -85,6 +85,28 @@ def test_lattices_are_canonically_ordered():
     assert list(lattices) == sorted(lattices, key=lambda f: (f.k, f.leq))
 
 
+def _downsets_by_scan(m, leq):
+    """The down-closed subsets of an m-element poset, as ascending masks,
+    by testing every one of the 2^m subsets."""
+    return [
+        mask
+        for mask in range(1 << m)
+        if all(
+            not (mask >> a & 1) or not leq[b][a] or (mask >> b & 1)
+            for a in range(m)
+            for b in range(m)
+        )
+    ]
+
+
+def test_grown_down_sets_are_the_down_sets_of_the_grown_posets():
+    # every poset whose down-set lattice has at most 10 elements
+    grown = list(corpus._grow_posets(10, 9))
+    assert len(grown) == 108
+    for leq, downsets in grown:
+        assert downsets == _downsets_by_scan(len(leq), leq), leq
+
+
 def _full_canonical(m, leq):
     """The least flattened matrix over all m! relabellings."""
     return min(

@@ -249,13 +249,47 @@ def test_ultra_is_the_identity_monad_literally():
     # every filter is principal and its generator is a singleton, so U
     # returns each space, unit, multiplication and map itself, not a copy
     for space in spaces_up_to(4):
-        assert lift_space(ULTRA, space).space == space
+        lifted = lift_space(ULTRA, space)
+        assert lifted.space == space
+        assert lifted.space is lifted.base
         assert unit(ULTRA, space).map == tuple(range(space.n))
         assert mult(ULTRA, space).map == tuple(range(space.n))
     maps = maps_between(spaces_up_to(3))
     assert len(maps) == 1462
     for f in maps:
         assert lift_map(ULTRA, f) == f
+        # lifts are memoized by equality, so the base of a lift may be an
+        # equal copy of f's end lifted first; between the bases themselves
+        # the lift of a map is that map
+        g = ContinuousMap(lift_space(ULTRA, f.dom).base, lift_space(ULTRA, f.cod).base, f.map)
+        assert lift_map(ULTRA, g) is g
+
+
+def test_a_lifted_space_equal_to_its_base_is_its_base():
+    kept = {True: 0, False: 0}
+    for space in spaces_up_to(4):
+        for kind in KINDS:
+            lifted = lift_space(kind, space)
+            assert lifted.base == space
+            assert (lifted.space is lifted.base) == (lifted.space == space), (kind, space)
+            kept[lifted.space is lifted.base] += 1
+    assert kept[True] and kept[False]
+
+
+def test_a_lift_equal_to_its_map_is_its_map():
+    kept = {True: 0, False: 0}
+    for kind in KINDS:
+        for f in maps_between(spaces_up_to(3)):
+            dom_l, cod_l = lift_space(kind, f.dom), lift_space(kind, f.cod)
+            # the same map between the bases the lifts were built from
+            g = ContinuousMap(dom_l.base, cod_l.base, f.map)
+            lifted = lift_map(kind, g)
+            arr = _pushforward_by_preimages(kind, g)
+            same = dom_l.space is g.dom and cod_l.space is g.cod and arr == g.map
+            assert (lifted is g) == same, (kind, f)
+            assert lifted == ContinuousMap(dom_l.space, cod_l.space, arr), (kind, f)
+            kept[same] += 1
+    assert kept[True] and kept[False]
 
 
 def test_functor_composition(classes3):

@@ -12,6 +12,7 @@ import types
 from pathlib import Path
 
 import topolab.suites  # noqa: F401  (loads every module the trace resolves)
+from topolab import spaces
 from topolab.corpus import maps_between, spaces_up_to
 from topolab.filters import KINDS, ULTRA
 from topolab.monadlab import check_naturality, filter_monad
@@ -67,3 +68,22 @@ def test_layer_trace_sums_the_monad_memo_counts():
     assert counters["memo.misses"] == sum(info.misses for info in infos)
     # each square reads the unit at both ends and the lift of f
     assert counters["memo.hits"] + counters["memo.misses"] == calls_before + 3 * len(maps)
+
+
+def test_layer_trace_counts_one_constructor_run_per_map(monkeypatch):
+    # the trace wraps ContinuousMap.__post_init__ by name, so a constructor
+    # that bypassed it would read 0 here; the map search runs without its
+    # memo, so every map of the corpus is built inside the trace
+    layers = _layers_module()
+    monkeypatch.setattr(
+        spaces, "enumerate_continuous_maps", spaces.enumerate_continuous_maps.__wrapped__
+    )
+    trace = layers.LayerTrace()
+    try:
+        trace.install()
+        maps = maps_between.__wrapped__(spaces_up_to(2))
+        counters = trace.counters()
+    finally:
+        trace.remove()
+    assert maps == maps_between(spaces_up_to(2))
+    assert counters["ContinuousMap.init.calls"] == len(maps) > 0
