@@ -3,6 +3,12 @@ regular coreflection, and the way-below machinery.
 
 Frames are explicit operation tables validated at construction; element
 count stays small enough that the O(k^3) distributivity scan is cheap.
+
+Frame homomorphisms are read off points: the join-irreducible elements of a
+frame form a finite space whose opens are their down-sets (Birkhoff), and
+the homomorphisms L -> M are the preimage maps of the continuous maps from
+the points of M to those of L.  Each one is still validated by ``FrameMap``.
+The regular coreflection, way-below and stable continuity stay definitional.
 """
 
 from __future__ import annotations
@@ -12,7 +18,7 @@ from functools import lru_cache
 
 from .errors import BoundExceeded, CoreflectionMismatch, InvalidInput
 from .reports import CheckReport, failed, passed
-from .spaces import ContinuousMap, FiniteSpace, commutes, composes_to
+from .spaces import ContinuousMap, FiniteSpace, commutes, composes_to, enumerate_continuous_maps
 
 LATTICE_ENUM_CAP = 10
 
@@ -406,61 +412,43 @@ def frame_is_compact(frame: FiniteFrame) -> bool:
 # frame map enumeration
 
 
+@lru_cache(maxsize=None)
+def _points(frame: FiniteFrame) -> tuple[FiniteSpace, tuple[int, ...]]:
+    """The join-irreducibles of a frame with more than one element as a space
+    whose opens are their down-sets (Birkhoff), and the mask of the
+    join-irreducibles below each element.  An element is join-irreducible
+    when it is not the join of the elements strictly below it."""
+    irreducibles = [
+        j for j in range(frame.k)
+        if frame.join_of(a for a in range(frame.k) if a != j and frame.leq[a][j]) != j
+    ]
+    masks = tuple(
+        sum(1 << i for i, j in enumerate(irreducibles) if frame.leq[j][a])
+        for a in range(frame.k)
+    )
+    return FiniteSpace(len(irreducibles), tuple(sorted(masks))), masks
+
+
 def enumerate_frame_maps(dom: FiniteFrame, cod: FiniteFrame) -> tuple[FrameMap, ...]:
-    """All frame homomorphisms, by search over join-irreducible generators."""
-    order = sorted(range(dom.k), key=lambda a: (sum(dom.leq[b][a] for b in range(dom.k)), a))
-    decomp: dict[int, tuple[int, int]] = {}
-    for e in order:
-        for a in range(dom.k):
-            for b in range(a + 1, dom.k):
-                if a != e and b != e and dom.join[a][b] == e:
-                    decomp[e] = (a, b)
-                    break
-            if e in decomp:
-                break
-    out = []
-    assign = [-1] * dom.k
+    """All frame homomorphisms dom -> cod, in the lexicographic order of phi.
 
-    def extend(pos: int) -> None:
-        if pos == len(order):
-            # the partial checks are necessary conditions only; the
-            # constructor is the arbiter of homomorphism-hood
-            try:
-                out.append(FrameMap(dom, cod, tuple(assign)))
-            except InvalidInput:
-                pass
-            return
-        e = order[pos]
-        if e == dom.bottom:
-            candidates = [cod.bottom]
-        elif e in decomp:
-            a, b = decomp[e]
-            candidates = [cod.join[assign[a]][assign[b]]]
-        elif e == dom.top:
-            candidates = [cod.top]
-        else:
-            candidates = range(cod.k)
-        for m in candidates:
-            ok = True
-            for prev in order[:pos]:
-                p = assign[prev]
-                if dom.leq[prev][e] and not cod.leq[p][m]:
-                    ok = False
-                    break
-                if assign[dom.meet[prev][e]] != cod.meet[p][m]:
-                    ok = False
-                    break
-                je = dom.join[prev][e]
-                if assign[je] != -1 and assign[je] != cod.join[p][m]:
-                    ok = False
-                    break
-            if ok:
-                assign[e] = m
-                extend(pos + 1)
-                assign[e] = -1
-
-    extend(0)
-    return tuple(out)
+    They are the preimage maps of the continuous phi from the points of cod
+    to those of dom (Birkhoff 1937; Johnstone, Stone Spaces, I.4): a goes to
+    the element of cod whose mask is the preimage of the mask of a.  The
+    one-element frame has no points: every frame maps onto it by one
+    constant map, and it maps into no other frame.
+    """
+    if cod.k == 1:
+        return (FrameMap(dom, cod, (cod.bottom,) * dom.k),)
+    if dom.k == 1:
+        return ()
+    dom_points, dom_masks = _points(dom)
+    cod_points, cod_masks = _points(cod)
+    element = {m: a for a, m in enumerate(cod_masks)}
+    return tuple(
+        FrameMap(dom, cod, tuple(element[phi.preimage(m)] for m in dom_masks))
+        for phi in enumerate_continuous_maps(cod_points, dom_points)
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 import pytest
 
-from topolab import build_space, enumerate_spaces
+from topolab import build_space
+from topolab.corpus import spaces_up_to
 
 
 @pytest.fixture(scope="session")
@@ -37,15 +38,9 @@ def indiscrete2():
 @pytest.fixture(scope="session")
 def classes3():
     """All homeomorphism classes with at most three points."""
-    out = []
-    for n in (1, 2, 3):
-        out.extend(enumerate_spaces(n, up_to_homeo=True))
-    return tuple(out)
+    return spaces_up_to(3)
 
 
 @pytest.fixture(scope="session")
 def classes4():
-    out = []
-    for n in (1, 2, 3, 4):
-        out.extend(enumerate_spaces(n, up_to_homeo=True))
-    return tuple(out)
+    return spaces_up_to(4)

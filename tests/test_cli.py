@@ -3,6 +3,9 @@
 import ast
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import time
 import types
 from pathlib import Path
@@ -413,6 +416,26 @@ def test_package_exports_no_submodules():
     assert {"run_suite", "RunBounds", "FiniteSpace", "check_reflector_universal"} <= set(
         topolab.__all__
     )
+
+
+def test_the_package_imports_only_the_standard_library():
+    # pyproject.toml declares no dependencies; the probe lists what importing
+    # the package and its CLI adds to a fresh interpreter
+    probe = (
+        "import sys; before = set(sys.modules); import topolab, topolab.cli; "
+        "print(*sorted(set(sys.modules) - before))"
+    )
+    src = Path(topolab.__file__).resolve().parents[1]
+    out = subprocess.run(
+        [sys.executable, "-c", probe],
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True,
+        text=True,
+        check=True,
+    ).stdout.split()
+    assert "topolab.cli" in out
+    roots = {name.split(".")[0] for name in out}
+    assert roots - sys.stdlib_module_names == {"topolab"}
 
 
 @pytest.mark.parametrize(

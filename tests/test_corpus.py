@@ -1,6 +1,7 @@
 """Corpus integrity: counts, determinism, bounds."""
 
 import itertools
+from functools import lru_cache
 
 import pytest
 
@@ -12,8 +13,9 @@ from topolab import (
     find_homeomorphism,
     recount_topologies,
 )
-from topolab import corpus
+from topolab import corpus, suites
 from topolab.corpus import lattice_class_counts, recount_lattices
+from topolab.suites import RunBounds, suite_corpus_counts
 
 
 LABELED = {1: 1, 2: 4, 3: 29, 4: 355}
@@ -43,6 +45,18 @@ def test_class_reduction_matches_a_scan_over_every_representative(n):
 def test_five_point_count_is_consistent():
     # the five-point corpus is allowed for targeted checks only
     assert len(enumerate_spaces(5)) == 6942
+
+
+def test_corpus_counts_reuse_the_classes_of_the_corpus(monkeypatch):
+    # lru_cache keys enumerate_spaces(n, up_to_homeo=True) apart from
+    # enumerate_spaces(n, True): a keyword call would reduce the classes again
+    fresh = lru_cache(maxsize=None)(corpus.enumerate_spaces.__wrapped__)
+    monkeypatch.setattr(corpus, "enumerate_spaces", fresh)
+    monkeypatch.setattr(suites, "enumerate_spaces", fresh)
+    corpus.spaces_up_to.__wrapped__(4)
+    assert all(r.ok for r in suite_corpus_counts(RunBounds()))
+    # the labeled spaces and the classes for n = 1..4
+    assert fresh.cache_info().currsize == 8
 
 
 def test_enumeration_bounds():

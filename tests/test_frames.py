@@ -36,7 +36,13 @@ from topolab.frames import (
 )
 from topolab import frames, suites
 from topolab.corpus import maps_between, spaces_up_to
-from topolab.spaces import ContinuousMap, compose, composes_to, enumerate_continuous_maps
+from topolab.spaces import (
+    ContinuousMap,
+    classify,
+    compose,
+    composes_to,
+    enumerate_continuous_maps,
+)
 
 
 def oracle_way_below(frame, a, b):
@@ -310,6 +316,47 @@ def test_enumerate_frame_maps_matches_bruteforce():
                 except InvalidInput:
                     continue
             assert sorted(f.map for f in enumerate_frame_maps(dom, cod)) == sorted(brute)
+
+
+def test_frame_maps_between_opens_frames_are_the_opens_maps_of_continuous_maps():
+    # spatial duality: finite T0 spaces are sober, so the frame maps
+    # O(Y) -> O(X) are exactly the preimage maps of the continuous X -> Y
+    t0 = [s for s in spaces_up_to(3) if classify(s).is_T0]
+    assert len(t0) == 8
+    total = 0
+    for x in t0:
+        for y in t0:
+            pulled = sorted(opens_frame_map(f).map for f in enumerate_continuous_maps(x, y))
+            read = sorted(f.map for f in enumerate_frame_maps(opens_frame(y), opens_frame(x)))
+            assert read == pulled
+            total += len(read)
+    assert total == 476
+
+
+def test_ideal_preserves_monos_decides_every_frame_map_of_its_corpus():
+    lattices = enumerate_lattices(6)
+    maps = [f for dom in lattices for cod in lattices for f in enumerate_frame_maps(dom, cod)]
+    assert (len(lattices), len(maps), sum(f.is_injective for f in maps)) == (13, 2655, 114)
+
+
+def test_ideal_preserves_monos_fails_when_the_ideal_image_of_a_mono_is_bent(monkeypatch):
+    # the bent image is the ideal image of a non-injective frame map between
+    # the same lattices: a valid frame map between the same ends
+    real = frames.ideal_map
+
+    def bent(f):
+        if f.is_injective:
+            for g in enumerate_frame_maps(f.dom, f.cod):
+                if not g.is_injective:
+                    image, honest = real(g), real(f)
+                    assert (image.dom, image.cod) == (honest.dom, honest.cod)
+                    return image
+        return real(f)
+
+    monkeypatch.setattr(frames, "ideal_map", bent)
+    report = check_ideal_preserves_monos(enumerate_lattices(6))
+    assert not report.ok
+    assert report.witness == "ideal image of (0, 1, 2) is not injective"
 
 
 # --- composing g onto a known frame map ----------------------------------------
