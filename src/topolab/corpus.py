@@ -87,19 +87,27 @@ def _assignments_to_spaces(n: int) -> list[FiniteSpace]:
 
 
 def recount_topologies(n: int) -> int:
-    """Independent recount: filter every family of subsets directly."""
+    """Independent recount: filter every family of subsets directly.
+
+    Each family is the empty and the full set plus a choice of the subsets
+    between them, and it counts when it is closed under union and
+    intersection.  A pair with the empty or the full set, or of a set with
+    itself, is always closed, so only pairs of distinct chosen sets are
+    tested.
+    """
     if n > 4:
         raise BoundExceeded("the brute-force recount is affordable up to 4 points")
     full = (1 << n) - 1
-    middles = [m for m in range(1, full)]
+    middles = range(1, full)
     count = 0
-    for picks in range(1 << len(middles)):
-        family = {0, full}
-        for i, m in enumerate(middles):
-            if picks >> i & 1:
-                family.add(m)
-        if all(a | b in family and a & b in family for a in family for b in family):
-            count += 1
+    for r in range(len(middles) + 1):
+        for chosen in itertools.combinations(middles, r):
+            family = {0, full, *chosen}
+            if all(
+                a | b in family and a & b in family
+                for a, b in itertools.combinations(chosen, 2)
+            ):
+                count += 1
     return count
 
 

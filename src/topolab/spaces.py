@@ -8,10 +8,11 @@ which makes equality of spaces structural.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache, reduce
 from itertools import groupby, product
-from operator import and_, itemgetter
+from operator import and_, attrgetter, itemgetter
 from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
 from .errors import BoundExceeded, InvalidInput, NotOpen
@@ -57,8 +58,8 @@ class FiniteSpace:
     The open-set membership set, the minimal neighbourhoods, the hash and
     two getters over the order pairs are computed once at construction; none
     of them takes part in equality.  The order pairs are the (x, y) with
-    x != y and y in U_x; ``_order_lo`` gathers their x and ``_order_hi``
-    their y from any array indexed by the points.
+    y in U_x, the diagonal (x, x) included; ``_order_lo`` gathers their x
+    and ``_order_hi`` their y from any array indexed by the points.
     """
 
     n: int
@@ -95,12 +96,11 @@ class FiniteSpace:
         object.__setattr__(self, "_open_set", family)
         object.__setattr__(self, "hoods", hoods)
         object.__setattr__(self, "_hash", hash((self.n, self.opens)))
-        pairs = [
-            (x, y) for x in range(self.n) for y in range(self.n) if x != y and hoods[x] >> y & 1
-        ]
-        # itemgetter needs an index and returns a bare item for one index, so
-        # pad with the pair (0, 0) up to two: its image is on the diagonal
-        pairs += [(0, 0)] * (2 - len(pairs))
+        pairs = [(x, y) for x in range(self.n) for y in range(self.n) if hoods[x] >> y & 1]
+        # itemgetter returns a bare item for one index, so the one pair of a
+        # 1-point space, (0, 0), is padded to two; a larger space has n >= 2
+        if len(pairs) == 1:
+            pairs *= 2
         lo, hi = zip(*pairs)
         object.__setattr__(self, "_order_lo", itemgetter(*lo))
         object.__setattr__(self, "_order_hi", itemgetter(*hi))
@@ -148,8 +148,11 @@ class ContinuousMap:
     specialization preorder (Stong 1966): y in U_x forces f(y) in U_f(x).
     The constructor tests that on every order pair of the domain with one
     subset test of the image pairs against the order of the codomain, so no
-    interpreter loop runs per pair.  Once the array passes, ``map`` holds
-    the shared tuple of its value.
+    interpreter loop runs per pair.  The order pairs hold the diagonal, and
+    the order of the codomain holds only pairs of its points, so the same
+    test rejects a value out of range; the failure branch tells the two
+    apart.  Once the array passes, ``map`` holds the shared tuple of its
+    value.
     """
 
     dom: FiniteSpace
@@ -161,13 +164,13 @@ class ContinuousMap:
         dom = self.dom
         if len(arr) != dom.n:
             raise InvalidInput("map length must equal the number of domain points")
-        if min(arr) < 0 or max(arr) >= self.cod.n:
-            raise InvalidInput("map value out of codomain range")
         # (f(x), f(y)) in the order of the codomain, for every order pair
-        # (x, y) of the domain
+        # (x, y) of the domain; on the diagonal, f(x) is a point of the codomain
         if not _order_relation(self.cod.hoods).issuperset(
             zip(dom._order_lo(arr), dom._order_hi(arr))
         ):
+            if min(arr) < 0 or max(arr) >= self.cod.n:
+                raise InvalidInput("map value out of codomain range")
             # a broken pair (x, y) puts x but not y in the preimage of
             # U_f(x), which is then not open: some hood is always found
             bad = next(h for h in self.cod.hoods if not dom.is_open(self.preimage(h)))
@@ -629,14 +632,13 @@ def restriction_counts(
 
     Every phi is enumerated once and tallied under the map array of
     ``phi . pre``; ``keep``, when given, admits only the phi it accepts.  A
-    map f: pre.dom -> cod has ``counts.get(f.map, 0)`` mediators.
+    map f: pre.dom -> cod has ``counts.get(f.map, 0)`` mediators.  The
+    restriction and the tally run at C level: one gather per array.
     """
-    counts: dict[tuple[int, ...], int] = {}
-    for phi in enumerate_continuous_maps(pre.cod, cod):
-        if keep is None or keep(phi):
-            key = tuple(phi.map[v] for v in pre.map)
-            counts[key] = counts.get(key, 0) + 1
-    return counts
+    phis: Iterable[ContinuousMap] = enumerate_continuous_maps(pre.cod, cod)
+    if keep is not None:
+        phis = filter(keep, phis)
+    return Counter(map(_gather(pre.map), map(attrgetter("map"), phis)))
 
 
 def mediator_breaks(

@@ -47,6 +47,7 @@ from .monadlab import (
     MonadSpec,
     NatTransSpec,
     ReflectorSpec,
+    _cached,
     algebra_structure,
     alpha_transformation,
     check_functor_laws,
@@ -522,7 +523,7 @@ def suite_prop_5_4(bounds: RunBounds) -> list[CheckReport]:
     lam = _descent(alpha_transformation(CLOSED_PRIME), "t0", p_monad, bounds)
     psi = NatTransSpec(
         "open-to-closed", s_monad.functor, p_monad.functor,
-        lambda s: compose(lam.at(s), inverse_map(phi.at(s))),
+        _cached(lambda s: compose(lam.at(s), inverse_map(phi.at(s)))),
     )
     return [
         check_monad_morphism(psi, s_monad, p_monad, spaces, maps, "prop5.4[morphism]", desc),

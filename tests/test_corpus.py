@@ -28,6 +28,27 @@ def test_labeled_counts(n):
     assert recount_topologies(n) == LABELED[n]
 
 
+def _recount_by_bits(n):
+    """One family per bit pattern over the subsets strictly between the empty
+    and the full set, closure tested on every pair of members."""
+    full = (1 << n) - 1
+    middles = list(range(1, full))
+    count = 0
+    for picks in range(1 << len(middles)):
+        family = {0, full}
+        for i, m in enumerate(middles):
+            if picks >> i & 1:
+                family.add(m)
+        if all(a | b in family and a & b in family for a in family for b in family):
+            count += 1
+    return count
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_recount_matches_a_family_per_bit_pattern(n):
+    assert recount_topologies(n) == _recount_by_bits(n) == LABELED[n]  # A000798
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_class_counts(n):
     assert len(enumerate_spaces(n, up_to_homeo=True)) == CLASSES[n]

@@ -40,6 +40,7 @@ from topolab import (
     unit,
     universal_separation,
 )
+from topolab import suites
 from topolab.corpus import maps_between, spaces_up_to
 from topolab.monadlab import (
     EndofunctorSpec,
@@ -394,6 +395,25 @@ def test_open_to_closed_iso(corpus):
     assert check_monad_morphism(psi, s, p, spaces, maps).ok
     for space in spaces:
         assert is_homeomorphism(psi.at(space))
+
+
+def test_prop_5_4_builds_each_open_to_closed_component_once(monkeypatch):
+    # the component is built once per space: the 13 classes <= 3 and the 5
+    # lifts that the multiplication square reads; built at both ends of each
+    # of the 1,462 maps it would make 3,015 inversions
+    inversions = []
+
+    def counted(f):
+        inversions.append(f)
+        return inverse_map(f)
+
+    monkeypatch.setattr(suites, "inverse_map", counted)
+    reports = suites.run_suite("prop5.4")
+    assert [(r.check_id, r.ok) for r in reports] == [
+        ("prop5.4[morphism]", True),
+        ("prop5.4[iso]", True),
+    ]
+    assert len(inversions) == 18
 
 
 def test_reflector_spec_round_trip(e1):

@@ -615,7 +615,7 @@ def _named_hood(message):
 
 
 def test_continuous_map_accepts_exactly_the_arrays_with_open_preimages():
-    # 1-point domains have no order pair, discrete domains neither
+    # 1-point domains and discrete domains have only the diagonal order pairs
     assert {a.n for a in LABELED3} == {1, 2, 3}
     assert sum(len(a.opens) == 1 << a.n for a in LABELED3) == 3
     for a in LABELED3:
@@ -646,6 +646,19 @@ def test_continuous_map_rejects_malformed_arrays():
             for wrong in (arr[:-1], arr + (0,)):
                 with pytest.raises(InvalidInput, match="map length"):
                     ContinuousMap(a, b, wrong)
+
+
+def test_a_value_out_of_range_is_named_before_a_broken_order_pair(sierpinski, point):
+    chain3 = build_space(3, [{2}, {1, 2}])  # 0 <= 1 <= 2
+    with pytest.raises(InvalidInput, match="not continuous"):
+        ContinuousMap(chain3, sierpinski, (1, 0, 0))
+    # the same broken pair (0, 1), and 2 is no point of the Sierpinski space
+    with pytest.raises(InvalidInput, match="map value out of codomain range"):
+        ContinuousMap(chain3, sierpinski, (1, 0, 2))
+    # a 1-point domain has one order pair, (0, 0), padded to two
+    for cod in (point, sierpinski, chain3):
+        with pytest.raises(InvalidInput, match="map value out of codomain range"):
+            ContinuousMap(point, cod, (cod.n,))
 
 
 def test_maps_with_equal_arrays_share_one_tuple():
