@@ -15,10 +15,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
+from operator import attrgetter
+from typing import Callable, Iterable
 
 from .errors import BoundExceeded, CoreflectionMismatch, InvalidInput
 from .reports import CheckReport, failed, passed
-from .spaces import ContinuousMap, FiniteSpace, commutes, composes_to, enumerate_continuous_maps
+from .spaces import (
+    ContinuousMap,
+    FiniteSpace,
+    _gather,
+    commutes,
+    composes_to,
+    enumerate_continuous_maps,
+)
 
 LATTICE_ENUM_CAP = 10
 
@@ -48,47 +57,56 @@ class FiniteFrame:
 
 
 def frame_from_leq(k: int, leq_rows) -> FiniteFrame:
-    """Derive the tables from an order matrix and validate all frame laws."""
+    """Derive the tables from an order matrix and validate all frame laws.
+
+    The order is read as bitmasks: ``up[a]`` holds the c with a <= c and
+    ``down[a]`` the c with c <= a.  Transitivity at (a, b) is ``up[b]``
+    inside ``up[a]``; the least upper bound of a and b is the element whose
+    up-set is ``up[a] & up[b]`` (and dually), which an order has at most once.
+    """
     if k < 1:
         raise InvalidInput("frames need at least one element")
     leq = tuple(tuple(bool(v) for v in row) for row in leq_rows)
     if len(leq) != k or any(len(r) != k for r in leq):
         raise InvalidInput("order matrix has the wrong shape")
+    up = [sum(1 << c for c in range(k) if row[c]) for row in leq]
+    down = [sum(1 << c for c in range(k) if leq[c][a]) for a in range(k)]
     for a in range(k):
-        if not leq[a][a]:
+        if not up[a] >> a & 1:
             raise InvalidInput("order not reflexive")
         for b in range(k):
-            if a != b and leq[a][b] and leq[b][a]:
+            if not leq[a][b]:
+                continue
+            if a != b and leq[b][a]:
                 raise InvalidInput("order not antisymmetric")
-            for c in range(k):
-                if leq[a][b] and leq[b][c] and not leq[a][c]:
-                    raise InvalidInput("order not transitive")
+            if up[b] & ~up[a]:
+                raise InvalidInput("order not transitive")
 
-    def lub(a: int, b: int) -> int:
-        uppers = [c for c in range(k) if leq[a][c] and leq[b][c]]
-        least = [c for c in uppers if all(leq[c][d] for d in uppers)]
-        if len(least) != 1:
-            raise InvalidInput(f"no least upper bound for ({a},{b})")
-        return least[0]
+    def table(masks: list[int], bound: str) -> tuple[tuple[int, ...], ...]:
+        element = {m: c for c, m in enumerate(masks)}
+        rows = []
+        for a, ma in enumerate(masks):
+            row = tuple(element.get(ma & mb) for mb in masks)
+            if None in row:
+                raise InvalidInput(f"no {bound} for ({a},{row.index(None)})")
+            rows.append(row)
+        return tuple(rows)
 
-    def glb(a: int, b: int) -> int:
-        lowers = [c for c in range(k) if leq[c][a] and leq[c][b]]
-        greatest = [c for c in lowers if all(leq[d][c] for d in lowers)]
-        if len(greatest) != 1:
-            raise InvalidInput(f"no greatest lower bound for ({a},{b})")
-        return greatest[0]
-
-    join = tuple(tuple(lub(a, b) for b in range(k)) for a in range(k))
-    meet = tuple(tuple(glb(a, b) for b in range(k)) for a in range(k))
-    bottoms = [a for a in range(k) if all(leq[a][b] for b in range(k))]
-    tops = [a for a in range(k) if all(leq[b][a] for b in range(k))]
+    join = table(up, "least upper bound")
+    meet = table(down, "greatest lower bound")
+    full = (1 << k) - 1
+    bottoms = [a for a in range(k) if up[a] == full]
+    tops = [a for a in range(k) if down[a] == full]
     if len(bottoms) != 1 or len(tops) != 1:
         raise InvalidInput("lattice is not bounded")
+    # a ∧ (b ∨ c) = (a ∧ b) ∨ (a ∧ c), one row of c per (a, b) by two gathers
+    after_join = [_gather(row) for row in join]
+    after_meet = [_gather(row) for row in meet]
     for a in range(k):
+        meet_a, gather_a = meet[a], after_meet[a]
         for b in range(k):
-            for c in range(k):
-                if meet[a][join[b][c]] != join[meet[a][b]][meet[a][c]]:
-                    raise InvalidInput("lattice is not distributive")
+            if after_join[b](meet_a) != gather_a(join[meet_a[b]]):
+                raise InvalidInput("lattice is not distributive")
     return FiniteFrame(k, leq, join, meet, bottoms[0], tops[0])
 
 
@@ -104,6 +122,8 @@ class FrameMap:
         if len(self.map) != self.dom.k:
             raise InvalidInput("frame map has the wrong length")
         f = self.map
+        if min(f) < 0 or max(f) >= self.cod.k:
+            raise InvalidInput("frame map value out of codomain range")
         if f[self.dom.bottom] != self.cod.bottom or f[self.dom.top] != self.cod.top:
             raise InvalidInput("frame map does not preserve the bounds")
         for a in range(self.dom.k):
@@ -163,18 +183,24 @@ def _sub_rather_below(frame: FiniteFrame, members: int, a: int, b: int) -> bool:
     return frame.join[b][_sub_pseudocomplement(frame, members, a)] == frame.top
 
 
-def _approximated(frame: FiniteFrame, members: int, a: int) -> bool:
-    """Is ``a`` the join of the members rather below it, relative to ``members``?"""
-    return a == frame.join_of(
-        c
-        for c in range(frame.k)
-        if members >> c & 1 and _sub_rather_below(frame, members, c, a)
-    )
+def _approximated_members(frame: FiniteFrame, members: int) -> int:
+    """The members that are the join of the members rather below them,
+    relative to ``members``: c is rather below a when a joins the
+    pseudocomplement of c to top.  Each pseudocomplement is computed once."""
+    elems = [a for a in range(frame.k) if members >> a & 1]
+    complements = [(c, _sub_pseudocomplement(frame, members, c)) for c in elems]
+    join, top = frame.join, frame.top
+    out = 0
+    for a in elems:
+        row = join[a]
+        if a == frame.join_of(c for c, p in complements if row[p] == top):
+            out |= 1 << a
+    return out
 
 
 def _subset_regular(frame: FiniteFrame, members: int) -> bool:
     # regularity of a candidate, with pseudocomplements relativised to it
-    return all(_approximated(frame, members, a) for a in range(frame.k) if members >> a & 1)
+    return _approximated_members(frame, members) == members
 
 
 def is_regular(frame: FiniteFrame) -> bool:
@@ -190,23 +216,17 @@ def subframes(frame: FiniteFrame) -> tuple[int, ...]:
     if frame.k > LATTICE_ENUM_CAP:
         raise BoundExceeded(f"subframe enumeration refused for k={frame.k}")
     base = 1 << frame.bottom | 1 << frame.top
+    join, meet = frame.join, frame.meet
     out = []
     for members in range(1 << frame.k):
         if members & base != base:
             continue
-        closed = True
-        for a in range(frame.k):
-            if not members >> a & 1:
-                continue
-            for b in range(frame.k):
-                if not members >> b & 1:
-                    continue
-                if not members >> frame.join[a][b] & 1 or not members >> frame.meet[a][b] & 1:
-                    closed = False
-                    break
-            if not closed:
-                break
-        if closed:
+        elems = [a for a in range(frame.k) if members >> a & 1]
+        if all(
+            members >> join[a][b] & 1 and members >> meet[a][b] & 1
+            for a in elems
+            for b in elems
+        ):
             out.append(members)
     return tuple(out)
 
@@ -226,10 +246,7 @@ def _largest_regular_by_fixpoint(frame: FiniteFrame) -> int:
     members = (1 << frame.k) - 1
     base = 1 << frame.bottom | 1 << frame.top
     while True:
-        kept = base
-        for a in range(frame.k):
-            if members >> a & 1 and _approximated(frame, members, a):
-                kept |= 1 << a
+        kept = base | _approximated_members(frame, members)
         if kept == members:
             return members
         members = kept
@@ -278,18 +295,16 @@ class IdealFrame:
             raise InvalidInput(f"{members:#x} is not an ideal of the base frame") from None
 
 
-def _is_ideal(frame: FiniteFrame, members: int) -> bool:
+def _is_ideal(frame: FiniteFrame, down: list[int], members: int) -> bool:
+    """Is ``members`` nonempty, down-closed and closed under binary joins?
+    ``down[a]`` is the mask of the elements below a."""
     if members == 0:
         return False
-    for a in range(frame.k):
-        if not members >> a & 1:
-            continue
-        for b in range(frame.k):
-            if frame.leq[b][a] and not members >> b & 1:
-                return False
-            if members >> b & 1 and not members >> frame.join[a][b] & 1:
-                return False
-    return True
+    elems = [a for a in range(frame.k) if members >> a & 1]
+    join = frame.join
+    return all(down[a] & ~members == 0 for a in elems) and all(
+        members >> join[a][b] & 1 for a in elems for b in elems
+    )
 
 
 @lru_cache(maxsize=None)
@@ -297,9 +312,8 @@ def ideal_frame(frame: FiniteFrame) -> IdealFrame:
     """All ideals, enumerated definitionally from the subset lattice."""
     if frame.k > LATTICE_ENUM_CAP:
         raise BoundExceeded(f"ideal enumeration refused for k={frame.k}")
-    ideals = tuple(
-        m for m in range(1 << frame.k) if _is_ideal(frame, m)
-    )
+    down = [sum(1 << b for b in range(frame.k) if frame.leq[b][a]) for a in range(frame.k)]
+    ideals = tuple(m for m in range(1 << frame.k) if _is_ideal(frame, down, m))
     leq = [[a & ~b == 0 for b in ideals] for a in ideals]
     return IdealFrame(ideals, frame_from_leq(len(ideals), leq))
 
@@ -429,8 +443,11 @@ def _points(frame: FiniteFrame) -> tuple[FiniteSpace, tuple[int, ...]]:
     return FiniteSpace(len(irreducibles), tuple(sorted(masks))), masks
 
 
-def enumerate_frame_maps(dom: FiniteFrame, cod: FiniteFrame) -> tuple[FrameMap, ...]:
-    """All frame homomorphisms dom -> cod, in the lexicographic order of phi.
+def _preimage_maps(
+    dom: FiniteFrame, cod: FiniteFrame, keep: Callable[[ContinuousMap], bool] | None = None
+) -> tuple[FrameMap, ...]:
+    """The frame maps dom -> cod of the phi that ``keep`` admits (every phi
+    when it is None), in the lexicographic order of phi.
 
     They are the preimage maps of the continuous phi from the points of cod
     to those of dom (Birkhoff 1937; Johnstone, Stone Spaces, I.4): a goes to
@@ -445,10 +462,18 @@ def enumerate_frame_maps(dom: FiniteFrame, cod: FiniteFrame) -> tuple[FrameMap, 
     dom_points, dom_masks = _points(dom)
     cod_points, cod_masks = _points(cod)
     element = {m: a for a, m in enumerate(cod_masks)}
+    phis: Iterable[ContinuousMap] = enumerate_continuous_maps(cod_points, dom_points)
+    if keep is not None:
+        phis = filter(keep, phis)
     return tuple(
         FrameMap(dom, cod, tuple(element[phi.preimage(m)] for m in dom_masks))
-        for phi in enumerate_continuous_maps(cod_points, dom_points)
+        for phi in phis
     )
+
+
+def enumerate_frame_maps(dom: FiniteFrame, cod: FiniteFrame) -> tuple[FrameMap, ...]:
+    """All frame homomorphisms dom -> cod, in the lexicographic order of phi."""
+    return _preimage_maps(dom, cod)
 
 
 # ---------------------------------------------------------------------------
@@ -509,11 +534,17 @@ def check_ideal_preserves_monos(
     check_id: str = "ideal-preserves-monos",
     corpus_desc: str = "",
 ) -> CheckReport:
-    """The ideal functor keeps injective frame maps injective."""
+    """The ideal functor keeps injective frame maps injective.
+
+    A frame map is injective exactly when its phi between the points is
+    surjective, so only the maps of surjective phi are built; the constant
+    map onto the one-element frame is built and tested as it comes.
+    """
     desc = corpus_desc or f"{len(corpus)} frames"
+    onto = attrgetter("is_surjective")
     for dom in corpus:
         for cod in corpus:
-            for f in enumerate_frame_maps(dom, cod):
+            for f in _preimage_maps(dom, cod, onto):
                 if not f.is_injective:
                     continue
                 if not ideal_map(f).is_injective:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import attrgetter
 from typing import Callable, NamedTuple
 
 from . import filters
@@ -24,6 +25,7 @@ from .reflectors import (
 from .spaces import (
     ContinuousMap,
     FiniteSpace,
+    _gather,
     commutes,
     compose,
     composes_to,
@@ -380,8 +382,12 @@ def check_monad_morphism(
 
 
 def _restriction_injective(pre: ContinuousMap, codomain: FiniteSpace) -> bool:
-    """Is g -> g . pre injective over all continuous g: pre.cod -> codomain?"""
-    return all(n == 1 for n in restriction_counts(pre, codomain).values())
+    """Is g -> g . pre injective over all continuous g: pre.cod -> codomain?
+
+    It is when the restrictions of the g are as many as the g.
+    """
+    phis = enumerate_continuous_maps(pre.cod, codomain)
+    return len(set(map(_gather(pre.map), map(attrgetter("map"), phis)))) == len(phis)
 
 
 def check_unit_transition_epi(

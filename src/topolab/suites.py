@@ -473,13 +473,14 @@ def suite_thm_4_11(bounds: RunBounds) -> list[CheckReport]:
 def suite_prop_5_1(bounds: RunBounds) -> list[CheckReport]:
     spaces = spaces_up_to(bounds.map_points)
     u = _monad(ULTRA, bounds)
+    structure = _cached(lambda y: inverse_map(u.unit.at(y)))  # the unique algebra structure
 
     def witnesses():
         for x_space in spaces:
             eta_x = u.unit.at(x_space)
             mu_x = u.mult.at(x_space)
             for y_space in spaces:
-                struct = inverse_map(u.unit.at(y_space))  # the unique algebra structure
+                struct = structure(y_space)
                 for f, n in mediator_breaks(
                     eta_x, y_space, keep=lambda phi: commutes(struct, u.mor(phi), phi, mu_x)
                 ):
@@ -492,12 +493,14 @@ def suite_prop_5_2(bounds: RunBounds) -> list[CheckReport]:
     spaces = spaces_up_to(bounds.map_points)
     targets = _class_spaces(bounds, lambda s: classify(s).is_stably_compact)
     desc = f"{_desc(bounds.map_points)}, stably compact targets<={bounds.epi_cap}"
+    # spaces with the same S(x) share the hom S(x) -> y: each is decided once
+    all_proper = _cached(lambda ends: all(map(is_proper, enumerate_continuous_maps(*ends))))
 
     def universal():
         for x_space in spaces:
             e = unit(OPEN_PRIME, x_space)
             for y_space in targets:
-                if not all(map(is_proper, enumerate_continuous_maps(e.cod, y_space))):
+                if not all_proper((e.cod, y_space)):
                     yield f"mediator not proper at {x_space!r}"
                 for f, n in mediator_breaks(e, y_space):
                     yield f"{n} mediators for f={f.map} on {x_space!r} -> {y_space!r}"

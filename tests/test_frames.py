@@ -1,6 +1,9 @@
 """Frame tests: lattice validation, the regular coreflection by two routes,
 ideals, way-below."""
 
+import itertools
+from operator import attrgetter
+
 import pytest
 
 from topolab import (
@@ -22,6 +25,7 @@ from topolab import (
     way_below_lattice,
 )
 from topolab.frames import (
+    FiniteFrame,
     _largest_regular_by_enumeration,
     _largest_regular_by_fixpoint,
     _sub_pseudocomplement,
@@ -463,3 +467,185 @@ def test_frame_bridge_fails_both_laws_on_a_frame_map_with_the_wrong_ends(monkeyp
     reports = {r.check_id: r for r in suites.suite_frame_bridge(bounds)}
     for check_id in ("frame-bridge[contravariant]", "frame-bridge[functorial]"):
         assert reports[check_id].witness == f"{target.map}"
+
+
+def test_frame_map_rejects_a_value_out_of_the_codomain():
+    # 4 is the first value past the four-element chain
+    for arr in ((0, 7, 3), (0, 4, 3), (0, -1, 3)):
+        with pytest.raises(InvalidInput, match="^frame map value out of codomain range$"):
+            FrameMap(chain_frame(3), chain_frame(4), arr)
+
+
+# --- twins: the order tables, the regularity oracle, the injective route -------
+
+
+def _frame_from_leq_by_loops(k, leq_rows):
+    """The order tables by per-element scans, the reference for the bitmask
+    tables message for message; returns the fields of the frame."""
+    if k < 1:
+        raise InvalidInput("frames need at least one element")
+    leq = tuple(tuple(bool(v) for v in row) for row in leq_rows)
+    if len(leq) != k or any(len(r) != k for r in leq):
+        raise InvalidInput("order matrix has the wrong shape")
+    for a in range(k):
+        if not leq[a][a]:
+            raise InvalidInput("order not reflexive")
+        for b in range(k):
+            if a != b and leq[a][b] and leq[b][a]:
+                raise InvalidInput("order not antisymmetric")
+            for c in range(k):
+                if leq[a][b] and leq[b][c] and not leq[a][c]:
+                    raise InvalidInput("order not transitive")
+
+    def lub(a, b):
+        uppers = [c for c in range(k) if leq[a][c] and leq[b][c]]
+        least = [c for c in uppers if all(leq[c][d] for d in uppers)]
+        if len(least) != 1:
+            raise InvalidInput(f"no least upper bound for ({a},{b})")
+        return least[0]
+
+    def glb(a, b):
+        lowers = [c for c in range(k) if leq[c][a] and leq[c][b]]
+        greatest = [c for c in lowers if all(leq[d][c] for d in lowers)]
+        if len(greatest) != 1:
+            raise InvalidInput(f"no greatest lower bound for ({a},{b})")
+        return greatest[0]
+
+    join = tuple(tuple(lub(a, b) for b in range(k)) for a in range(k))
+    meet = tuple(tuple(glb(a, b) for b in range(k)) for a in range(k))
+    bottoms = [a for a in range(k) if all(leq[a][b] for b in range(k))]
+    tops = [a for a in range(k) if all(leq[b][a] for b in range(k))]
+    if len(bottoms) != 1 or len(tops) != 1:
+        raise InvalidInput("lattice is not bounded")
+    for a in range(k):
+        for b in range(k):
+            for c in range(k):
+                if meet[a][join[b][c]] != join[meet[a][b]][meet[a][c]]:
+                    raise InvalidInput("lattice is not distributive")
+    return k, leq, join, meet, bottoms[0], tops[0]
+
+
+def _outcome(build, k, rows):
+    try:
+        return build(k, rows)
+    except InvalidInput as exc:
+        return str(exc)
+
+
+def _m3_and_n5():
+    # the diamond M3 and the pentagon N5: lattices, not distributive
+    m3 = [[a == b or a == 0 or b == 4 for b in range(5)] for a in range(5)]
+    n5 = [list(row) for row in m3]
+    n5[1][2] = True
+    return [m3, n5]
+
+
+def test_frame_tables_match_the_loops_they_replaced():
+    lattices = enumerate_lattices(8)
+    ideals = [ideal_frame(frame).frame for frame in lattices]
+    assert (len(lattices), len(ideals)) == (36, 36)
+    valid = [[list(row) for row in frame.leq] for frame in (*lattices, *ideals)]
+    matrices = valid + _m3_and_n5()
+    # every matrix one entry away from a lattice or M3 or N5, and every 3x3
+    for rows in valid[:36] + _m3_and_n5():
+        for a, b in itertools.product(range(len(rows)), repeat=2):
+            flipped = [list(row) for row in rows]
+            flipped[a][b] = not flipped[a][b]
+            matrices.append(flipped)
+    for bits in range(1 << 9):
+        matrices.append([[bits >> (3 * a + b) & 1 for b in range(3)] for a in range(3)])
+    messages = set()
+    for rows in matrices:
+        new = _outcome(frame_from_leq, len(rows), rows)
+        old = _outcome(_frame_from_leq_by_loops, len(rows), rows)
+        if isinstance(old, str):
+            assert new == old
+            messages.add(old.split(" for ")[0])
+        else:
+            assert new == FiniteFrame(*old)
+    assert messages == {
+        "order not reflexive",
+        "order not antisymmetric",
+        "order not transitive",
+        "no least upper bound",
+        "no greatest lower bound",
+        "lattice is not distributive",
+    }
+    for k, rows in ((0, []), (2, [[1, 1]]), (2, [[1, 1], [0]])):
+        assert _outcome(frame_from_leq, k, rows) == _outcome(_frame_from_leq_by_loops, k, rows)
+
+
+def _regular_by_approximated(frame, members):
+    """Regularity with a pseudocomplement per (element, member) pair."""
+
+    def approximated(a):
+        return a == frame.join_of(
+            c
+            for c in range(frame.k)
+            if members >> c & 1 and _sub_rather_below(frame, members, c, a)
+        )
+
+    return all(approximated(a) for a in range(frame.k) if members >> a & 1)
+
+
+def test_regularity_matches_a_pseudocomplement_per_pair():
+    lattices = enumerate_lattices(8)
+    corpus = (*lattices, *(ideal_frame(frame).frame for frame in lattices))
+    total = regular = 0
+    for frame in corpus:
+        for s in subframes(frame):
+            verdict = _regular_by_approximated(frame, s)
+            assert frames._subset_regular(frame, s) == verdict
+            total += 1
+            regular += verdict
+        # the fixpoint route, each round kept by the per-pair test
+        members, base = (1 << frame.k) - 1, 1 << frame.bottom | 1 << frame.top
+        while True:
+            kept = base | sum(
+                1 << a
+                for a in range(frame.k)
+                if members >> a & 1
+                and a == frame.join_of(
+                    c
+                    for c in range(frame.k)
+                    if members >> c & 1 and _sub_rather_below(frame, members, c, a)
+                )
+            )
+            if kept == members:
+                break
+            members = kept
+        assert _largest_regular_by_fixpoint(frame) == members
+    assert (len(corpus), total, regular) == (72, 2004, 86)
+
+
+def test_injective_frame_maps_are_those_of_surjective_points():
+    lattices = enumerate_lattices(8)
+    onto = attrgetter("is_surjective")
+    built = injective = 0
+    for dom in lattices:
+        for cod in lattices:
+            maps = frames._preimage_maps(dom, cod, onto)
+            kept = [f.map for f in maps if f.is_injective]
+            assert kept == [f.map for f in enumerate_frame_maps(dom, cod) if f.is_injective]
+            # what else is built is the constant map onto the one-element frame
+            assert all(cod.k == 1 for f in maps if not f.is_injective)
+            built += len(maps)
+            injective += len(kept)
+    assert (built, injective) == (1199, 1164)
+
+
+def test_ideal_preserves_monos_builds_only_the_maps_of_surjective_points(monkeypatch):
+    # 114 injective maps and the 12 constant maps onto the one-element frame
+    # from the larger lattices, then the 114 ideal images; building every
+    # frame map would make 2,655 + 114
+    built = []
+    real = FrameMap.__post_init__
+
+    def counted(self):
+        built.append(self)
+        real(self)
+
+    monkeypatch.setattr(FrameMap, "__post_init__", counted)
+    reports = suites.run_suite("prop5.9")
+    assert [(r.check_id, r.ok) for r in reports] == [("prop5.9", True)]
+    assert len(built) == 240

@@ -2,6 +2,7 @@
 
 import gc
 import tracemalloc
+from collections import Counter
 
 import pytest
 
@@ -40,8 +41,9 @@ from topolab import (
     unit,
     universal_separation,
 )
-from topolab import suites
+from topolab import monadlab, suites
 from topolab.corpus import maps_between, spaces_up_to
+from topolab.spaces import classify, is_proper, restriction_counts
 from topolab.monadlab import (
     EndofunctorSpec,
     _cached,
@@ -565,3 +567,83 @@ def test_memo_entry_costs_one_dict_slot():
         gc.enable()
     assert memo.cache_info().currsize == len(maps)
     assert per_entry < 80
+
+
+def test_restriction_injectivity_matches_the_tally(monkeypatch):
+    # every (map, codomain) pair that prop4.10, lemma4.5 and divergences
+    # decide, against the tally it replaced: every count is 1
+    real = monadlab._restriction_injective
+    pairs = []
+
+    def recorded(pre, codomain):
+        pairs.append((pre, codomain))
+        return real(pre, codomain)
+
+    monkeypatch.setattr(monadlab, "_restriction_injective", recorded)
+    for suite in ("prop4.10", "lemma4.5", "divergences"):
+        suites.run_suite(suite)
+    distinct = set(pairs)
+    assert (len(pairs), len(distinct)) == (3310, 996)
+    # those are all injective; every map between classes <= 2 adds failures
+    small = spaces_up_to(2)
+    distinct.update((pre, codomain) for pre in maps_between(small) for codomain in small)
+    verdicts = set()
+    for pre, codomain in distinct:
+        verdict = all(n == 1 for n in restriction_counts(pre, codomain).values())
+        assert real(pre, codomain) == verdict
+        verdicts.add(verdict)
+    assert verdicts == {True, False}
+
+
+def test_restriction_injectivity_holds_on_an_empty_hom(monkeypatch, e1):
+    monkeypatch.setattr(monadlab, "enumerate_continuous_maps", lambda dom, cod: ())
+    assert monadlab._restriction_injective(identity_map(e1), e1)
+
+
+def test_prop_5_1_inverts_each_algebra_structure_once(monkeypatch):
+    # one inversion per class <= 3 instead of one per pair of classes (169)
+    inversions = []
+
+    def counted(f):
+        inversions.append(f)
+        return inverse_map(f)
+
+    monkeypatch.setattr(suites, "inverse_map", counted)
+    reports = suites.run_suite("prop5.1")
+    assert [(r.check_id, r.ok) for r in reports] == [("prop5.1", True)]
+    assert len(inversions) == 13
+
+
+def test_prop_5_2_decides_each_hom_out_of_a_prime_open_filter_space_once(monkeypatch):
+    # 3,121 distinct maps; one scan per x_space would make 3,889 calls
+    calls = []
+
+    def counted(f):
+        calls.append(f)
+        return is_proper(f)
+
+    monkeypatch.setattr(suites, "is_proper", counted)
+    reports = suites.run_suite("prop5.2")
+    assert all(r.ok for r in reports)
+    assert len(calls) == len(set(calls)) == 3121
+
+
+def test_prop_5_2_names_every_space_whose_shared_hom_fails(monkeypatch):
+    # maps out of the most shared S(x) are declared not proper: every x with
+    # that S(x) is named once per target, in corpus order
+    spaces = spaces_up_to(3)
+    targets = tuple(s for s in spaces_up_to(4) if classify(s).is_stably_compact)
+    lifted = [unit(OPEN_PRIME, x).cod for x in spaces]
+    shared, count = Counter(lifted).most_common(1)[0]
+    assert count > 1
+    monkeypatch.setattr(suites, "is_proper", lambda f: f.dom != shared and is_proper(f))
+    monkeypatch.setattr(
+        suites, "_verdict", lambda check_id, corpus, witnesses, note="": list(witnesses)
+    )
+    universal, _ = suites.suite_prop_5_2(suites.RunBounds())
+    assert universal == [
+        f"mediator not proper at {x!r}"
+        for x, cod in zip(spaces, lifted)
+        if cod == shared
+        for _ in targets
+    ]
