@@ -8,7 +8,11 @@ Frame homomorphisms are read off points: the join-irreducible elements of a
 frame form a finite space whose opens are their down-sets (Birkhoff), and
 the homomorphisms L -> M are the preimage maps of the continuous maps from
 the points of M to those of L.  Each one is still validated by ``FrameMap``.
-The regular coreflection, way-below and stable continuity stay definitional.
+
+A finite regular frame is Boolean (Johnstone, Stone Spaces, III.1), so the
+regular coreflection is the set of complemented elements; it is computed that
+way and by the relative-pseudocomplement fixpoint, and the two must agree.
+Way-below and stable continuity stay definitional.
 """
 
 from __future__ import annotations
@@ -179,10 +183,6 @@ def _sub_pseudocomplement(frame: FiniteFrame, members: int, a: int) -> int:
     )
 
 
-def _sub_rather_below(frame: FiniteFrame, members: int, a: int, b: int) -> bool:
-    return frame.join[b][_sub_pseudocomplement(frame, members, a)] == frame.top
-
-
 def _approximated_members(frame: FiniteFrame, members: int) -> int:
     """The members that are the join of the members rather below them,
     relative to ``members``: c is rather below a when a joins the
@@ -211,37 +211,6 @@ def is_regular(frame: FiniteFrame) -> bool:
 # regular coreflection
 
 
-def subframes(frame: FiniteFrame) -> tuple[int, ...]:
-    """All subsets containing the bounds and closed under join and meet."""
-    if frame.k > LATTICE_ENUM_CAP:
-        raise BoundExceeded(f"subframe enumeration refused for k={frame.k}")
-    base = 1 << frame.bottom | 1 << frame.top
-    join, meet = frame.join, frame.meet
-    out = []
-    for members in range(1 << frame.k):
-        if members & base != base:
-            continue
-        elems = [a for a in range(frame.k) if members >> a & 1]
-        if all(
-            members >> join[a][b] & 1 and members >> meet[a][b] & 1
-            for a in elems
-            for b in elems
-        ):
-            out.append(members)
-    return tuple(out)
-
-
-def _largest_regular_by_enumeration(frame: FiniteFrame) -> int:
-    regular = [s for s in subframes(frame) if _subset_regular(frame, s)]
-    best = max(regular, key=lambda s: s.bit_count())
-    for s in regular:
-        if s & ~best:
-            raise CoreflectionMismatch(
-                "two inclusion-incomparable maximal regular subframes"
-            )
-    return best
-
-
 def _largest_regular_by_fixpoint(frame: FiniteFrame) -> int:
     members = (1 << frame.k) - 1
     base = 1 << frame.bottom | 1 << frame.top
@@ -252,18 +221,31 @@ def _largest_regular_by_fixpoint(frame: FiniteFrame) -> int:
         members = kept
 
 
+def _complemented(frame: FiniteFrame) -> int:
+    """The Boolean centre: the elements a with some b such that a ∨ b is top
+    and a ∧ b is bottom."""
+    join, meet, top, bottom = frame.join, frame.meet, frame.top, frame.bottom
+    return sum(
+        1 << a
+        for a in range(frame.k)
+        if any(join[a][b] == top and meet[a][b] == bottom for b in range(frame.k))
+    )
+
+
 def reg_coreflect(frame: FiniteFrame) -> tuple[FiniteFrame, FrameMap]:
     """Largest regular subframe with its inclusion.
 
-    The subframe-enumeration oracle is authoritative; the iterated-fixpoint
-    variant is recomputed alongside and any disagreement is an error rather
-    than a silent choice.
+    A regular subframe of a finite frame is Boolean, and as a sublattice it
+    keeps its complements, so it lies in the complemented elements, which are
+    themselves a Boolean subframe.  The fixpoint of the relative-
+    pseudocomplement definition is computed alongside; any disagreement is an
+    error rather than a silent choice.
     """
-    winner = _largest_regular_by_enumeration(frame)
-    other = _largest_regular_by_fixpoint(frame)
-    if winner != other:
+    winner = _largest_regular_by_fixpoint(frame)
+    centre = _complemented(frame)
+    if winner != centre:
         raise CoreflectionMismatch(
-            f"enumeration found {winner:#x} but the fixpoint found {other:#x}"
+            f"the fixpoint found {winner:#x} but the complemented elements are {centre:#x}"
         )
     elems = [a for a in range(frame.k) if winner >> a & 1]
     sub = frame_from_leq(
@@ -398,22 +380,16 @@ def way_below_lattice(frame: FiniteFrame, a: int, b: int) -> bool:
 
 
 def is_stably_continuous(frame: FiniteFrame) -> bool:
-    """The way-below relation approximates and is finitely multiplicative."""
-    wb = {
-        (a, b): way_below_lattice(frame, a, b)
-        for a in range(frame.k)
-        for b in range(frame.k)
-    }
+    """The way-below relation approximates and is finitely multiplicative:
+    the meets of every two way-below pairs are way below."""
+    elems, meet = range(frame.k), frame.meet
+    below = [(a, b) for a in elems for b in elems if way_below_lattice(frame, a, b)]
+    wb = set(below)
     approximating = all(
-        frame.join_of(b for b in range(frame.k) if wb[(b, a)]) == a
-        for a in range(frame.k)
+        frame.join_of(b for b in elems if (b, a) in wb) == a for a in elems
     )
-    multiplicative = wb[(frame.top, frame.top)] and all(
-        not (wb[(a, b)] and wb[(c, d)]) or wb[(frame.meet[a][c], frame.meet[b][d])]
-        for a in range(frame.k)
-        for b in range(frame.k)
-        for c in range(frame.k)
-        for d in range(frame.k)
+    multiplicative = (frame.top, frame.top) in wb and all(
+        (meet[a][c], meet[b][d]) in wb for a, b in below for c, d in below
     )
     return approximating and multiplicative
 

@@ -26,17 +26,16 @@ from topolab import (
 )
 from topolab.frames import (
     FiniteFrame,
-    _largest_regular_by_enumeration,
+    _complemented,
     _largest_regular_by_fixpoint,
     _sub_pseudocomplement,
-    _sub_rather_below,
+    _subset_regular,
     compose_frame_maps,
     frame_is_compact,
     ideal_comultiplication,
     ideal_frame,
     ideal_map,
     ideal_supremum,
-    subframes,
 )
 from topolab import frames, suites
 from topolab.corpus import maps_between, spaces_up_to
@@ -65,6 +64,37 @@ def oracle_way_below(frame, a, b):
             ):
                 return False
     return True
+
+
+def subframes(frame):
+    """All subsets containing the bounds and closed under join and meet, by a
+    scan of all 2^k subsets: the reference for the regular coreflection."""
+    base = 1 << frame.bottom | 1 << frame.top
+    join, meet = frame.join, frame.meet
+    out = []
+    for members in range(1 << frame.k):
+        if members & base != base:
+            continue
+        elems = [a for a in range(frame.k) if members >> a & 1]
+        if all(
+            members >> join[a][b] & 1 and members >> meet[a][b] & 1
+            for a in elems
+            for b in elems
+        ):
+            out.append(members)
+    return tuple(out)
+
+
+def _largest_regular_by_enumeration(frame):
+    """The largest regular subframe among all subframes;
+    ``test_reg_coreflect_unique_maximum`` checks that it holds every other."""
+    return max((s for s in subframes(frame) if _subset_regular(frame, s)), key=int.bit_count)
+
+
+def _sub_rather_below(frame, members, a, b):
+    """Is a rather below b relative to ``members``: does b join the relative
+    pseudocomplement of a to top?"""
+    return frame.join[b][_sub_pseudocomplement(frame, members, a)] == frame.top
 
 
 def test_frame_from_leq_rejects_non_lattice():
@@ -163,15 +193,30 @@ def test_reg_coreflect_boolean_identity(discrete2):
 
 
 def test_reg_coreflect_routes_agree():
-    for frame in enumerate_lattices(8):
-        assert _largest_regular_by_enumeration(frame) == _largest_regular_by_fixpoint(
-            frame
-        )
+    # the fixpoint, the complemented elements and the subframe enumeration on
+    # every lattice with at most 10 elements and on its ideal frame
+    lattices = enumerate_lattices(10)
+    corpus = (*lattices, *(ideal_frame(frame).frame for frame in lattices))
+    boolean = 0
+    for frame in corpus:
+        centre = _complemented(frame)
+        assert _largest_regular_by_fixpoint(frame) == centre
+        assert _largest_regular_by_enumeration(frame) == centre
+        boolean += centre == (1 << frame.k) - 1
+    assert (len(corpus), boolean) == (218, 8)  # 1, 2, 4 and 8 elements, twice
+
+
+def test_reg_coreflect_fixpoint_is_the_boolean_centre_up_to_12_elements():
+    lattices = enumerate_lattices(12)
+    boolean = 0
+    for frame in lattices:
+        centre = _complemented(frame)
+        assert _largest_regular_by_fixpoint(frame) == centre
+        boolean += centre == (1 << frame.k) - 1
+    assert (len(lattices), boolean) == (342, 4)
 
 
 def test_reg_coreflect_unique_maximum():
-    from topolab.frames import _subset_regular
-
     for frame in enumerate_lattices(8):
         best = _largest_regular_by_enumeration(frame)
         for s in subframes(frame):
@@ -181,24 +226,24 @@ def test_reg_coreflect_unique_maximum():
 
 def test_reg_coreflect_raises_when_the_fixpoint_disagrees(monkeypatch):
     c3 = chain_frame(3)
-    assert _largest_regular_by_enumeration(c3) == 0b101
+    assert _complemented(c3) == 0b101
     monkeypatch.setattr(frames, "_largest_regular_by_fixpoint", lambda frame: 0b111)
     with pytest.raises(
-        CoreflectionMismatch, match="enumeration found 0x5 but the fixpoint found 0x7"
+        CoreflectionMismatch,
+        match="^the fixpoint found 0x7 but the complemented elements are 0x5$",
     ):
         reg_coreflect(c3)
 
 
-def test_reg_coreflect_raises_on_two_incomparable_maximal_regular_subframes(monkeypatch):
-    # the chain 0 < 1 < 2 < 3 told that every subframe but itself is regular:
-    # {0,1,3} and {0,2,3} are then both maximal and neither holds the other
-    c4 = chain_frame(4)
-    assert subframes(c4) == (0b1001, 0b1011, 0b1101, 0b1111)
-    monkeypatch.setattr(frames, "_subset_regular", lambda frame, members: members != 0b1111)
+def test_reg_coreflect_raises_when_the_complemented_elements_disagree(monkeypatch):
+    c3 = chain_frame(3)
+    assert _largest_regular_by_fixpoint(c3) == 0b101
+    monkeypatch.setattr(frames, "_complemented", lambda frame: 0b111)
     with pytest.raises(
-        CoreflectionMismatch, match="two inclusion-incomparable maximal regular subframes"
+        CoreflectionMismatch,
+        match="^the fixpoint found 0x5 but the complemented elements are 0x7$",
     ):
-        reg_coreflect(c4)
+        reg_coreflect(c3)
 
 
 def test_ideal_frame_chain3_matches_base():
@@ -285,6 +330,49 @@ def test_every_finite_frame_stably_continuous():
     for frame in enumerate_lattices(6):
         assert is_stably_continuous(frame)
         assert frame_is_compact(frame)
+
+
+def _stably_continuous_by_quadruples(frame):
+    """Stable continuity with multiplicativity over all k^4 quadruples; it
+    reads way-below through the module, so a patched relation reaches it."""
+    wb = {
+        (a, b): frames.way_below_lattice(frame, a, b)
+        for a in range(frame.k)
+        for b in range(frame.k)
+    }
+    approximating = all(
+        frame.join_of(b for b in range(frame.k) if wb[(b, a)]) == a
+        for a in range(frame.k)
+    )
+    multiplicative = wb[(frame.top, frame.top)] and all(
+        not (wb[(a, b)] and wb[(c, d)]) or wb[(frame.meet[a][c], frame.meet[b][d])]
+        for a in range(frame.k)
+        for b in range(frame.k)
+        for c in range(frame.k)
+        for d in range(frame.k)
+    )
+    return approximating and multiplicative
+
+
+def test_stable_continuity_over_way_below_pairs_matches_the_quadruple_scan(monkeypatch):
+    for frame in enumerate_lattices(10):
+        assert is_stably_continuous(frame) == _stably_continuous_by_quadruples(frame)
+    # the order with one pair taken out, so that some verdicts are False
+    real = frames.way_below_lattice
+    verdicts = []
+    for frame in enumerate_lattices(5):
+        for x, y in itertools.product(range(frame.k), repeat=2):
+            if not frame.leq[x][y]:
+                continue
+            monkeypatch.setattr(
+                frames,
+                "way_below_lattice",
+                lambda frame, a, b: (a, b) != (x, y) and real(frame, a, b),
+            )
+            verdict = is_stably_continuous(frame)
+            assert verdict == _stably_continuous_by_quadruples(frame)
+            verdicts.append(verdict)
+    assert (len(verdicts), sum(verdicts)) == (72, 24)
 
 
 def test_frame_maps_are_proper():
@@ -595,7 +683,7 @@ def test_regularity_matches_a_pseudocomplement_per_pair():
     for frame in corpus:
         for s in subframes(frame):
             verdict = _regular_by_approximated(frame, s)
-            assert frames._subset_regular(frame, s) == verdict
+            assert _subset_regular(frame, s) == verdict
             total += 1
             regular += verdict
         # the fixpoint route, each round kept by the per-pair test
