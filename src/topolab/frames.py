@@ -1,8 +1,9 @@
 """Finite frames (bounded distributive lattices), the ideal comonad, the
 regular coreflection, and the way-below machinery.
 
-Frames are explicit operation tables validated at construction; element
-count stays small enough that the O(k^3) distributivity scan is cheap.
+Frames are explicit operation tables validated at construction.  The ideals
+are listed from down-sets, each the union of the principal down-sets of its
+members: they are the nonempty unions closed under binary joins.
 
 Frame homomorphisms are read off points: the join-irreducible elements of a
 frame form a finite space whose opens are their down-sets (Birkhoff), and
@@ -18,8 +19,8 @@ Way-below and stable continuity stay definitional.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
-from operator import attrgetter
+from functools import lru_cache, reduce
+from operator import attrgetter, or_
 from typing import Callable, Iterable
 
 from .errors import BoundExceeded, CoreflectionMismatch, InvalidInput
@@ -28,12 +29,14 @@ from .spaces import (
     ContinuousMap,
     FiniteSpace,
     _gather,
+    _unions,
     commutes,
     composes_to,
     enumerate_continuous_maps,
+    mask_to_points,
 )
 
-LATTICE_ENUM_CAP = 10
+LATTICE_ENUM_CAP = 16
 
 
 @dataclass(frozen=True, slots=True)
@@ -60,6 +63,12 @@ class FiniteFrame:
         return f"Frame({self.k}; {bits})"
 
 
+def _below(leq) -> list[int]:
+    """``below[a]``: the mask of the c with c <= a, the principal down-set of a."""
+    k = len(leq)
+    return [sum(1 << c for c in range(k) if leq[c][a]) for a in range(k)]
+
+
 def frame_from_leq(k: int, leq_rows) -> FiniteFrame:
     """Derive the tables from an order matrix and validate all frame laws.
 
@@ -74,7 +83,7 @@ def frame_from_leq(k: int, leq_rows) -> FiniteFrame:
     if len(leq) != k or any(len(r) != k for r in leq):
         raise InvalidInput("order matrix has the wrong shape")
     up = [sum(1 << c for c in range(k) if row[c]) for row in leq]
-    down = [sum(1 << c for c in range(k) if leq[c][a]) for a in range(k)]
+    down = _below(leq)
     for a in range(k):
         if not up[a] >> a & 1:
             raise InvalidInput("order not reflexive")
@@ -277,25 +286,21 @@ class IdealFrame:
             raise InvalidInput(f"{members:#x} is not an ideal of the base frame") from None
 
 
-def _is_ideal(frame: FiniteFrame, down: list[int], members: int) -> bool:
-    """Is ``members`` nonempty, down-closed and closed under binary joins?
-    ``down[a]`` is the mask of the elements below a."""
-    if members == 0:
-        return False
-    elems = [a for a in range(frame.k) if members >> a & 1]
-    join = frame.join
-    return all(down[a] & ~members == 0 for a in elems) and all(
-        members >> join[a][b] & 1 for a in elems for b in elems
-    )
+def _join_closed(frame: FiniteFrame, members: int) -> bool:
+    elems, join = mask_to_points(members), frame.join
+    return all(members >> join[a][b] & 1 for a in elems for b in elems)
 
 
 @lru_cache(maxsize=None)
 def ideal_frame(frame: FiniteFrame) -> IdealFrame:
-    """All ideals, enumerated definitionally from the subset lattice."""
+    """All ideals, in ascending mask order; none is assumed principal."""
     if frame.k > LATTICE_ENUM_CAP:
-        raise BoundExceeded(f"ideal enumeration refused for k={frame.k}")
-    down = [sum(1 << b for b in range(frame.k) if frame.leq[b][a]) for a in range(frame.k)]
-    ideals = tuple(m for m in range(1 << frame.k) if _is_ideal(frame, down, m))
+        raise BoundExceeded(
+            f"the ideal frame is refused above {LATTICE_ENUM_CAP} elements, got {frame.k}"
+        )
+    ideals = tuple(
+        m for m in sorted(_unions(_below(frame.leq))) if m and _join_closed(frame, m)
+    )
     leq = [[a & ~b == 0 for b in ideals] for a in ideals]
     return IdealFrame(ideals, frame_from_leq(len(ideals), leq))
 
@@ -303,10 +308,7 @@ def ideal_frame(frame: FiniteFrame) -> IdealFrame:
 def ideal_supremum(frame: FiniteFrame) -> FrameMap:
     """The counit: an ideal collapses to its join."""
     lifted = ideal_frame(frame)
-    arr = tuple(
-        frame.join_of(a for a in range(frame.k) if members >> a & 1)
-        for members in lifted.ideals
-    )
+    arr = tuple(frame.join_of(mask_to_points(members)) for members in lifted.ideals)
     return FrameMap(lifted.frame, frame, arr)
 
 
@@ -329,17 +331,12 @@ def ideal_map(f: FrameMap) -> FrameMap:
     """Functor action: the down-set generated by the image of an ideal."""
     dom_l = ideal_frame(f.dom)
     cod_l = ideal_frame(f.cod)
-    arr = []
-    for members in dom_l.ideals:
-        down = 0
-        for a in range(f.dom.k):
-            if members >> a & 1:
-                fa = f.map[a]
-                for b in range(f.cod.k):
-                    if f.cod.leq[b][fa]:
-                        down |= 1 << b
-        arr.append(cod_l.index_of(down))
-    return FrameMap(dom_l.frame, cod_l.frame, tuple(arr))
+    below = _below(f.cod.leq)
+    arr = tuple(
+        cod_l.index_of(reduce(or_, (below[f.map[a]] for a in mask_to_points(members))))
+        for members in dom_l.ideals
+    )
+    return FrameMap(dom_l.frame, cod_l.frame, arr)
 
 
 def check_ideal_comonad_laws(

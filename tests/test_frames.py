@@ -7,6 +7,7 @@ from operator import attrgetter
 import pytest
 
 from topolab import (
+    BoundExceeded,
     CoreflectionMismatch,
     FrameMap,
     InvalidInput,
@@ -95,6 +96,36 @@ def _sub_rather_below(frame, members, a, b):
     """Is a rather below b relative to ``members``: does b join the relative
     pseudocomplement of a to top?"""
     return frame.join[b][_sub_pseudocomplement(frame, members, a)] == frame.top
+
+
+def _ideals_by_subsets(frame):
+    """The nonempty down-closed subsets closed under binary joins, by a scan
+    of all 2^k subsets: the reference for ``ideal_frame``."""
+    down = [sum(1 << b for b in range(frame.k) if frame.leq[b][a]) for a in range(frame.k)]
+    out = []
+    for members in range(1, 1 << frame.k):
+        elems = [a for a in range(frame.k) if members >> a & 1]
+        if all(down[a] & ~members == 0 for a in elems) and all(
+            members >> frame.join[a][b] & 1 for a in elems for b in elems
+        ):
+            out.append(members)
+    return tuple(out)
+
+
+def _ideal_map_by_loops(f):
+    """The ideal image array of ``f`` by one bit per (member, element) pair:
+    the reference for ``ideal_map``."""
+    dom_l, cod_l = ideal_frame(f.dom), ideal_frame(f.cod)
+    arr = []
+    for members in dom_l.ideals:
+        down = 0
+        for a in range(f.dom.k):
+            if members >> a & 1:
+                for b in range(f.cod.k):
+                    if f.cod.leq[b][f.map[a]]:
+                        down |= 1 << b
+        arr.append(cod_l.index_of(down))
+    return tuple(arr)
 
 
 def test_frame_from_leq_rejects_non_lattice():
@@ -260,11 +291,46 @@ def test_ideal_frame_singleton():
 
 
 def test_ideals_all_principal():
-    for frame in enumerate_lattices(8):
+    lattices = enumerate_lattices(12)
+    for frame in lattices:
         lifted = ideal_frame(frame)
         assert len(lifted.ideals) == frame.k
         sup = ideal_supremum(frame)
         assert sorted(sup.map) == list(range(frame.k))
+    assert len(lattices) == 342
+
+
+def test_ideal_frame_matches_the_subset_scan():
+    # the unions of principal down-sets against all 2^k subsets, on every
+    # lattice with at most 10 elements and on its ideal frame
+    lattices = enumerate_lattices(10)
+    corpus = (*lattices, *(ideal_frame(frame).frame for frame in lattices))
+    for frame in corpus:
+        assert ideal_frame(frame).ideals == _ideals_by_subsets(frame)
+    assert len(corpus) == 218
+
+
+def test_ideal_frame_refuses_above_16_elements():
+    with pytest.raises(
+        BoundExceeded, match="^the ideal frame is refused above 16 elements, got 17$"
+    ):
+        ideal_frame(chain_frame(17))
+
+
+def test_ideal_frame_of_the_16_element_chain_has_16_ideals():
+    assert len(ideal_frame(chain_frame(16)).ideals) == 16
+
+
+def test_ideal_map_matches_the_loops_it_replaced():
+    # every frame map between the lattices with at most 6 elements, and the
+    # counit and comultiplication of the lattices with at most 8 elements
+    small = enumerate_lattices(6)
+    maps = [f for dom in small for cod in small for f in enumerate_frame_maps(dom, cod)]
+    for frame in enumerate_lattices(8):
+        maps += [ideal_supremum(frame), ideal_comultiplication(frame)]
+    for f in maps:
+        assert ideal_map(f).map == _ideal_map_by_loops(f)
+    assert len(maps) == 2727
 
 
 def test_ideal_frame_index_of_finds_every_ideal_and_raises_on_a_miss():

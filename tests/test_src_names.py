@@ -1,4 +1,4 @@
-"""Every module-level function and class of ``src/topolab`` has a use.
+"""Every module-level function, class and import of ``src/topolab`` has a use.
 
 A name counts as used when it appears, as a whole word, on some line of a
 ``src/topolab`` module other than the line that defines it, or in the
@@ -7,6 +7,10 @@ name. ``__init__.py`` only re-exports, so a name it lists is not used by that.
 ``check_filter_point``, ``compose_frame_maps`` and ``enumerate_frame_maps``
 pass only through the ``layers.py`` tables. ``layers.py`` is read as text and
 executed without importing it, as in ``test_layer_trace.py``.
+
+An import made at module level counts as used when the name it binds appears
+on a line of its module outside the import statement. ``from __future__``
+imports and re-exports marked ``# noqa: F401`` are exempt.
 """
 
 import ast
@@ -42,4 +46,25 @@ def test_every_module_level_def_and_class_in_src_is_named_elsewhere():
         and not places[node.name] - {(path, node.lineno)}
         and node.name not in traced
     ]
+    assert unused == []
+
+
+def test_every_module_level_import_in_src_is_used_in_its_module():
+    unused = []
+    for path in sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py"):
+        source = path.read_text(encoding="utf-8")
+        lines = source.splitlines()
+        for node in ast.parse(source, str(path)).body:
+            if not isinstance(node, (ast.Import, ast.ImportFrom)):
+                continue
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            statement = range(node.lineno - 1, node.end_lineno)
+            if any("# noqa: F401" in lines[i] for i in statement):
+                continue
+            rest = [line for i, line in enumerate(lines) if i not in statement]
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                if not any(re.search(rf"\b{name}\b", line) for line in rest):
+                    unused.append(f"{path.name}:{node.lineno} {name}")
     assert unused == []
