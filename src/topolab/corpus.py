@@ -1,10 +1,11 @@
 """Exhaustive corpora of small spaces, maps, and lattices.
 
-Spaces are enumerated through minimal-neighborhood assignments (finite
-topologies are exactly the Alexandrov topologies of preorders); an
-independent recount filters raw set families directly so the two totals can
-be compared.  Lattices come from the poset-of-join-irreducibles construction
-with its own brute-force recount.
+Spaces and lattices grow from the same posets.  A finite topology is a
+poset whose elements carry blocks of equivalent points, and its class is the
+orbit of its relabellings; an independent recount filters raw set families
+directly so the labeled totals can be compared.  Lattices are the down-set
+lattices of the posets (the poset-of-join-irreducibles construction), with
+their own brute-force recount.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from functools import lru_cache
 
 from .errors import BoundExceeded, InvalidInput
 from .frames import FiniteFrame, frame_from_leq
-from .spaces import FiniteSpace, build_space, find_homeomorphism
+from .spaces import FiniteSpace, image_under
 from .spaces import maps_between  # noqa: F401  (re-exported: the map corpus is read from here too)
 
 MAX_POINTS = 5
@@ -22,68 +23,38 @@ MAX_POINTS = 5
 
 @lru_cache(maxsize=None)
 def enumerate_spaces(n: int, up_to_homeo: bool = False) -> tuple[FiniteSpace, ...]:
-    """All topologies on n labeled points, optionally one per homeomorphism class."""
+    """All topologies on n labeled points, optionally one per homeomorphism
+    class, each list in ascending ``opens`` order.
+
+    A finite topology is a preorder, that is a poset whose elements carry
+    blocks of equivalent points (Stong 1966).  Each poset with at most n
+    elements, with the points 0..n-1 split into consecutive blocks of
+    positive size, one per element, gives the topology of the unions of the
+    blocks over its down-sets.  Down-sets are the up-sets of the dual poset,
+    which is grown too, so every topology on n points is a relabelling of
+    one of these, and the orbits under the n! relabellings, merged where
+    equal, are the homeomorphism classes: the labeled list is their union,
+    and each class is represented by the least ``opens`` tuple of its orbit.
+    """
     if n < 1:
         raise InvalidInput("spaces must have at least one point")
     if n > MAX_POINTS:
         raise BoundExceeded(f"space enumeration capped at {MAX_POINTS} points")
-    spaces = sorted(_assignments_to_spaces(n), key=lambda s: s.opens)
-    if not up_to_homeo:
-        return tuple(spaces)
-    classes: list[FiniteSpace] = []
-    buckets: dict[tuple, list[FiniteSpace]] = {}
-    for s in spaces:
-        bucket = buckets.setdefault(_homeo_invariants(s), [])
-        if not any(find_homeomorphism(s, rep) for rep in bucket):
-            bucket.append(s)
-            classes.append(s)
-    return tuple(classes)
-
-
-def _homeo_invariants(space: FiniteSpace) -> tuple:
-    """Invariants that homeomorphic spaces share.
-
-    The number of opens, their sorted sizes, and the sorted pairs of
-    minimal-neighbourhood size and in-degree (the number of minimal
-    neighbourhoods containing the point) per point.
-    """
-    points = sorted(
-        (space.hoods[x].bit_count(), sum(h >> x & 1 for h in space.hoods))
-        for x in range(space.n)
-    )
-    sizes = sorted(o.bit_count() for o in space.opens)
-    return len(space.opens), tuple(sizes), tuple(points)
-
-
-def _assignments_to_spaces(n: int) -> list[FiniteSpace]:
-    # assign each point its minimal open neighborhood; consistency means
-    # membership forces inclusion of the member's own neighborhood
-    full = (1 << n) - 1
-    out: list[FiniteSpace] = []
-    hoods = [0] * n
-
-    def place(i: int) -> None:
-        if i == n:
-            out.append(build_space(n, list(hoods)))
-            return
-        for m in range(full + 1):
-            if not m >> i & 1:
-                continue
-            ok = True
-            for j in range(i):
-                if m >> j & 1 and hoods[j] & ~m:
-                    ok = False
-                    break
-                if hoods[j] >> i & 1 and m & ~hoods[j]:
-                    ok = False
-                    break
-            if ok:
-                hoods[i] = m
-                place(i + 1)
-        hoods[i] = 0
-
-    place(0)
-    return out
+    # the image of every subset under each relabelling, one table per relabelling
+    images = [
+        [image_under(p, m) for m in range(1 << n)] for p in itertools.permutations(range(n))
+    ]
+    labeled: set[tuple[int, ...]] = set()
+    classes: set[tuple[int, ...]] = set()
+    for leq, downsets in _grow_posets(1 << n, n):
+        for cuts in itertools.combinations(range(1, n), len(leq) - 1):
+            bounds = (0, *cuts, n)
+            blocks = [(1 << b) - (1 << a) for a, b in zip(bounds, bounds[1:])]
+            opens = [sum(b for i, b in enumerate(blocks) if d >> i & 1) for d in downsets]
+            orbit = {tuple(sorted(map(image.__getitem__, opens))) for image in images}
+            labeled |= orbit
+            classes.add(min(orbit))
+    return tuple(FiniteSpace(n, opens) for opens in sorted(classes if up_to_homeo else labeled))
 
 
 def recount_topologies(n: int) -> int:

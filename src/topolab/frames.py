@@ -305,23 +305,26 @@ def ideal_frame(frame: FiniteFrame) -> IdealFrame:
     return IdealFrame(ideals, frame_from_leq(len(ideals), leq))
 
 
+def _ideal_joins(frame: FiniteFrame) -> tuple[int, ...]:
+    """The join of each ideal of ``frame``, in the order of its ideal frame."""
+    return tuple(frame.join_of(mask_to_points(members)) for members in ideal_frame(frame).ideals)
+
+
 def ideal_supremum(frame: FiniteFrame) -> FrameMap:
     """The counit: an ideal collapses to its join."""
-    lifted = ideal_frame(frame)
-    arr = tuple(frame.join_of(mask_to_points(members)) for members in lifted.ideals)
-    return FrameMap(lifted.frame, frame, arr)
+    return FrameMap(ideal_frame(frame).frame, frame, _ideal_joins(frame))
 
 
 def ideal_comultiplication(frame: FiniteFrame) -> FrameMap:
     """An ideal J widens to the ideal of ideals whose join lies in J."""
     lifted = ideal_frame(frame)
     twice = ideal_frame(lifted.frame)
-    sup = ideal_supremum(frame)
+    joins = _ideal_joins(frame)
     arr = []
     for members in lifted.ideals:
         chosen = 0
         for i in range(len(lifted.ideals)):
-            if members >> sup.map[i] & 1:
+            if members >> joins[i] & 1:
                 chosen |= 1 << i
         arr.append(twice.index_of(chosen))
     return FrameMap(lifted.frame, twice.frame, tuple(arr))

@@ -274,6 +274,12 @@ def _precomposers(arr: tuple[int, ...], ny: int) -> tuple[bytes | None, ...]:
     return tuple(tables)
 
 
+def require_byte_points(n: int) -> None:
+    """Refuse a map pair scan over a space of more than ``BYTE_POINTS`` points."""
+    if n > BYTE_POINTS:
+        raise BoundExceeded(f"map pair scans run on spaces of at most {BYTE_POINTS} points")
+
+
 def composition_breaks(
     spaces: tuple[FiniteSpace, ...],
     lifted: Sequence[M],
@@ -312,8 +318,7 @@ def composition_breaks(
     if not contravariant:
         for (d, c), h in zip(ends, lifted):
             lsize[d], lsize[c] = h.dom.n, h.cod.n
-    if max(size + lsize, default=0) > BYTE_POINTS:
-        raise BoundExceeded(f"map pair scans run on spaces of at most {BYTE_POINTS} points")
+    require_byte_points(max(size + lsize, default=0))
     if contravariant:
         rows = [bytes(h.map) for h in lifted]
     else:

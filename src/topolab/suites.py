@@ -93,6 +93,7 @@ from .spaces import (
     is_proper,
     mediator_breaks,
     patch_topology,
+    require_byte_points,
     way_below_open,
     way_below_via_subset,
 )
@@ -909,7 +910,7 @@ def suite_corpus_counts(bounds: RunBounds) -> list[CheckReport]:
 
 def _recount_classes(n: int) -> int:
     """Class count by permutation canonicalization of the specialization
-    preorders (Stong 1966), independent of the homeomorphism search."""
+    preorders of the labeled spaces (Stong 1966)."""
     return len({
         _poset_canonical(n, tuple(tuple(bool(h >> y & 1) for y in range(n)) for h in s.hoods))
         for s in enumerate_spaces(n)
@@ -974,6 +975,10 @@ SUITES = {
 }
 
 
+# the suites that scan the pairs of their maps through ``composition_breaks``
+PAIR_SCAN_SUITES = frozenset({"filter-naturality", "frame-bridge"})
+
+
 def _validate_bounds(bounds: RunBounds) -> None:
     """Reject bounds that would quantify over nothing or past a corpus cap,
     and a map corpus larger than the law corpus or the epimorphism codomains."""
@@ -996,8 +1001,13 @@ def run_suite(suite_id: str, bounds: RunBounds | None = None) -> list[CheckRepor
         raise UnknownFault(f"unknown fault {bounds.fault!r}; known: {sorted(FAULTS)}")
     if suite_id != "all" and suite_id not in SUITES:
         raise UnknownSuite(f"unknown suite {suite_id!r}; known: {sorted(SUITES)} or 'all'")
+    names = list(SUITES) if suite_id == "all" else [suite_id]
+    # refused before any corpus is built: the map corpus of 5 points alone
+    # takes hundreds of megabytes before the scan would refuse it
+    if not PAIR_SCAN_SUITES.isdisjoint(names):
+        require_byte_points(bounds.map_points)
     reports: list[CheckReport] = []
-    for name in SUITES if suite_id == "all" else [suite_id]:
+    for name in names:
         try:
             reports.extend(SUITES[name](bounds))
         except _CONSTRUCTION_FAILURES as exc:

@@ -15,7 +15,7 @@ import pytest
 import topolab
 from topolab.cli import MONAD_KINDS, main
 from topolab.serialization import dumps, space_to_json
-from topolab import errors
+from topolab import errors, spaces
 from topolab.errors import InvalidInput, NotWellDefined
 from topolab.corpus import MAX_POINTS, spaces_up_to
 from topolab.filters import ULTRA_MAX_POINTS
@@ -25,6 +25,7 @@ from topolab.suites import (
     _FAULT_KIND,
     FAULT_TARGETS,
     FAULTS,
+    PAIR_SCAN_SUITES,
     SUITES,
     RunBounds,
     _swap_first_two,
@@ -518,7 +519,8 @@ def test_lowering_only_the_epi_cap_lowers_the_default_map_corpus(monkeypatch, ca
 
 
 def test_a_pair_scan_past_four_points_exits_2(monkeypatch, capsys):
-    # a one-map 5-point corpus reaches the functoriality kernel at once
+    # run_suite refuses the bound before the suite runs; were that refusal
+    # gone, this one-map 5-point corpus would reach the kernel's own guard
     five = build_space(5, [{0}])
     monkeypatch.setattr(
         "topolab.suites._map_corpus", lambda bounds: ((five,), (identity_map(five),), "five")
@@ -528,6 +530,43 @@ def test_a_pair_scan_past_four_points_exits_2(monkeypatch, capsys):
     captured = capsys.readouterr()
     assert captured.err == "error: map pair scans run on spaces of at most 4 points\n"
     assert captured.out == ""
+
+
+def test_a_pair_scan_ceiling_is_refused_before_any_corpus_is_built(monkeypatch, capsys):
+    # prop3.4 runs before filter-naturality, and its map corpus of 5 points
+    # would hold 7,612,325 maps
+    def no_map_corpus(corpus):
+        raise AssertionError(f"a map corpus was built over {len(corpus)} spaces")
+
+    monkeypatch.setattr("topolab.suites.maps_between", no_map_corpus)
+    flags = ["--max-points", "5", "--epi-cap", "5", "--map-points", "5"]
+    assert main(["check", "--suite", "all", *flags]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: map pair scans run on spaces of at most 4 points\n"
+    assert captured.out == ""
+
+
+def test_only_the_pair_scan_suites_reach_the_pair_kernel(monkeypatch):
+    # run_suite refuses the pair-scan ceiling up front for PAIR_SCAN_SUITES
+    # alone, so a suite that starts to scan pairs must be listed there
+    kernel = spaces.composition_breaks
+    callers = set()
+    running = [None]
+
+    def traced(*args, **kwargs):
+        callers.add(running[0])
+        return kernel(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] != "topolab":
+            continue
+        if getattr(module, "composition_breaks", None) is kernel:
+            monkeypatch.setattr(module, "composition_breaks", traced)
+    bounds = RunBounds(max_points=2, map_points=2, epi_cap=2)
+    for sid in SUITES:
+        running[0] = sid
+        assert all(r.ok for r in run_suite(sid, bounds)), sid
+    assert callers == PAIR_SCAN_SUITES
 
 
 @pytest.mark.parametrize(

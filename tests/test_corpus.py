@@ -8,6 +8,7 @@ import pytest
 from topolab import (
     BoundExceeded,
     InvalidInput,
+    build_space,
     enumerate_lattices,
     enumerate_spaces,
     find_homeomorphism,
@@ -52,6 +53,66 @@ def test_recount_matches_a_family_per_bit_pattern(n):
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_class_counts(n):
     assert len(enumerate_spaces(n, up_to_homeo=True)) == CLASSES[n]
+
+
+def _assignments_to_spaces(n):
+    """Every labeled topology on n points, by assigning each point its minimal
+    open neighbourhood; consistency means membership forces inclusion of the
+    member's own neighbourhood."""
+    full = (1 << n) - 1
+    out = []
+    hoods = [0] * n
+
+    def place(i):
+        if i == n:
+            out.append(build_space(n, list(hoods)))
+            return
+        for m in range(full + 1):
+            if not m >> i & 1:
+                continue
+            if all(
+                not (m >> j & 1 and hoods[j] & ~m) and not (hoods[j] >> i & 1 and m & ~hoods[j])
+                for j in range(i)
+            ):
+                hoods[i] = m
+                place(i + 1)
+        hoods[i] = 0
+
+    place(0)
+    return out
+
+
+def _homeo_invariants(space):
+    """The number of opens, their sorted sizes, and the sorted pairs of
+    minimal-neighbourhood size and in-degree per point."""
+    points = sorted(
+        (space.hoods[x].bit_count(), sum(h >> x & 1 for h in space.hoods))
+        for x in range(space.n)
+    )
+    return len(space.opens), tuple(sorted(o.bit_count() for o in space.opens)), tuple(points)
+
+
+@lru_cache(maxsize=None)
+def _reference_route(n):
+    """The labeled spaces by neighbourhood assignment, in ascending opens
+    order, and the first of each homeomorphism class among them, found by
+    the homeomorphism search within buckets of shared invariants."""
+    labeled = sorted(_assignments_to_spaces(n), key=lambda s: s.opens)
+    classes = []
+    buckets = {}
+    for s in labeled:
+        bucket = buckets.setdefault(_homeo_invariants(s), [])
+        if not any(find_homeomorphism(s, rep) for rep in bucket):
+            bucket.append(s)
+            classes.append(s)
+    return tuple(labeled), tuple(classes)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_orbits_of_posets_with_blocks_match_the_homeomorphism_route(n):
+    labeled, classes = _reference_route(n)
+    assert enumerate_spaces(n) == labeled
+    assert enumerate_spaces(n, True) == classes
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -151,6 +212,9 @@ def _full_canonical(m, leq):
 
 
 def test_refined_canonical_form_separates_what_the_full_form_separates(monkeypatch):
+    # _grow_posets keeps one poset per canonical form, and both the space and
+    # the lattice corpus grow from it: a form that merged two posets would
+    # lose a class of each
     grown = []
 
     def record(m, leq):

@@ -346,6 +346,22 @@ def test_ideal_comonad_laws():
     assert check_ideal_comonad_laws(enumerate_lattices(8)).ok
 
 
+def test_ideal_comonad_laws_build_each_structure_map_once(monkeypatch):
+    # per lattice: the counit and comultiplication at the frame and at its
+    # ideal frame, the identity, and the two lifts of ideal_map
+    built = []
+    init = FrameMap.__post_init__
+
+    def count(self):
+        built.append(self)
+        init(self)
+
+    monkeypatch.setattr(FrameMap, "__post_init__", count)
+    lattices = enumerate_lattices(8)
+    assert check_ideal_comonad_laws(lattices).ok
+    assert len(built) == 7 * len(lattices) == 252
+
+
 def test_ideal_comonad_laws_catch_a_broken_coassociativity(monkeypatch):
     # swapping the two atoms of the square 2 x 2 is a frame automorphism, so
     # the comultiplication of its ideal frame after that swap is a frame map

@@ -1,5 +1,6 @@
 """The benchmark's outside-in layer trace still finds every name it wraps,
-and still reads the counts of the monad memos.
+still reads the counts of the monad memos, and still reports every per-layer
+metric that ``BENCHMARK.json`` lists.
 
 ``perfbench/layers.py`` wraps public functions and methods by name; renaming or
 deleting one of them would only show when the benchmark is traced. It sums the
@@ -8,6 +9,7 @@ if the memos stopped reporting. Its source is read and executed here without
 importing it, so nothing is written next to it.
 """
 
+import json
 import types
 from pathlib import Path
 
@@ -17,7 +19,9 @@ from topolab.corpus import maps_between, spaces_up_to
 from topolab.filters import KINDS, ULTRA
 from topolab.monadlab import check_naturality, filter_monad
 
-LAYERS = Path(__file__).resolve().parent.parent / "perfbench" / "layers.py"
+ROOT = Path(__file__).resolve().parent.parent
+LAYERS = ROOT / "perfbench" / "layers.py"
+BENCHMARK = ROOT / "BENCHMARK.json"
 
 
 def _layers_module() -> types.ModuleType:
@@ -87,3 +91,19 @@ def test_layer_trace_counts_one_constructor_run_per_map(monkeypatch):
         trace.remove()
     assert maps == maps_between(spaces_up_to(2))
     assert counters["ContinuousMap.init.calls"] == len(maps) > 0
+
+
+def test_layer_trace_reports_every_per_layer_metric_of_the_benchmark():
+    # the metrics exist from install on, whatever the workload calls: a
+    # wrapped name or a memo's cache_info that went missing would silently
+    # drop them from every traced run; the overhead ratio is added per run
+    layers = _layers_module()
+    listed = {m["name"] for m in json.loads(BENCHMARK.read_text(encoding="utf-8"))["per_layer"]}
+    listed.discard("trace.overhead_ratio")
+    trace = layers.LayerTrace()
+    try:
+        trace.install()
+    finally:
+        trace.remove()
+    assert listed - set(trace.metrics()) == set()
+    assert len(listed) == 112

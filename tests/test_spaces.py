@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from topolab import (
+    BoundExceeded,
     ContinuousMap,
     FiniteSpace,
     InvalidInput,
@@ -997,6 +998,19 @@ def test_composition_breaks_takes_one_lift_per_map():
     maps = maps_between(spaces)
     with pytest.raises(InvalidInput, match=f"{len(maps) - 1} lifts for the {len(maps)} maps"):
         list(composition_breaks(spaces, maps[:-1]))
+
+
+@pytest.mark.parametrize("lifted_only", [False, True])
+def test_composition_breaks_refuses_a_space_past_four_points(lifted_only):
+    # a 5-point space, or only the lift of a 1-point space: both leave the byte codes
+    five = build_space(5, [{0}])
+    if lifted_only:
+        spaces, lifted = (build_space(1),), (identity_map(five),)
+    else:
+        spaces = (five,)
+        lifted = maps_between(spaces)
+    with pytest.raises(BoundExceeded, match="map pair scans run on spaces of at most 4 points"):
+        list(composition_breaks(spaces, lifted))
 
 
 # --- composing g onto a known map: compose builds, composes_to decides ------
