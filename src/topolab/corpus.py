@@ -34,7 +34,8 @@ def enumerate_spaces(n: int, up_to_homeo: bool = False) -> tuple[FiniteSpace, ..
     which is grown too, so every topology on n points is a relabelling of
     one of these, and the orbits under the n! relabellings, merged where
     equal, are the homeomorphism classes: the labeled list is their union,
-    and each class is represented by the least ``opens`` tuple of its orbit.
+    and each class is represented by the least ``opens`` tuple of its orbit,
+    the only tuple of the orbit that a call for the classes keeps.
     """
     if n < 1:
         raise InvalidInput("spaces must have at least one point")
@@ -44,17 +45,18 @@ def enumerate_spaces(n: int, up_to_homeo: bool = False) -> tuple[FiniteSpace, ..
     images = [
         [image_under(p, m) for m in range(1 << n)] for p in itertools.permutations(range(n))
     ]
-    labeled: set[tuple[int, ...]] = set()
-    classes: set[tuple[int, ...]] = set()
+    found: set[tuple[int, ...]] = set()
     for leq, downsets in _grow_posets(1 << n, n):
         for cuts in itertools.combinations(range(1, n), len(leq) - 1):
             bounds = (0, *cuts, n)
             blocks = [(1 << b) - (1 << a) for a, b in zip(bounds, bounds[1:])]
             opens = [sum(b for i, b in enumerate(blocks) if d >> i & 1) for d in downsets]
-            orbit = {tuple(sorted(map(image.__getitem__, opens))) for image in images}
-            labeled |= orbit
-            classes.add(min(orbit))
-    return tuple(FiniteSpace(n, opens) for opens in sorted(classes if up_to_homeo else labeled))
+            orbit = (tuple(sorted(map(image.__getitem__, opens))) for image in images)
+            if up_to_homeo:
+                found.add(min(orbit))
+            else:
+                found.update(orbit)
+    return tuple(FiniteSpace(n, opens) for opens in sorted(found))
 
 
 def recount_topologies(n: int) -> int:

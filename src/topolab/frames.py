@@ -24,7 +24,7 @@ from operator import attrgetter, or_
 from typing import Callable, Iterable
 
 from .errors import BoundExceeded, CoreflectionMismatch, InvalidInput
-from .reports import CheckReport, failed, passed
+from .reports import CheckReport, verdict
 from .spaces import (
     ContinuousMap,
     FiniteSpace,
@@ -345,19 +345,21 @@ def ideal_map(f: FrameMap) -> FrameMap:
 def check_ideal_comonad_laws(
     corpus: tuple[FiniteFrame, ...], check_id: str = "ideal-comonad", corpus_desc: str = ""
 ) -> CheckReport:
-    desc = corpus_desc or f"{len(corpus)} frames"
-    for frame in corpus:
-        lifted = ideal_frame(frame)
-        sup = ideal_supremum(frame)
-        comult = ideal_comultiplication(frame)
-        ident = FrameMap(lifted.frame, lifted.frame, tuple(range(lifted.frame.k)))
-        if not composes_to(ideal_supremum(lifted.frame), comult, ident):
-            return failed(check_id, desc, f"counit law (outer) fails on {frame!r}")
-        if not composes_to(ideal_map(sup), comult, ident):
-            return failed(check_id, desc, f"counit law (inner) fails on {frame!r}")
-        if not commutes(ideal_map(comult), comult, ideal_comultiplication(lifted.frame), comult):
-            return failed(check_id, desc, f"coassociativity fails on {frame!r}")
-    return passed(check_id, desc)
+    def witnesses():
+        for frame in corpus:
+            lifted = ideal_frame(frame)
+            sup = ideal_supremum(frame)
+            comult = ideal_comultiplication(frame)
+            ident = FrameMap(lifted.frame, lifted.frame, tuple(range(lifted.frame.k)))
+            if not composes_to(ideal_supremum(lifted.frame), comult, ident):
+                yield f"counit law (outer) fails on {frame!r}"
+            if not composes_to(ideal_map(sup), comult, ident):
+                yield f"counit law (inner) fails on {frame!r}"
+            comult_il = ideal_comultiplication(lifted.frame)
+            if not commutes(ideal_map(comult), comult, comult_il, comult):
+                yield f"coassociativity fails on {frame!r}"
+
+    return verdict(check_id, corpus_desc or f"{len(corpus)} frames", witnesses())
 
 
 # ---------------------------------------------------------------------------
@@ -463,32 +465,29 @@ def check_compact_regular_coreflection(
 ) -> CheckReport:
     """The regular part of the ideal frame is compact, regular and stably
     continuous, and the restricted counit is dense (reflects bottom)."""
-    desc = corpus_desc or f"{len(corpus)} frames"
-    for frame in corpus:
-        lifted = ideal_frame(frame)
-        sup = ideal_supremum(frame)
-        if any(sup.map[i] == frame.bottom and lifted.ideals[i] != 1 << frame.bottom
-               for i in range(lifted.frame.k)):
-            return failed(check_id, desc, f"counit does not reflect bottom on {frame!r}")
-        reg_il, incl_il = reg_coreflect(lifted.frame)
-        if not frame_is_compact(reg_il):
-            return failed(check_id, desc, f"regular part not compact for {frame!r}")
-        if not is_regular(reg_il):
-            return failed(check_id, desc, f"regular part not regular for {frame!r}")
-        if not is_stably_continuous(reg_il):
-            return failed(check_id, desc, f"regular part not stably continuous for {frame!r}")
-        reg_l, incl_l = reg_coreflect(frame)
-        restricted = _restrict_into(sup, incl_il, reg_l, incl_l)
-        if restricted is None:
-            return failed(
-                check_id, desc, f"counit does not restrict to the regular parts of {frame!r}"
-            )
-        for i in range(reg_il.k):
-            if restricted.map[i] == reg_l.bottom and i != reg_il.bottom:
-                return failed(
-                    check_id, desc, f"restricted counit not dense on {frame!r}"
-                )
-    return passed(check_id, desc)
+    def witnesses():
+        for frame in corpus:
+            lifted = ideal_frame(frame)
+            sup = ideal_supremum(frame)
+            if any(sup.map[i] == frame.bottom and lifted.ideals[i] != 1 << frame.bottom
+                   for i in range(lifted.frame.k)):
+                yield f"counit does not reflect bottom on {frame!r}"
+            reg_il, incl_il = reg_coreflect(lifted.frame)
+            if not frame_is_compact(reg_il):
+                yield f"regular part not compact for {frame!r}"
+            if not is_regular(reg_il):
+                yield f"regular part not regular for {frame!r}"
+            if not is_stably_continuous(reg_il):
+                yield f"regular part not stably continuous for {frame!r}"
+            reg_l, incl_l = reg_coreflect(frame)
+            restricted = _restrict_into(sup, incl_il, reg_l, incl_l)
+            if restricted is None:
+                yield f"counit does not restrict to the regular parts of {frame!r}"
+            elif any(restricted.map[i] == reg_l.bottom and i != reg_il.bottom
+                     for i in range(reg_il.k)):
+                yield f"restricted counit not dense on {frame!r}"
+
+    return verdict(check_id, corpus_desc or f"{len(corpus)} frames", witnesses())
 
 
 def _restrict_into(
@@ -516,15 +515,13 @@ def check_ideal_preserves_monos(
     surjective, so only the maps of surjective phi are built; the constant
     map onto the one-element frame is built and tested as it comes.
     """
-    desc = corpus_desc or f"{len(corpus)} frames"
     onto = attrgetter("is_surjective")
-    for dom in corpus:
-        for cod in corpus:
-            for f in _preimage_maps(dom, cod, onto):
-                if not f.is_injective:
-                    continue
-                if not ideal_map(f).is_injective:
-                    return failed(
-                        check_id, desc, f"ideal image of {f.map} is not injective"
-                    )
-    return passed(check_id, desc)
+
+    def witnesses():
+        for dom in corpus:
+            for cod in corpus:
+                for f in _preimage_maps(dom, cod, onto):
+                    if f.is_injective and not ideal_map(f).is_injective:
+                        yield f"ideal image of {f.map} is not injective"
+
+    return verdict(check_id, corpus_desc or f"{len(corpus)} frames", witnesses())

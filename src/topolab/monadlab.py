@@ -12,11 +12,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from operator import attrgetter
-from typing import Callable, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 from . import filters
 from .errors import HypothesisViolated, InvalidInput, NoSplitting
-from .reports import CheckReport, failed, not_applicable, passed
+from .reports import CheckReport, not_applicable, verdict
 from .reflectors import (
     CLASS_PREDICATES,
     REFLECT_OPS,
@@ -301,23 +301,29 @@ def check_functor_laws(
     first failing pair of the all-pairs scan.
     """
     maps = maps_between(spaces)
-    desc = corpus_desc or f"{len(spaces)} spaces, {len(maps)} maps"
     name = functor.name
-    for space in spaces:
-        if functor.mor(identity_map(space)).map != identity_map(functor.obj(space)).map:
-            return failed(check_id, desc, f"{name} breaks identities at {space!r}")
-    lifted = [functor.mor(m) for m in maps]
-    for m, h in zip(maps, lifted):
-        if h.dom != functor.obj(m.dom) or h.cod != functor.obj(m.cod):
-            return failed(
-                check_id, desc,
-                f"{name} sends {m.map} off {name}({m.dom!r}) -> {name}({m.cod!r})",
-            )
-    for i, j in composition_breaks(spaces, lifted):
-        return failed(
-            check_id, desc, f"{name} breaks composition at {maps[i].map};{maps[j].map}"
-        )
-    return passed(check_id, desc)
+
+    def witnesses():
+        for space in spaces:
+            if functor.mor(identity_map(space)).map != identity_map(functor.obj(space)).map:
+                yield f"{name} breaks identities at {space!r}"
+        lifted = [functor.mor(m) for m in maps]
+        for m, h in zip(maps, lifted):
+            if h.dom != functor.obj(m.dom) or h.cod != functor.obj(m.cod):
+                yield f"{name} sends {m.map} off {name}({m.dom!r}) -> {name}({m.cod!r})"
+        for i, j in composition_breaks(spaces, lifted):
+            yield f"{name} breaks composition at {maps[i].map};{maps[j].map}"
+
+    desc = corpus_desc or f"{len(spaces)} spaces, {len(maps)} maps"
+    return verdict(check_id, desc, witnesses())
+
+
+def _broken_squares(nt: NatTransSpec, maps: tuple[ContinuousMap, ...]) -> Iterator[str]:
+    """A witness for each map whose naturality square of ``nt`` fails."""
+    at, source_mor, target_mor = nt.at, nt.source.mor, nt.target.mor
+    for f in maps:
+        if not commutes(at(f.cod), source_mor(f), target_mor(f), at(f.dom)):
+            yield f"{nt.name} square fails at {f.dom!r} -> {f.cod!r}, f={f.map}"
 
 
 def check_naturality(
@@ -326,14 +332,7 @@ def check_naturality(
     check_id: str = "naturality",
     corpus_desc: str = "",
 ) -> CheckReport:
-    desc = corpus_desc or f"{len(maps)} maps"
-    at, source_mor, target_mor = nt.at, nt.source.mor, nt.target.mor
-    for f in maps:
-        if not commutes(at(f.cod), source_mor(f), target_mor(f), at(f.dom)):
-            return failed(
-                check_id, desc, f"{nt.name} square fails at {f.dom!r} -> {f.cod!r}, f={f.map}"
-            )
-    return passed(check_id, desc)
+    return verdict(check_id, corpus_desc or f"{len(maps)} maps", _broken_squares(nt, maps))
 
 
 def check_monad_laws(
@@ -343,19 +342,21 @@ def check_monad_laws(
     corpus_desc: str = "",
 ) -> CheckReport:
     """Both unit laws and associativity, pointwise on every corpus space."""
-    desc = corpus_desc or f"{len(spaces)} spaces"
-    for space in spaces:
-        tx = monad.obj(space)
-        eta = monad.unit.at(space)
-        mu = monad.mult.at(space)
-        ident = identity_map(tx)
-        if not composes_to(mu, monad.unit.at(tx), ident):
-            return failed(check_id, desc, f"{monad.name}: mu.(unit at T) fails at {space!r}")
-        if not composes_to(mu, monad.mor(eta), ident):
-            return failed(check_id, desc, f"{monad.name}: mu.T(unit) fails at {space!r}")
-        if not commutes(mu, monad.mult.at(tx), mu, monad.mor(mu)):
-            return failed(check_id, desc, f"{monad.name}: associativity fails at {space!r}")
-    return passed(check_id, desc)
+
+    def witnesses():
+        for space in spaces:
+            tx = monad.obj(space)
+            eta = monad.unit.at(space)
+            mu = monad.mult.at(space)
+            ident = identity_map(tx)
+            if not composes_to(mu, monad.unit.at(tx), ident):
+                yield f"{monad.name}: mu.(unit at T) fails at {space!r}"
+            if not composes_to(mu, monad.mor(eta), ident):
+                yield f"{monad.name}: mu.T(unit) fails at {space!r}"
+            if not commutes(mu, monad.mult.at(tx), mu, monad.mor(mu)):
+                yield f"{monad.name}: associativity fails at {space!r}"
+
+    return verdict(check_id, corpus_desc or f"{len(spaces)} spaces", witnesses())
 
 
 def check_monad_morphism(
@@ -368,17 +369,18 @@ def check_monad_morphism(
     corpus_desc: str = "",
 ) -> CheckReport:
     """Compatibility with both units and both multiplications, plus naturality."""
+
+    def witnesses():
+        yield from _broken_squares(nt, maps)
+        for space in spaces:
+            if not composes_to(nt.at(space), source.unit.at(space), target.unit.at(space)):
+                yield f"{nt.name} misses the unit at {space!r}"
+            squared = horizontal(nt, nt, space)
+            if not commutes(nt.at(space), source.mult.at(space), target.mult.at(space), squared):
+                yield f"{nt.name} misses the multiplication at {space!r}"
+
     desc = corpus_desc or f"{len(spaces)} spaces, {len(maps)} maps"
-    nat = check_naturality(nt, maps, check_id, desc)
-    if not nat.ok:
-        return nat
-    for space in spaces:
-        if not composes_to(nt.at(space), source.unit.at(space), target.unit.at(space)):
-            return failed(check_id, desc, f"{nt.name} misses the unit at {space!r}")
-        squared = horizontal(nt, nt, space)
-        if not commutes(nt.at(space), source.mult.at(space), target.mult.at(space), squared):
-            return failed(check_id, desc, f"{nt.name} misses the multiplication at {space!r}")
-    return passed(check_id, desc)
+    return verdict(check_id, desc, witnesses())
 
 
 def _restriction_injective(pre: ContinuousMap, codomain: FiniteSpace) -> bool:
@@ -406,20 +408,21 @@ def check_unit_transition_epi(
     quantification over the supplied codomains.  Both are evaluated and must
     agree instance by instance.
     """
-    desc = corpus_desc or f"{len(spaces)} spaces, {len(codomains)} codomains"
     targets = tuple(z for z in codomains if R.in_class(z))
-    for space in spaces:
-        eta = monad.unit.at(space)
-        r_eta = R.mor(eta)  # RX -> RTX
-        parallel = all(_restriction_injective(eta, z) for z in targets)
-        epi = all(_restriction_injective(r_eta, z) for z in targets)
-        if parallel != epi:
-            return failed(
-                check_id, desc, f"formulations disagree at {space!r}: {parallel} vs {epi}"
-            )
-        if not epi:
-            return failed(check_id, desc, f"reflected unit not epi at {space!r}")
-    return passed(check_id, desc)
+
+    def witnesses():
+        for space in spaces:
+            eta = monad.unit.at(space)
+            r_eta = R.mor(eta)  # RX -> RTX
+            parallel = all(_restriction_injective(eta, z) for z in targets)
+            epi = all(_restriction_injective(r_eta, z) for z in targets)
+            if parallel != epi:
+                yield f"formulations disagree at {space!r}: {parallel} vs {epi}"
+            if not epi:
+                yield f"reflected unit not epi at {space!r}"
+
+    desc = corpus_desc or f"{len(spaces)} spaces, {len(codomains)} codomains"
+    return verdict(check_id, desc, witnesses())
 
 
 def check_idempotent(
@@ -429,13 +432,13 @@ def check_idempotent(
     corpus_desc: str = "",
 ) -> CheckReport:
     """A monad is idempotent when every multiplication component is invertible."""
-    desc = corpus_desc or f"{len(spaces)} spaces"
-    for space in spaces:
-        if not is_homeomorphism(monad.mult.at(space)):
-            return failed(
-                check_id, desc, f"{monad.name}: mult not a homeomorphism at {space!r}"
-            )
-    return passed(check_id, desc)
+
+    def witnesses():
+        for space in spaces:
+            if not is_homeomorphism(monad.mult.at(space)):
+                yield f"{monad.name}: mult not a homeomorphism at {space!r}"
+
+    return verdict(check_id, corpus_desc or f"{len(spaces)} spaces", witnesses())
 
 
 def fakir_test(
@@ -451,21 +454,21 @@ def fakir_test(
     quantification over the supplied codomains; the two must agree.
     """
     desc = corpus_desc or f"{len(spaces)} spaces"
-    idem = check_idempotent(monad, spaces)
-    if not idem.ok:
+    if not check_idempotent(monad, spaces).ok:
         return not_applicable(check_id, desc, note=f"{monad.name} is not idempotent")
-    for space in spaces:
-        e = monad.unit.at(space)
-        if not e.is_injective:
-            continue  # hypothesis empty at this instance
-        bounded_epi = all(_restriction_injective(e, z) for z in codomains)
-        if bounded_epi != e.is_surjective:
-            return failed(
-                check_id, desc, f"epi readings disagree at {space!r}"
-            )
-        if not bounded_epi:
-            return failed(check_id, desc, f"monic unit fails to be epic at {space!r}")
-    return passed(check_id, desc)
+
+    def witnesses():
+        for space in spaces:
+            e = monad.unit.at(space)
+            if not e.is_injective:
+                continue  # hypothesis empty at this instance
+            bounded_epi = all(_restriction_injective(e, z) for z in codomains)
+            if bounded_epi != e.is_surjective:
+                yield f"epi readings disagree at {space!r}"
+            if not bounded_epi:
+                yield f"monic unit fails to be epic at {space!r}"
+
+    return verdict(check_id, desc, witnesses())
 
 
 def monad_preserves_epis(

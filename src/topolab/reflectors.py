@@ -7,7 +7,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .errors import HypothesisViolated, InvalidInput, NotStablyCompact, NotWellDefined
-from .reports import CheckReport, failed, passed
+from .reports import CheckReport, verdict
 from .spaces import (
     ContinuousMap,
     FiniteSpace,
@@ -163,17 +163,16 @@ def check_reflector_universal(
     corpus_desc: str = "",
 ) -> CheckReport:
     """For every map into a class member, exactly one factorization exists."""
-    desc = corpus_desc or f"{len(corpus)} spaces"
-    for x_space in corpus:
-        _, r = reflect(x_space)
-        for z in corpus:
-            if not in_class(z):
-                continue
-            for f, n in mediator_breaks(r, z):
-                return failed(
-                    check_id, desc, f"f={f.map} on {x_space!r} -> {z!r}: {n} factorizations"
-                )
-    return passed(check_id, desc)
+    def witnesses():
+        for x_space in corpus:
+            _, r = reflect(x_space)
+            for z in corpus:
+                if not in_class(z):
+                    continue
+                for f, n in mediator_breaks(r, z):
+                    yield f"f={f.map} on {x_space!r} -> {z!r}: {n} factorizations"
+
+    return verdict(check_id, corpus_desc or f"{len(corpus)} spaces", witnesses())
 
 
 def check_patch_couniversal(
@@ -183,21 +182,20 @@ def check_patch_couniversal(
     """Every proper map from a compact Hausdorff source lifts uniquely
     through the patch counit."""
     kx, counit = patch_coreflect(space)
-    for c in sources:
-        if not classify(c).is_hausdorff:
-            continue
-        for g in enumerate_continuous_maps(c, space):
-            if not is_proper(g):
+
+    def witnesses():
+        for c in sources:
+            if not classify(c).is_hausdorff:
                 continue
-            lifts = [
-                h
-                for h in enumerate_continuous_maps(c, kx)
-                if composes_to(counit, h, g) and is_proper(h)
-            ]
-            if len(lifts) != 1:
-                return failed(
-                    "patch-couniversal",
-                    f"{space!r}",
-                    f"source {c!r}, g={g.map}: {len(lifts)} lifts",
-                )
-    return passed("patch-couniversal", f"{space!r}; {len(sources)} sources")
+            for g in enumerate_continuous_maps(c, space):
+                if not is_proper(g):
+                    continue
+                lifts = [
+                    h
+                    for h in enumerate_continuous_maps(c, kx)
+                    if composes_to(counit, h, g) and is_proper(h)
+                ]
+                if len(lifts) != 1:
+                    yield f"source {c!r}, g={g.map}: {len(lifts)} lifts"
+
+    return verdict("patch-couniversal", f"{space!r}; {len(sources)} sources", witnesses())

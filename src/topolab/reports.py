@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable
 
 from .errors import InvalidInput
 
@@ -63,3 +64,17 @@ def failed(check_id: str, corpus: str, witness: str) -> CheckReport:
 
 def not_applicable(check_id: str, corpus: str, note: str = "") -> CheckReport:
     return CheckReport(check_id, corpus, NOT_APPLICABLE, note=note)
+
+
+def verdict(
+    check_id: str, corpus: str, witnesses: Iterable[str], note: str = ""
+) -> CheckReport:
+    """FAIL with the first non-empty witness, or PASS when there is none.
+
+    ``witnesses`` is consumed lazily and dropped at the first failure: a
+    generator that yields a witness is never resumed, so it need not stop.
+    """
+    for witness in witnesses:
+        if witness:
+            return failed(check_id, corpus, witness)
+    return passed(check_id, corpus, note=note)

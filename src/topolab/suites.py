@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable
 
 from .corpus import (
     MAX_POINTS,
@@ -75,7 +74,7 @@ from .reflectors import (
     in_t0,
     sobrify,
 )
-from .reports import CheckReport, failed, passed
+from .reports import CheckReport, failed, passed, verdict
 from .spaces import (
     ContinuousMap,
     FiniteSpace,
@@ -226,22 +225,9 @@ def _map_corpus(bounds: RunBounds):
     return spaces, maps, f"{_desc(bounds.map_points)}, maps={len(maps)}"
 
 
-def _verdict(
-    check_id: str, corpus: str, witnesses: Iterable[str], note: str = ""
-) -> CheckReport:
-    """FAIL with the first non-empty witness, or PASS when there is none.
-
-    ``witnesses`` is consumed lazily and dropped at the first failure: a
-    generator that yields a witness is never resumed, so it need not stop.
-    """
-    for witness in witnesses:
-        if witness:
-            return failed(check_id, corpus, witness)
-    return passed(check_id, corpus, note=note)
-
-
 def _noted(report: CheckReport, note: str) -> CheckReport:
     """A passing report with the note on the finite-scale divergence it rests on."""
+    # re-marks a decided report, so there is no witness stream for verdict
     return passed(report.check_id, report.corpus, note=note) if report.ok else report
 
 
@@ -270,7 +256,7 @@ def suite_prop_3_4(bounds: RunBounds) -> list[CheckReport]:
     ]
     onto = alpha_transformation(CLOSED_PRIME)
     out.append(
-        _verdict(
+        verdict(
             "prop3.4[alpha-onto-P]", desc,
             ("comparison not surjective" for s in spaces if not onto.at(s).is_surjective),
         )
@@ -304,6 +290,7 @@ def _natural_homeo_reports(
     out = [
         check_monad_morphism(lam, source, target, spaces, maps, f"{prefix}[monad-morphism]", desc)
     ]
+    # the FAIL ids differ from the PASS id, and the fault pins of the tests hold them
     for s in spaces:
         if not is_homeomorphism(lam.at(s)):
             out.append(failed(f"{prefix}[homeomorphism]", desc, f"component at {s!r}"))
@@ -334,6 +321,7 @@ def suite_prop_3_7(bounds: RunBounds) -> list[CheckReport]:
     spaces = spaces_up_to(bounds.max_points)
     desc = _desc(bounds.max_points)
     reflect = _reflector("t0", bounds).reflect
+    # the FAIL ids differ from the PASS id, and the fault pins of the tests hold them
     for space in spaces:
         rx, r = reflect(space)
         for o in space.opens:
@@ -381,7 +369,7 @@ def suite_thm_4_6(bounds: RunBounds) -> list[CheckReport]:
                 yield f"b not a structure at {space!r}"
 
     return [
-        _verdict(f"thm4.6[{label}]", _desc(bounds.map_points), witnesses(_monad(kind, bounds)))
+        verdict(f"thm4.6[{label}]", _desc(bounds.map_points), witnesses(_monad(kind, bounds)))
         for kind, label in LABELS.items()
     ]
 
@@ -426,7 +414,7 @@ def suite_lemma_4_8(bounds: RunBounds) -> list[CheckReport]:
                 yield f"at {space!r}"
 
     out += [
-        _verdict(f"lemma4.8[{LABELS[kind]}-fixed-point]", desc, moved(_monad(kind, bounds)))
+        verdict(f"lemma4.8[{LABELS[kind]}-fixed-point]", desc, moved(_monad(kind, bounds)))
         for kind in (OPEN_PRIME, CLOSED_PRIME)
     ]
     return out
@@ -451,7 +439,7 @@ def suite_prop_4_9(bounds: RunBounds) -> list[CheckReport]:
                 ):
                     yield f"{n} mediators for f={f.map} on {x_space!r}->{z_space!r}"
 
-    return [_verdict("prop4.9", _desc(bounds.map_points), witnesses())]
+    return [verdict("prop4.9", _desc(bounds.map_points), witnesses())]
 
 
 def suite_prop_4_10(bounds: RunBounds) -> list[CheckReport]:
@@ -487,7 +475,7 @@ def suite_prop_5_1(bounds: RunBounds) -> list[CheckReport]:
                 ):
                     yield f"{n} algebra maps for f={f.map}"
 
-    return [_verdict("prop5.1", _desc(bounds.map_points), witnesses())]
+    return [verdict("prop5.1", _desc(bounds.map_points), witnesses())]
 
 
 def suite_prop_5_2(bounds: RunBounds) -> list[CheckReport]:
@@ -514,8 +502,8 @@ def suite_prop_5_2(bounds: RunBounds) -> list[CheckReport]:
                 yield f"at {x_space!r}"
 
     return [
-        _verdict("prop5.2[universal]", desc, universal()),
-        _verdict("prop5.2[embedding-iff-T0]", desc, embedding_iff_t0()),
+        verdict("prop5.2[universal]", desc, universal()),
+        verdict("prop5.2[embedding-iff-T0]", desc, embedding_iff_t0()),
     ]
 
 
@@ -531,7 +519,7 @@ def suite_prop_5_4(bounds: RunBounds) -> list[CheckReport]:
     )
     return [
         check_monad_morphism(psi, s_monad, p_monad, spaces, maps, "prop5.4[morphism]", desc),
-        _verdict(
+        verdict(
             "prop5.4[iso]", desc,
             (f"component at {s!r}" for s in spaces if not is_homeomorphism(psi.at(s))),
         ),
@@ -567,9 +555,9 @@ def suite_prop_5_7(bounds: RunBounds) -> list[CheckReport]:
         value = classify(hu.obj(space))
         return not (value.is_hausdorff and value.is_stably_compact)
 
-    out.append(_verdict("prop5.7[components]", desc, components()))
+    out.append(verdict("prop5.7[components]", desc, components()))
     out.append(
-        _verdict(
+        verdict(
             "prop5.7[compact-hausdorff]", desc,
             (f"at {s!r}" for s in spaces if not_compact_hausdorff(s)),
         )
@@ -583,7 +571,7 @@ def suite_lemma_2_6(bounds: RunBounds) -> list[CheckReport]:
     sources = tuple(s for s in small if classify(s).is_hausdorff)
     desc = f"{len(spaces)} stably compact spaces, {len(sources)} compact Hausdorff sources"
     return [
-        _verdict("lemma2.6", desc, (check_patch_couniversal(s, sources).witness for s in spaces))
+        verdict("lemma2.6", desc, (check_patch_couniversal(s, sources).witness for s in spaces))
     ]
 
 
@@ -604,7 +592,7 @@ def suite_lemma_5_3(bounds: RunBounds) -> list[CheckReport]:
                     if (r(i) == r(j)) != (a == b):
                         yield f"filters {i},{j} on {space!r}"
 
-    return [_verdict("lemma5.3", _desc(bounds.map_points), witnesses())]
+    return [verdict("lemma5.3", _desc(bounds.map_points), witnesses())]
 
 
 def suite_lemma_5_8(bounds: RunBounds) -> list[CheckReport]:
@@ -631,7 +619,7 @@ def suite_ideal_comonad(bounds: RunBounds) -> list[CheckReport]:
     reg, incl = reg_coreflect(chain_frame(3))
     return [
         check_ideal_comonad_laws(lattices, "ideal-comonad[laws]", desc),
-        _verdict(
+        verdict(
             "ideal-comonad[principal]", desc,
             (
                 f"counit not iso on {frame!r}"
@@ -640,7 +628,7 @@ def suite_ideal_comonad(bounds: RunBounds) -> list[CheckReport]:
                 if not len(set(sup.map)) == frame.k == sup.dom.k
             ),
         ),
-        _verdict(
+        verdict(
             "ideal-comonad[reg-3chain]", "three-element chain",
             ["" if reg.k == 2 and incl.map == (0, 2) else f"got {incl.map}"],
         ),
@@ -661,19 +649,19 @@ def suite_example_2_2(bounds: RunBounds) -> list[CheckReport]:
     sierpinski = classify(build_space(2, [{1}]))
     profiles = [(space, classify(space)) for space in spaces]
     return [
-        _verdict(
+        verdict(
             "example2.2[classification]", "the three-point witness",
             ["" if good else f"{profile}"],
         ),
-        _verdict(
+        verdict(
             "example2.2[sierpinski]", "two-point chain",
             ["" if sierpinski.is_stably_compact else "not stably compact"],
         ),
-        _verdict(
+        verdict(
             "example2.2[all-weakly-sober]", desc,
             (f"{s!r}" for s, p in profiles if not (p.is_weakly_sober and p.is_salbany)),
         ),
-        _verdict(
+        verdict(
             "example2.2[stably-compact-iff-T0]", desc,
             (f"{s!r}" for s, p in profiles if p.is_stably_compact != p.is_T0),
         ),
@@ -709,12 +697,12 @@ def suite_topo_invariants(bounds: RunBounds) -> list[CheckReport]:
         )
     )
     out = [
-        _verdict(
+        verdict(
             "invariants[way-below]", desc, way_below,
             note=DIVERGENCES["way-below-is-inclusion"][:60],
         ),
-        _verdict("invariants[patch]", desc, patch),
-        _verdict("invariants[specialization-T0]", desc, order_t0),
+        verdict("invariants[patch]", desc, patch),
+        verdict("invariants[specialization-T0]", desc, order_t0),
     ]
     small = spaces_up_to(bounds.map_points)
 
@@ -734,7 +722,7 @@ def suite_topo_invariants(bounds: RunBounds) -> list[CheckReport]:
                     yield f"{a!r}->{b!r}"
 
     out.append(
-        _verdict(
+        verdict(
             "invariants[continuous=monotone]", _desc(bounds.map_points), monotone_vs_continuous()
         )
     )
@@ -794,9 +782,9 @@ def suite_filter_naturality(bounds: RunBounds) -> list[CheckReport]:
         for space in spaces
         if set(lift_space(OPEN_PRIME, space).generators) != set(space.hoods)
     )
-    out.append(_verdict("filters[unit-preimage]", desc, unit_preimage))
-    out.append(_verdict("filters[lift-stably-compact]", desc, stably_compact))
-    out.append(_verdict("filters[minimal-neighborhoods]", desc, hoods))
+    out.append(verdict("filters[unit-preimage]", desc, unit_preimage))
+    out.append(verdict("filters[lift-stably-compact]", desc, stably_compact))
+    out.append(verdict("filters[minimal-neighborhoods]", desc, hoods))
     return out
 
 
@@ -804,15 +792,15 @@ def suite_prop_3_1(bounds: RunBounds) -> list[CheckReport]:
     spaces = spaces_up_to(bounds.map_points)
     desc = _desc(bounds.map_points)
     return [
-        _verdict(
+        verdict(
             "prop3.1[salbany]", desc,
             (f"at {s!r}" for s in spaces if not classify(lift_space(ULTRA, s).space).is_salbany),
         ),
-        _verdict(
+        verdict(
             "prop3.1[retraction]", desc,
             (f"at {s!r}" for s in spaces if find_splitting(unit(ULTRA, s)) is None),
         ),
-        _verdict(
+        verdict(
             "prop3.1[patch-dense]", desc,
             (f"at {s!r}" for s in spaces if not unit(ULTRA, s).is_surjective),
             note=DIVERGENCES["patch-density-vacuous"][:60],
@@ -831,20 +819,20 @@ def suite_sobriety(bounds: RunBounds) -> list[CheckReport]:
     small = spaces_up_to(bounds.map_points)
     t0 = _reflector("t0", bounds)
     return [
-        _verdict(
+        verdict(
             "sobriety[result-sober]", desc,
             (f"at {s!r}" for s in spaces if not classify(sobrify(s)[0]).is_sober),
         ),
-        _verdict(
+        verdict(
             "sobriety[matches-t0]", desc,
             (f"at {s!r}" for s in spaces if _sober_differs(s, t0)),
             note=DIVERGENCES["sobrification-is-t0"][:60],
         ),
-        _verdict(
+        verdict(
             "sobriety[unit-epi]", desc,
             (f"at {s!r}" for s in spaces if not sobrify(s)[1].is_surjective),
         ),
-        _verdict(
+        verdict(
             "sobriety[filter-space]", _desc(bounds.map_points),
             (f"at {s!r}" for s in small if _sober_differs(lift_space(ULTRA, s).space, t0)),
         ),
@@ -862,17 +850,17 @@ def suite_divergences(bounds: RunBounds) -> list[CheckReport]:
         f"{desc}, codomains<={bounds.epi_cap}",
     )
     return [
-        _verdict(
+        verdict(
             "divergence[proper]", desc,
             (f"{f.map}" for f in maps if not is_proper(f)),
             note=DIVERGENCES["proper-constant-true"][:60],
         ),
-        _verdict(
+        verdict(
             "divergence[ultra-identity]", _desc(bounds.max_points),
             ("unit not a homeomorphism" for s in big if not is_homeomorphism(unit(ULTRA, s))),
             note=DIVERGENCES["ultra-space-identity"][:60],
         ),
-        _verdict(
+        verdict(
             "divergence[sobrify-t0]", _desc(bounds.max_points),
             ("sobrification differs" for s in big if _sober_differs(s, reflector)),
             note=DIVERGENCES["sobrification-is-t0"][:60],
@@ -899,9 +887,9 @@ def suite_corpus_counts(bounds: RunBounds) -> list[CheckReport]:
     birkhoff = lattice_class_counts(6)
     direct = recount_lattices(6)
     return [
-        _verdict("corpus[labeled]", "n=1..4 vs subset-family recount", labeled),
-        _verdict("corpus[classes]", "n=1..4 vs canonical-form recount", classes),
-        _verdict(
+        verdict("corpus[labeled]", "n=1..4 vs subset-family recount", labeled),
+        verdict("corpus[classes]", "n=1..4 vs canonical-form recount", classes),
+        verdict(
             "corpus[lattices]", "k<=6 vs order-matrix recount",
             ["" if birkhoff == direct else f"{birkhoff} vs {direct}"],
         ),
@@ -933,9 +921,9 @@ def suite_frame_bridge(bounds: RunBounds) -> list[CheckReport]:
     )
     chain = opens_frame(build_space(3, [{0}])).k
     return [
-        _verdict("frame-bridge[contravariant]", desc, misplaced),
-        _verdict("frame-bridge[functorial]", desc, functorial),
-        _verdict(
+        verdict("frame-bridge[contravariant]", desc, misplaced),
+        verdict("frame-bridge[functorial]", desc, functorial),
+        verdict(
             "frame-bridge[chain]", "three-point example",
             ["" if chain == 3 else f"opens frame has {chain} elements"],
         ),
@@ -994,7 +982,11 @@ def _validate_bounds(bounds: RunBounds) -> None:
 
 
 def run_suite(suite_id: str, bounds: RunBounds | None = None) -> list[CheckReport]:
-    """Execute one registered suite (or ``all``) and return ordered reports."""
+    """Execute one registered suite (or ``all``) and return ordered reports.
+
+    A run with a fault injected that fails no check raises InvalidInput: the
+    fault never reached a check at these bounds, and the run shows nothing.
+    """
     bounds = bounds or RunBounds()
     _validate_bounds(bounds)
     if bounds.fault is not None and bounds.fault not in FAULTS:
@@ -1011,5 +1003,8 @@ def run_suite(suite_id: str, bounds: RunBounds | None = None) -> list[CheckRepor
         try:
             reports.extend(SUITES[name](bounds))
         except _CONSTRUCTION_FAILURES as exc:
+            # a suite that could not be built has no witness stream to decide
             reports.append(failed(name, "construction", f"{type(exc).__name__}: {exc}"))
+    if bounds.fault is not None and all(r.ok for r in reports):
+        raise InvalidInput(f"fault {bounds.fault!r} failed no check of suite {suite_id!r}")
     return reports

@@ -360,6 +360,100 @@ def test_each_fault_fails_exactly_its_pinned_checks(fault):
     assert hashlib.sha256(text.encode()).hexdigest() == FAULT_REPORT_SHA256[fault]
 
 
+# The ids of ``check --suite all`` at the defaults that no fault fails: every
+# report id outside the union of FAULT_MATRIX. A fault that comes to reach
+# one of these checks shows as a change of this list.
+UNFAULTED_CHECKS = (
+    "corpus[classes]",
+    "corpus[labeled]",
+    "corpus[lattices]",
+    "divergence[proper]",
+    "divergence[reflected-unit-epi]",
+    "divergence[ultra-identity]",
+    "example2.2[all-weakly-sober]",
+    "example2.2[classification]",
+    "example2.2[sierpinski]",
+    "example2.2[stably-compact-iff-T0]",
+    "filters[alpha-natural-P]",
+    "filters[alpha-natural-S]",
+    "filters[functor-P]",
+    "filters[functor-S]",
+    "filters[lift-stably-compact]",
+    "filters[minimal-neighborhoods]",
+    "filters[unit-natural-P]",
+    "filters[unit-natural-S]",
+    "filters[unit-preimage]",
+    "frame-bridge[chain]",
+    "frame-bridge[contravariant]",
+    "frame-bridge[functorial]",
+    "ideal-comonad[laws]",
+    "ideal-comonad[principal]",
+    "ideal-comonad[reg-3chain]",
+    "invariants[continuous=monotone]",
+    "invariants[patch]",
+    "invariants[specialization-T0]",
+    "invariants[way-below]",
+    "lemma2.6",
+    "lemma4.5[H,U]",
+    "lemma4.5[t0,S]",
+    "lemma4.5[t0,U]",
+    "lemma4.8[U-idempotent]",
+    "lemma5.8",
+    "prop3.1[patch-dense]",
+    "prop3.1[retraction]",
+    "prop3.1[salbany]",
+    "prop3.4[alpha-onto-P]",
+    "prop3.6[homeo-descends-uniquely]",
+    "prop3.7[lattice-iso+proper]",
+    "prop4.10[Id]",
+    "prop4.10[P]",
+    "prop4.10[t0.U]",
+    "prop5.2[embedding-iff-T0]",
+    "prop5.2[universal]",
+    "prop5.4[iso]",
+    "prop5.7[compact-hausdorff]",
+    "prop5.7[components]",
+    "prop5.7[homeo-descends-uniquely]",
+    "prop5.9",
+    "reflector-universal[hausdorff]",
+    "reflector-universal[sober]",
+    "sobriety[result-sober]",
+    "sobriety[unit-epi]",
+    "thm4.11[homeo-descends-uniquely]",
+    "thm4.1[rP]",
+    "thm4.1[rS]",
+)
+
+
+def test_the_checks_no_fault_fails_are_pinned():
+    ids = [r.check_id for r in run_suite("all")]
+    faulted = set().union(*FAULT_MATRIX.values())
+    assert len(ids) == 87
+    assert tuple(sorted(set(ids) - faulted)) == UNFAULTED_CHECKS
+    assert len(UNFAULTED_CHECKS) == 58
+
+
+# on one-point spaces the swaps and the collapse fall back to the identity,
+# and the discrete two-point space that ultra-lift-unswap bends is absent;
+# the two single suites never use what their fault bends
+@pytest.mark.parametrize(
+    "suite,fault,flags",
+    [("all", fault, ["--max-points", "1", "--epi-cap", "1"]) for fault in sorted(FAULTS)]
+    + [("lemma5.8", "t0-coarsen", []), ("prop5.9", "sigma-mult-swap", [])],
+)
+def test_a_fault_run_that_fails_no_check_exits_2(suite, fault, flags, capsys):
+    assert main(["check", "--suite", suite, *flags, "--inject-fault", fault]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: fault {fault!r} failed no check of suite {suite!r}\n"
+
+
+def test_run_suite_raises_when_the_injected_fault_fails_no_check():
+    bounds = RunBounds(max_points=1, map_points=1, epi_cap=1, fault="ultra-mult-swap")
+    with pytest.raises(InvalidInput, match="fault 'ultra-mult-swap' failed no check"):
+        run_suite("monad-laws", bounds)
+
+
 def test_run_suite_reports_a_failed_construction_as_a_fail(monkeypatch):
     def ill_defined(bounds):
         raise NotWellDefined("fiber over 0 carries both values 0 and 1")

@@ -474,6 +474,25 @@ def test_compact_regular_coreflection_suite():
     assert check_compact_regular_coreflection(enumerate_lattices(8)).ok
 
 
+@pytest.mark.parametrize(
+    "predicate,witness",
+    [
+        ("frame_is_compact", "regular part not compact"),
+        ("is_regular", "regular part not regular"),
+        ("is_stably_continuous", "regular part not stably continuous"),
+    ],
+)
+def test_compact_regular_coreflection_names_the_property_its_regular_part_lacks(
+    monkeypatch, predicate, witness
+):
+    lattices = enumerate_lattices(4)
+    monkeypatch.setattr(frames, predicate, lambda frame: False)
+    assert check_compact_regular_coreflection(lattices).line() == (
+        f"[FAIL] compact-regular-coreflection [{len(lattices)} frames] "
+        f"witness: {witness} for {lattices[0]!r}"
+    )
+
+
 def test_ideal_preserves_monos():
     assert check_ideal_preserves_monos(enumerate_lattices(6)).ok
 

@@ -45,7 +45,9 @@ from topolab import monadlab, suites
 from topolab.corpus import maps_between, spaces_up_to
 from topolab.spaces import classify, is_proper, restriction_counts
 from topolab.monadlab import (
+    IDENTITY_FUNCTOR,
     EndofunctorSpec,
+    ReflectorSpec,
     _cached,
     count_descents,
     horizontal,
@@ -121,8 +123,8 @@ def test_identity_transformation_is_monad_morphism(corpus):
     assert check_monad_morphism(ident, s, s, spaces, maps).ok
 
 
-def test_naturality_checker_catches_breakage(corpus):
-    spaces, maps = corpus
+def _crooked_unit():
+    """The unit of U with its first two values swapped wherever that is continuous."""
     u = filter_monad(ULTRA)
 
     def crooked(space):
@@ -132,14 +134,17 @@ def test_naturality_checker_catches_breakage(corpus):
             arr = list(e.map)
             arr[0], arr[1] = arr[1], arr[0]
             try:
-                from topolab import ContinuousMap
-
                 return ContinuousMap(space, tx, tuple(arr))
             except Exception:
                 return e
         return e
 
-    nt = NatTransSpec("crooked", identity_monad().functor, u.functor, crooked)
+    return NatTransSpec("crooked", identity_monad().functor, u.functor, crooked)
+
+
+def test_naturality_checker_catches_breakage(corpus):
+    spaces, maps = corpus
+    nt = _crooked_unit()
     report = check_naturality(nt, maps)
     assert not report.ok
     # the first failing square of a plain scan, both sides built by compose
@@ -285,25 +290,25 @@ def test_ultra_idempotent_at_finite_scale(corpus):
     assert check_idempotent(filter_monad(ULTRA), spaces).ok
 
 
+def _collapse_mult(monad):
+    """``monad`` with every multiplication component sent to the point 0."""
+
+    def component(space):
+        tx = monad.obj(space)
+        ttx = monad.obj(tx)
+        return ContinuousMap(ttx, tx, tuple(0 for _ in range(ttx.n)))
+
+    return MonadSpec(
+        monad.name + "!",
+        monad.functor,
+        monad.unit,
+        NatTransSpec("mult!", monad.mult.source, monad.mult.target, component),
+    )
+
+
 def test_idempotency_checker_catches_collapse(corpus):
     spaces, _ = corpus
-
-    def collapse_mult(monad):
-        def component(space):
-            tx = monad.obj(space)
-            from topolab import ContinuousMap
-
-            ttx = monad.obj(tx)
-            return ContinuousMap(ttx, tx, tuple(0 for _ in range(ttx.n)))
-
-        return MonadSpec(
-            monad.name + "!",
-            monad.functor,
-            monad.unit,
-            NatTransSpec("mult!", monad.mult.source, monad.mult.target, component),
-        )
-
-    broken = collapse_mult(compose_reflector_monad(T0, filter_monad(ULTRA)))
+    broken = _collapse_mult(compose_reflector_monad(T0, filter_monad(ULTRA)))
     assert not check_idempotent(broken, spaces).ok
 
 
@@ -638,7 +643,7 @@ def test_prop_5_2_names_every_space_whose_shared_hom_fails(monkeypatch):
     assert count > 1
     monkeypatch.setattr(suites, "is_proper", lambda f: f.dom != shared and is_proper(f))
     monkeypatch.setattr(
-        suites, "_verdict", lambda check_id, corpus, witnesses, note="": list(witnesses)
+        suites, "verdict", lambda check_id, corpus, witnesses, note="": list(witnesses)
     )
     universal, _ = suites.suite_prop_5_2(suites.RunBounds())
     assert universal == [
@@ -647,3 +652,165 @@ def test_prop_5_2_names_every_space_whose_shared_hom_fails(monkeypatch):
         if cod == shared
         for _ in targets
     ]
+
+
+# ---------------------------------------------------------------------------
+# the witness texts of the law checkers: one failing case of each, built by
+# bending the checker's input, pinned with the report line where the corpus
+# description is the one the check passes with
+
+
+def _bent(action, key, value):
+    """``action`` with its value at ``key`` replaced by ``value``."""
+    return lambda arg: value if arg == key else action(arg)
+
+
+def _constant(dom, cod):
+    return ContinuousMap(dom, cod, (0,) * dom.n)
+
+
+def _identity_nt(monad):
+    return NatTransSpec(
+        "id", monad.functor, monad.functor, lambda space: identity_map(monad.obj(space))
+    )
+
+
+def test_functor_laws_name_the_space_whose_identity_is_bent():
+    spaces = spaces_up_to(3, True)
+    target = next(s for s in spaces if s.n == 2)
+    lift = _bent(lambda m: m, identity_map(target), _constant(target, target))
+    report = check_functor_laws(EndofunctorSpec("W", lambda s: s, lift), spaces)
+    assert report.line() == (
+        f"[FAIL] functor-laws [{len(spaces)} spaces, {len(maps_between(spaces))} maps] "
+        f"witness: W breaks identities at {target!r}"
+    )
+
+
+def test_monad_laws_name_the_unit_law_a_swapped_multiplication_breaks(corpus):
+    # mu' = swap . mu gives mu' . unit_TX = swap, the first law checked
+    spaces, _ = corpus
+    s = filter_monad(OPEN_PRIME)
+    swapped = _swap_mult(s)
+    space = next(x for x in spaces if swapped.mult.at(x).map != s.mult.at(x).map)
+    assert check_monad_laws(swapped, spaces).line() == (
+        f"[FAIL] monad-laws [{len(spaces)} spaces] "
+        f"witness: S!: mu.(unit at T) fails at {space!r}"
+    )
+
+
+@pytest.mark.parametrize("bent,law", [("unit", "mu.T(unit)"), ("mult", "associativity")])
+def test_monad_laws_name_the_law_a_constant_lift_breaks(corpus, bent, law):
+    # the lift of the unit (or of the multiplication) at the first space
+    # whose S has two points becomes a constant; mu after it is constant.
+    # On a sober space SSX is X, and the unit and the multiplication can be
+    # equal maps, so the memoized component is matched by identity
+    spaces, _ = corpus
+    s = filter_monad(OPEN_PRIME)
+    space = next(x for x in spaces if s.obj(x).n >= 2)
+    m = getattr(s, bent).at(space)
+    flat = _constant(s.obj(m.dom), s.obj(m.cod))
+
+    def lift(f):
+        return flat if f is m else s.mor(f)
+
+    monad = MonadSpec("S~", EndofunctorSpec("S~", s.obj, lift), s.unit, s.mult)
+    assert check_monad_laws(monad, spaces).line() == (
+        f"[FAIL] monad-laws [{len(spaces)} spaces] witness: S~: {law} fails at {space!r}"
+    )
+
+
+def test_monad_morphism_reports_a_broken_square_under_its_own_id(corpus):
+    spaces, maps = corpus
+    nt = _crooked_unit()
+    square = check_naturality(nt, maps).witness
+    assert square.startswith("crooked square fails at ")
+    report = check_monad_morphism(nt, identity_monad(), filter_monad(ULTRA), spaces, maps)
+    assert report.line() == (
+        f"[FAIL] monad-morphism [{len(spaces)} spaces, {len(maps)} maps] witness: {square}"
+    )
+
+
+def test_monad_morphism_names_the_space_whose_unit_it_misses(corpus):
+    spaces, maps = corpus
+    s = filter_monad(OPEN_PRIME)
+    space = next(x for x in spaces if len(set(s.unit.at(x).map)) > 1)
+    flat = _bent(s.unit.at, space, _constant(space, s.obj(space)))
+    unit_ = NatTransSpec("unit~", IDENTITY_FUNCTOR, s.functor, flat)
+    target = MonadSpec("S~", s.functor, unit_, s.mult)
+    report = check_monad_morphism(_identity_nt(s), s, target, spaces, maps)
+    assert report.line() == (
+        f"[FAIL] monad-morphism [{len(spaces)} spaces, {len(maps)} maps] "
+        f"witness: id misses the unit at {space!r}"
+    )
+
+
+def test_monad_morphism_names_the_space_whose_multiplication_it_misses(corpus):
+    spaces, maps = corpus
+    s = filter_monad(OPEN_PRIME)
+    swapped = _swap_mult(s)
+    space = next(x for x in spaces if swapped.mult.at(x).map != s.mult.at(x).map)
+    report = check_monad_morphism(_identity_nt(s), s, swapped, spaces, maps)
+    assert report.witness == f"id misses the multiplication at {space!r}"
+
+
+def _unit_only_monad(component):
+    """The identity monad with its unit replaced: the epi checkers read only the unit."""
+    ident = identity_monad()
+    return MonadSpec(
+        "K", ident.functor, NatTransSpec("k", IDENTITY_FUNCTOR, IDENTITY_FUNCTOR, component),
+        ident.mult,
+    )
+
+
+def test_unit_transition_epi_names_a_unit_that_no_reading_finds_epic(discrete2):
+    # a constant unit into two discrete points, reflected by the identity
+    spaces = spaces_up_to(3)
+    monad = _unit_only_monad(lambda s: _constant(s, discrete2))
+    identity = ReflectorSpec("Id", lambda s: (s, identity_map(s)), lambda s: True)
+    report = check_unit_transition_epi(identity, monad, spaces, spaces)
+    assert report.line() == (
+        f"[FAIL] unit-transition-epi [{len(spaces)} spaces, {len(spaces)} codomains] "
+        f"witness: reflected unit not epi at {spaces[0]!r}"
+    )
+
+
+def test_unit_transition_epi_names_the_space_where_its_readings_disagree(point, discrete2):
+    # the reflection onto the point sends the constant unit to an identity
+    spaces = spaces_up_to(3)
+    monad = _unit_only_monad(lambda s: _constant(s, discrete2))
+    collapse = ReflectorSpec("Pt", lambda s: (point, _constant(s, point)), lambda s: True)
+    report = check_unit_transition_epi(collapse, monad, spaces, spaces)
+    assert report.witness == f"formulations disagree at {spaces[0]!r}: False vs True"
+
+
+def test_idempotency_checker_names_the_first_collapsed_multiplication(corpus):
+    spaces, _ = corpus
+    broken = _collapse_mult(compose_reflector_monad(T0, filter_monad(ULTRA)))
+    # a constant is a homeomorphism only between one-point spaces
+    space = next(x for x in spaces if broken.obj(broken.obj(x)).n > 1)
+    assert check_idempotent(broken, spaces).line() == (
+        f"[FAIL] idempotent [{len(spaces)} spaces] "
+        f"witness: t0.U!: mult not a homeomorphism at {space!r}"
+    )
+
+
+def test_fakir_is_not_applicable_to_a_monad_that_is_not_idempotent(corpus, classes4):
+    spaces, _ = corpus
+    broken = _collapse_mult(compose_reflector_monad(T0, filter_monad(ULTRA)))
+    assert fakir_test(broken, spaces, classes4).line() == (
+        f"[N/A ] fakir [{len(spaces)} spaces] (t0.U! is not idempotent)"
+    )
+
+
+@pytest.mark.parametrize(
+    "opens,witness",
+    [([{0}, {1}], "epi readings disagree"), ([], "monic unit fails to be epic")],
+    ids=["discrete", "indiscrete"],
+)
+def test_fakir_names_a_monic_unit_that_misses_a_point(point, sierpinski, opens, witness):
+    # the unit picks the open point of the Sierpinski space: monic, not onto;
+    # maps into two discrete points cannot tell it from an epi, maps into
+    # two indiscrete points can
+    monad = _unit_only_monad(lambda s: ContinuousMap(s, sierpinski, (1,)))
+    report = fakir_test(monad, (point,), (build_space(2, opens),))
+    assert report.line() == f"[FAIL] fakir [1 spaces] witness: {witness} at {point!r}"

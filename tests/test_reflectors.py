@@ -22,9 +22,10 @@ from topolab import (
     sobrify,
     t0_reflect,
 )
+from topolab import reflectors
 from topolab.corpus import enumerate_spaces, maps_between
 from topolab.reflectors import HAUSDORFF, SOBER, T0, in_hausdorff, in_sober, in_t0
-from topolab.spaces import FiniteSpace, closure, image_under
+from topolab.spaces import FiniteSpace, closure, image_under, is_proper
 
 
 def test_t0_reflect_e1(e1, sierpinski):
@@ -181,6 +182,19 @@ def test_patch_couniversal(classes3):
             assert check_patch_couniversal(space, sources).ok
 
 
+def test_patch_couniversal_names_the_first_proper_map_without_one_lift(
+    monkeypatch, classes3, sierpinski
+):
+    # no composite through the counit matches, so every proper map has 0 lifts
+    sources = tuple(s for s in classes3 if classify(s).is_hausdorff)
+    source = sources[0]
+    g = next(g for g in enumerate_continuous_maps(source, sierpinski) if is_proper(g))
+    monkeypatch.setattr(reflectors, "composes_to", lambda *maps: False)
+    report = check_patch_couniversal(sierpinski, sources)
+    assert not report.ok
+    assert report.witness == f"source {source!r}, g={g.map}: 0 lifts"
+
+
 def test_reflector_universal_t0(classes3):
     assert check_reflector_universal(t0_reflect, classes3, in_t0).ok
 
@@ -193,10 +207,29 @@ def test_reflector_universal_sober(classes3):
     assert check_reflector_universal(sobrify, classes3, in_sober).ok
 
 
+def _first_break(reflect, corpus, in_class):
+    """The first map into a class member, over all pairs of the corpus, that
+    does not factor through the reflection by exactly one map, and its count
+    of factorizations, each composite built."""
+    for x in corpus:
+        _, r = reflect(x)
+        for z in filter(in_class, corpus):
+            for f in enumerate_continuous_maps(x, z):
+                phis = enumerate_continuous_maps(r.cod, z)
+                n = sum(compose(phi, r).map == f.map for phi in phis)
+                if n != 1:
+                    return x, z, f, n
+    return None
+
+
 def test_reflector_universal_catches_coarsening(classes3):
     # mutation: pretend the component quotient were the T0 reflection
     report = check_reflector_universal(hausdorff_reflect, classes3, in_t0)
-    assert not report.ok and report.witness
+    x, z, f, n = _first_break(hausdorff_reflect, classes3, in_t0)
+    assert report.line() == (
+        f"[FAIL] reflector-universal [{len(classes3)} spaces] "
+        f"witness: f={f.map} on {x!r} -> {z!r}: {n} factorizations"
+    )
 
 
 def test_unique_factorization_never_raises(classes3):

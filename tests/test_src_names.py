@@ -11,6 +11,10 @@ executed without importing it, as in ``test_layer_trace.py``.
 An import made at module level counts as used when the name it binds appears
 on a line of its module outside the import statement. ``from __future__``
 imports and re-exports marked ``# noqa: F401`` are exempt.
+
+One rule turns a stream of witnesses into PASS or FAIL, ``reports.verdict``.
+The checkers of ``monadlab``, ``frames`` and ``reflectors`` go through it;
+only ``suites`` builds reports with ``failed`` and ``passed`` itself.
 """
 
 import ast
@@ -68,3 +72,24 @@ def test_every_module_level_import_in_src_is_used_in_its_module():
                 if not any(re.search(rf"\b{name}\b", line) for line in rest):
                     unused.append(f"{path.name}:{node.lineno} {name}")
     assert unused == []
+
+
+def _names_imported_from_reports() -> dict[str, set[str]]:
+    """The names each module of ``src/topolab`` imports from ``.reports``."""
+    imported: dict[str, set[str]] = {}
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+            if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module == "reports":
+                imported.setdefault(path.name, set()).update(a.name for a in node.names)
+    return imported
+
+
+def test_the_checkers_decide_through_the_verdict_rule():
+    imported = _names_imported_from_reports()
+    deciding = sorted(name for name, names in imported.items() if names & {"failed", "passed"})
+    assert deciding == ["suites.py"]
+    for module in ("monadlab.py", "frames.py", "reflectors.py"):
+        assert "verdict" in imported[module]
+        source = (SRC / module).read_text(encoding="utf-8")
+        assert not re.search(r"\b(failed|passed)\(", source), module
+    assert "not_applicable" in imported["monadlab.py"]
