@@ -14,7 +14,7 @@ import itertools
 from functools import lru_cache
 
 from .errors import BoundExceeded, InvalidInput
-from .frames import FiniteFrame, frame_from_leq
+from .frames import FiniteFrame, _frame_of_sets, frame_from_leq
 from .spaces import FiniteSpace, image_under
 from .spaces import maps_between  # noqa: F401  (re-exported: the map corpus is read from here too)
 
@@ -155,9 +155,7 @@ def enumerate_lattices(max_size: int = 8) -> tuple[FiniteFrame, ...]:
     if max_size > 12:
         raise BoundExceeded("lattice corpus capped at 12 elements")
     frames = [frame_from_leq(1, [[True]])]  # downsets of the empty poset
-    for _, downsets in _grow_posets(max_size, max_size - 1):
-        rows = [[a & ~b == 0 for b in downsets] for a in downsets]
-        frames.append(frame_from_leq(len(downsets), rows))
+    frames.extend(_frame_of_sets(downsets) for _, downsets in _grow_posets(max_size, max_size - 1))
     frames.sort(key=lambda f: (f.k, f.leq))
     return tuple(frames)
 

@@ -15,7 +15,7 @@ from operator import and_, or_
 from typing import Sequence
 
 from .errors import BoundExceeded, FilterNotWellFormed, InvalidInput
-from .spaces import FiniteSpace, ContinuousMap, build_space, image_under
+from .spaces import FiniteSpace, ContinuousMap, _union_prime, build_space, image_under
 
 ULTRA = "ultra"
 OPEN_PRIME = "open-prime"
@@ -78,12 +78,7 @@ def _is_prime(kind: str, g: int, ambient: tuple[int, ...], full: int) -> bool:
     """Whether the up-set of ``g`` in ``ambient`` is prime in the sense of ``kind``."""
     if kind == ULTRA:
         return all((m & g == g) != ((full ^ m) & g == g) for m in ambient)
-    # union-splitting over the ambient (open or closed) lattice
-    for a in ambient:
-        for b in ambient:
-            if (a | b) & g == g and a & g != g and b & g != g:
-                return False
-    return True
+    return _union_prime(g, ambient)
 
 
 def check_filter_point(kind: str, generator: int, space: FiniteSpace) -> None:

@@ -160,6 +160,11 @@ def compose_frame_maps(g: FrameMap, f: FrameMap) -> FrameMap:
     return FrameMap(f.dom, g.cod, tuple(g.map[v] for v in f.map))
 
 
+def _frame_of_sets(masks) -> FiniteFrame:
+    """The frame of the sets ``masks``, ordered by inclusion, in their order."""
+    return frame_from_leq(len(masks), [[a & ~b == 0 for b in masks] for a in masks])
+
+
 def chain_frame(k: int) -> FiniteFrame:
     return frame_from_leq(k, [[a <= b for b in range(k)] for a in range(k)])
 
@@ -167,10 +172,7 @@ def chain_frame(k: int) -> FiniteFrame:
 @lru_cache(maxsize=None)
 def opens_frame(space: FiniteSpace) -> FiniteFrame:
     """The lattice of opens ordered by inclusion."""
-    opens = space.opens
-    return frame_from_leq(
-        len(opens), [[a & ~b == 0 for b in opens] for a in opens]
-    )
+    return _frame_of_sets(space.opens)
 
 
 def opens_frame_map(f: ContinuousMap) -> FrameMap:
@@ -301,8 +303,7 @@ def ideal_frame(frame: FiniteFrame) -> IdealFrame:
     ideals = tuple(
         m for m in sorted(_unions(_below(frame.leq))) if m and _join_closed(frame, m)
     )
-    leq = [[a & ~b == 0 for b in ideals] for a in ideals]
-    return IdealFrame(ideals, frame_from_leq(len(ideals), leq))
+    return IdealFrame(ideals, _frame_of_sets(ideals))
 
 
 def _ideal_joins(frame: FiniteFrame) -> tuple[int, ...]:

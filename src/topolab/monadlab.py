@@ -243,22 +243,16 @@ def compose_reflector_monad(R: ReflectorSpec, monad: MonadSpec) -> MonadSpec:
         _cached(lambda f: R.mor(T.mor(f))),
     )
 
-    def unit_component(space: FiniteSpace) -> ContinuousMap:
-        eta = T.unit.at(space)
-        first = compose(R.unit_at(T.obj(space)), eta)  # r_TX . eta_X
-        if not composes_to(R.mor(eta), R.unit_at(space), first):  # R(eta_X) . r_X
-            raise HypothesisViolated(
-                f"unit decompositions of {functor.name} differ at {space!r}"
-            )
-        return first
-
     def mult_component(space: FiniteSpace) -> ContinuousMap:
         _, r_free = R.reflect(T.obj(R.obj(T.obj(space))))  # T.RTX -> RT.RTX
         return factor_through_reflection(algebra_structure(R, T, space), r_free, R.in_class)
 
-    unit = NatTransSpec(
-        f"unit[{functor.name}]", IDENTITY_FUNCTOR, functor, _cached(unit_component)
+    # the reflection unit r: Id -> R, so that (r . eta)_X = r_TX . eta_X
+    r = NatTransSpec(
+        f"r[{R.name}]", IDENTITY_FUNCTOR, EndofunctorSpec(R.name, R.obj, R.mor), R.unit_at
     )
+    unit_at = _cached(lambda s: horizontal(r, T.unit, s))
+    unit = NatTransSpec(f"unit[{functor.name}]", IDENTITY_FUNCTOR, functor, unit_at)
     mult = NatTransSpec(
         f"mult[{functor.name}]",
         composed_functor(functor, functor),

@@ -67,8 +67,8 @@ class FiniteSpace:
     _open_set: frozenset[int] = field(init=False, repr=False, compare=False)
     hoods: tuple[int, ...] = field(init=False, repr=False, compare=False)
     _hash: int = field(init=False, repr=False, compare=False)
-    _order_lo: itemgetter = field(init=False, repr=False, compare=False)
-    _order_hi: itemgetter = field(init=False, repr=False, compare=False)
+    _order_lo: Callable = field(init=False, repr=False, compare=False)
+    _order_hi: Callable = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.n < 1:
@@ -97,13 +97,9 @@ class FiniteSpace:
         object.__setattr__(self, "hoods", hoods)
         object.__setattr__(self, "_hash", hash((self.n, self.opens)))
         pairs = [(x, y) for x in range(self.n) for y in range(self.n) if hoods[x] >> y & 1]
-        # itemgetter returns a bare item for one index, so the one pair of a
-        # 1-point space, (0, 0), is padded to two; a larger space has n >= 2
-        if len(pairs) == 1:
-            pairs *= 2
         lo, hi = zip(*pairs)
-        object.__setattr__(self, "_order_lo", itemgetter(*lo))
-        object.__setattr__(self, "_order_hi", itemgetter(*hi))
+        object.__setattr__(self, "_order_lo", _gather(lo))
+        object.__setattr__(self, "_order_hi", _gather(hi))
 
     def __eq__(self, other: object) -> bool:
         # corpus spaces are cached objects, so identity settles most calls
@@ -494,24 +490,16 @@ class SpaceProfile:
     irreducible_closed_sets: tuple[int, ...]
 
 
+def _union_prime(g: int, family: Sequence[int]) -> bool:
+    """Whether ``g`` inside the union of two members of ``family`` is inside one."""
+    traces = {a & g for a in family} - {g}  # a member that holds g is no witness
+    return not any(a | b == g for a in traces for b in traces)
+
+
 def irreducible_closed_sets(space: FiniteSpace) -> tuple[int, ...]:
     """Nonempty closed G such that G inside a union of two closeds is inside one."""
     closeds = space.closeds
-    out = []
-    for g in closeds:
-        if g == 0:
-            continue
-        irreducible = True
-        for f1 in closeds:
-            for f2 in closeds:
-                if g & ~(f1 | f2) == 0 and g & ~f1 != 0 and g & ~f2 != 0:
-                    irreducible = False
-                    break
-            if not irreducible:
-                break
-        if irreducible:
-            out.append(g)
-    return tuple(sorted(out))
+    return tuple(g for g in closeds if g and _union_prime(g, closeds))
 
 
 @lru_cache(maxsize=None)

@@ -19,7 +19,7 @@ from topolab import errors, spaces
 from topolab.errors import InvalidInput, NotWellDefined
 from topolab.corpus import MAX_POINTS, spaces_up_to
 from topolab.filters import ULTRA_MAX_POINTS
-from topolab.monadlab import filter_monad
+from topolab.monadlab import compose_reflector_monad, filter_monad
 from topolab.reflectors import REFLECT_OPS
 from topolab.suites import (
     _FAULT_KIND,
@@ -462,6 +462,21 @@ def test_run_suite_reports_a_failed_construction_as_a_fail(monkeypatch):
     [report] = run_suite("ill-defined")
     assert report.check_id == "ill-defined" and not report.ok
     assert report.witness == "NotWellDefined: fiber over 0 carries both values 0 and 1"
+
+
+def test_a_unit_without_a_splitting_fails_the_composite_suite(monkeypatch, capsys):
+    monkeypatch.setattr("topolab.monadlab.find_splitting", lambda m: None)
+    # a fresh composite per call, so no multiplication is read from a memo
+    monkeypatch.setattr(
+        "topolab.suites.compose_reflector_monad", compose_reflector_monad.__wrapped__
+    )
+    [report] = run_suite("prop3.6")
+    assert (report.check_id, report.corpus, report.ok) == ("prop3.6", "construction", False)
+    assert report.witness.startswith("NoSplitting: unit of U at ")
+    assert main(["check", "--suite", "prop3.6"]) == 1
+    out = capsys.readouterr().out
+    assert out.startswith("[FAIL] prop3.6 [construction] witness: NoSplitting: ")
+    assert out.endswith("checks: 1  failures: 1\n")
 
 
 def test_run_suite_propagates_other_errors(monkeypatch):

@@ -35,6 +35,8 @@ from topolab import (
 from topolab import filters
 from topolab.corpus import maps_between, spaces_up_to
 from topolab.filters import LiftedSpace, ambient_lattice, check_filter_point, member_set
+from topolab.reflectors import sobrify
+from topolab.spaces import _union_prime, irreducible_closed_sets
 
 
 def oracle_prime_filters(kind, space):
@@ -458,6 +460,41 @@ def test_closed_prime_points_are_point_closures(classes4):
     for space in classes4:
         gens = set(lift_space(CLOSED_PRIME, space).generators)
         assert gens == {closure(space, 1 << x) for x in range(space.n)}
+
+
+def test_the_prime_closed_filter_space_is_the_sobrification():
+    """Every closed filter of a finite space is principal, so its generator is
+    an irreducible closed set: P X is the sober reflection of X and its unit
+    is the reflection unit."""
+    labeled, classes5 = spaces_up_to(4, False), spaces_up_to(5)
+    assert (len(labeled), len(classes5)) == (389, 185)
+    for space in labeled + classes5:
+        lifted = lift_space(CLOSED_PRIME, space)
+        sober, reflection = sobrify(space)
+        assert lifted.generators == irreducible_closed_sets(space)
+        assert lifted.space == sober
+        eta = unit(CLOSED_PRIME, space)
+        assert (eta.cod, eta.map) == (reflection.cod, reflection.map)
+
+
+def loop_union_splitting(g, ambient):
+    """The S and P branch of ``filters._is_prime`` as it was written before it
+    called ``spaces._union_prime``: the reference for that helper."""
+    for a in ambient:
+        for b in ambient:
+            if (a | b) & g == g and a & g != g and b & g != g:
+                return False
+    return True
+
+
+def test_union_prime_matches_the_prime_filter_loop_it_replaced():
+    for space in spaces_up_to(4, False):
+        for kind, ambient in ((OPEN_PRIME, space.opens), (CLOSED_PRIME, space.closeds)):
+            for g in ambient:
+                if g:
+                    expected = loop_union_splitting(g, ambient)
+                    assert _union_prime(g, ambient) == expected, (space, g)
+                    assert filters._is_prime(kind, g, ambient, space.full) == expected
 
 
 small_space = st.integers(min_value=1, max_value=3).flatmap(

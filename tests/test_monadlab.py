@@ -14,6 +14,7 @@ from topolab import (
     ULTRA,
     HypothesisViolated,
     MonadSpec,
+    NoSplitting,
     NatTransSpec,
     alpha_transformation,
     build_space,
@@ -38,17 +39,19 @@ from topolab import (
     lift_space,
     reflection_onto_composite,
     reflector_spec,
+    t0_reflect,
     unit,
     universal_separation,
 )
 from topolab import monadlab, suites
 from topolab.corpus import maps_between, spaces_up_to
-from topolab.spaces import classify, is_proper, restriction_counts
+from topolab.spaces import classify, composes_to, is_proper, restriction_counts
 from topolab.monadlab import (
     IDENTITY_FUNCTOR,
     EndofunctorSpec,
     ReflectorSpec,
     _cached,
+    algebra_structure,
     count_descents,
     horizontal,
     monad_preserves_epis,
@@ -260,6 +263,57 @@ def test_composite_unit_decompositions_agree(corpus):
     composite = compose_reflector_monad(T0, filter_monad(OPEN_PRIME))
     for space in spaces:
         composite.unit.at(space)
+
+
+def loop_unit_component(R, T, space):
+    """The composite unit as ``compose_reflector_monad`` built it before it
+    took ``horizontal``: r_TX . eta_X, checked against R(eta_X) . r_X."""
+    eta = T.unit.at(space)
+    first = compose(R.unit_at(T.obj(space)), eta)
+    if not composes_to(R.mor(eta), R.unit_at(space), first):
+        raise HypothesisViolated(f"unit decompositions differ at {space!r}")
+    return first
+
+
+@pytest.mark.parametrize(
+    "reflector, kind",
+    [("t0", ULTRA), ("t0", OPEN_PRIME), ("t0", CLOSED_PRIME),
+     ("hausdorff", ULTRA), ("hausdorff", OPEN_PRIME)],
+)
+def test_the_composite_unit_matches_the_decompositions_it_replaced(classes3, reflector, kind):
+    R, T = reflector_spec(reflector), filter_monad(kind)
+    composite = compose_reflector_monad(R, T)
+    for space in classes3:
+        assert composite.unit.at(space) == loop_unit_component(R, T, space)
+
+
+class _ConstantMorphisms(ReflectorSpec):
+    """The T0 reflection with every morphism sent to a constant map."""
+
+    def mor(self, f):
+        rx, ry = self.obj(f.dom), self.obj(f.cod)
+        return ContinuousMap(rx, ry, (0,) * rx.n)
+
+
+def test_the_composite_unit_raises_when_its_two_decompositions_differ(discrete2):
+    # on the discrete 2-point space R(eta) is the identity, not a constant
+    bent = _ConstantMorphisms("t0-constant", t0_reflect, T0.in_class)
+    composite = compose_reflector_monad(bent, filter_monad(ULTRA))
+    with pytest.raises(HypothesisViolated, match=r"decompositions of r\[t0-constant\]\.unit"):
+        composite.unit.at(discrete2)
+
+
+def test_algebra_structure_raises_no_splitting_when_the_unit_has_no_retraction(
+    monkeypatch, point
+):
+    asked = []
+    monkeypatch.setattr(monadlab, "find_splitting", lambda m: asked.append(m))
+    monad = filter_monad(ULTRA)
+    rttx = T0.obj(monad.obj(monad.obj(point)))
+    with pytest.raises(NoSplitting) as raised:
+        algebra_structure(T0, monad, point)
+    assert str(raised.value) == f"unit of U at {rttx!r} admits no continuous retraction"
+    assert asked == [monad.unit.at(rttx)]
 
 
 def test_reflection_onto_composite_is_monad_morphism(corpus):

@@ -40,10 +40,12 @@ from topolab.filters import KINDS, lift_map
 from topolab.spaces import (
     _ARRAYS,
     _interior_of,
+    _union_prime,
     commutes,
     compact_saturated_sets,
     composition_breaks,
     composes_to,
+    irreducible_closed_sets,
     mediator_breaks,
     restriction_counts,
     saturation,
@@ -290,6 +292,32 @@ def test_classify_e1_matches_example(e1):
     assert not p.is_T0 and not p.is_sober and not p.is_stably_compact
     assert p.irreducible_closed_sets == (0b110, 0b111)
     assert {frozenset([1, 2]), frozenset([0, 1, 2])} == oracle_irreducibles(e1)
+
+
+def loop_irreducible(g, closeds):
+    """The test of one nonzero closed ``g`` in ``irreducible_closed_sets`` as
+    it was written before it called ``_union_prime``: the reference for that
+    helper."""
+    irreducible = True
+    for f1 in closeds:
+        for f2 in closeds:
+            if g & ~(f1 | f2) == 0 and g & ~f1 != 0 and g & ~f2 != 0:
+                irreducible = False
+                break
+        if not irreducible:
+            break
+    return irreducible
+
+
+def test_union_prime_matches_the_irreducibility_loop_it_replaced():
+    for space in spaces_up_to(4, False):
+        for family in (space.opens, space.closeds):
+            for g in family:
+                if g:
+                    assert _union_prime(g, family) == loop_irreducible(g, family), (space, g)
+        closeds = space.closeds
+        expected = tuple(g for g in closeds if g and loop_irreducible(g, closeds))
+        assert irreducible_closed_sets(space) == expected
 
 
 def test_classify_sierpinski_stably_compact(sierpinski):

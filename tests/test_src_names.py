@@ -15,9 +15,12 @@ imports and re-exports marked ``# noqa: F401`` are exempt.
 One rule turns a stream of witnesses into PASS or FAIL, ``reports.verdict``.
 The checkers of ``monadlab``, ``frames`` and ``reflectors`` go through it;
 only ``suites`` builds reports with ``failed`` and ``passed`` itself.
+
+The process-long memos are pinned by name, so a new one shows up as a diff.
 """
 
 import ast
+import importlib
 import re
 import types
 from pathlib import Path
@@ -93,3 +96,43 @@ def test_the_checkers_decide_through_the_verdict_rule():
         source = (SRC / module).read_text(encoding="utf-8")
         assert not re.search(r"\b(failed|passed)\(", source), module
     assert "not_applicable" in imported["monadlab.py"]
+
+
+# Every process-long memo of ``src/topolab``: a module-level callable with
+# ``cache_info``, named by its defining module, so a re-export counts once.
+MODULE_MEMOS = [
+    "corpus.enumerate_lattices",
+    "corpus.enumerate_spaces",
+    "corpus.spaces_up_to",
+    "filters.lift_space",
+    "frames._points",
+    "frames.ideal_frame",
+    "frames.opens_frame",
+    "monadlab.alpha_transformation",
+    "monadlab.compose_reflector_monad",
+    "monadlab.filter_monad",
+    "monadlab.identity_monad",
+    "monadlab.reflector_spec",
+    "reflectors.hausdorff_reflect",
+    "reflectors.sobrify",
+    "reflectors.t0_reflect",
+    "spaces._compact_masks",
+    "spaces._order_relation",
+    "spaces._precomposers",
+    "spaces.classify",
+    "spaces.compact_saturated_sets",
+    "spaces.enumerate_continuous_maps",
+    "spaces.maps_between",
+]
+
+
+def test_the_module_level_memos_are_the_pinned_inventory():
+    memos = []
+    for path in sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py"):
+        module = importlib.import_module(f"topolab.{path.stem}")
+        memos.extend(
+            f"{path.stem}.{name}"
+            for name, value in vars(module).items()
+            if hasattr(value, "cache_info") and value.__module__ == module.__name__
+        )
+    assert sorted(memos) == MODULE_MEMOS
