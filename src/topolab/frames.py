@@ -146,9 +146,6 @@ class FrameMap:
                 if f[self.dom.meet[a][b]] != self.cod.meet[f[a]][f[b]]:
                     raise InvalidInput("frame map does not preserve meets")
 
-    def __call__(self, a: int) -> int:
-        return self.map[a]
-
     @property
     def is_injective(self) -> bool:
         return len(set(self.map)) == self.dom.k

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from operator import attrgetter
 from typing import Callable, Iterator, NamedTuple
 
 from . import filters
@@ -25,7 +24,6 @@ from .reflectors import (
 from .spaces import (
     ContinuousMap,
     FiniteSpace,
-    _gather,
     commutes,
     compose,
     composes_to,
@@ -380,10 +378,9 @@ def check_monad_morphism(
 def _restriction_injective(pre: ContinuousMap, codomain: FiniteSpace) -> bool:
     """Is g -> g . pre injective over all continuous g: pre.cod -> codomain?
 
-    It is when the restrictions of the g are as many as the g.
+    It is when no restriction is tallied twice.
     """
-    phis = enumerate_continuous_maps(pre.cod, codomain)
-    return len(set(map(_gather(pre.map), map(attrgetter("map"), phis)))) == len(phis)
+    return all(n == 1 for n in restriction_counts(pre, codomain).values())
 
 
 def check_unit_transition_epi(

@@ -54,27 +54,22 @@ class CheckReport:
         return f"[{tag}] {self.check_id} [{self.corpus}]{note}{extra}"
 
 
-def passed(check_id: str, corpus: str, note: str = "") -> CheckReport:
-    return CheckReport(check_id, corpus, PASS, note=note)
-
-
-def failed(check_id: str, corpus: str, witness: str) -> CheckReport:
-    return CheckReport(check_id, corpus, FAIL, witness=witness)
-
-
 def not_applicable(check_id: str, corpus: str, note: str = "") -> CheckReport:
     return CheckReport(check_id, corpus, NOT_APPLICABLE, note=note)
 
 
 def verdict(
-    check_id: str, corpus: str, witnesses: Iterable[str], note: str = ""
+    check_id: str, corpus: str, witnesses: Iterable[str | tuple[str, str]], note: str = ""
 ) -> CheckReport:
     """FAIL with the first non-empty witness, or PASS when there is none.
 
+    A witness is its text, or a pair ``(fail_id, text)`` whose FAIL report is
+    named ``fail_id`` rather than ``check_id``, for a claim made of sub-claims.
     ``witnesses`` is consumed lazily and dropped at the first failure: a
     generator that yields a witness is never resumed, so it need not stop.
     """
     for witness in witnesses:
-        if witness:
-            return failed(check_id, corpus, witness)
-    return passed(check_id, corpus, note=note)
+        fail_id, text = witness if isinstance(witness, tuple) else (check_id, witness)
+        if text:
+            return CheckReport(fail_id, corpus, FAIL, witness=text)
+    return CheckReport(check_id, corpus, PASS, note=note)

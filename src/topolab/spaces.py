@@ -24,7 +24,9 @@ BYTE_POINTS = 4
 
 # One shared tuple per distinct map array (hash-consing): every map that
 # passes validation keeps the copy stored here, so the arrays of a corpus and
-# of its lifts cost one tuple per distinct value.  Holds arrays only.
+# of its lifts cost one tuple per distinct value.  Holds arrays of ints only:
+# a float equal to an int passes the order test, so the entries of an array
+# are checked when it is first stored, and an equal array later gets the ints.
 _ARRAYS: dict[tuple[int, ...], tuple[int, ...]] = {}
 
 
@@ -171,7 +173,12 @@ class ContinuousMap:
             # U_f(x), which is then not open: some hood is always found
             bad = next(h for h in self.cod.hoods if not dom.is_open(self.preimage(h)))
             raise InvalidInput(f"not continuous: preimage of {mask_to_points(bad)} is not open")
-        object.__setattr__(self, "map", _ARRAYS.setdefault(arr, arr))
+        shared = _ARRAYS.get(arr)
+        if shared is None:
+            if not all(type(v) is int for v in arr):
+                raise InvalidInput("map values must be ints")
+            shared = _ARRAYS[arr] = arr
+        object.__setattr__(self, "map", shared)
 
     def __hash__(self) -> int:
         # equal spaces have equal _hash, so this agrees with __eq__

@@ -74,7 +74,7 @@ from .reflectors import (
     in_t0,
     sobrify,
 )
-from .reports import CheckReport, failed, passed, verdict
+from .reports import CheckReport, verdict
 from .spaces import (
     ContinuousMap,
     FiniteSpace,
@@ -227,8 +227,7 @@ def _map_corpus(bounds: RunBounds):
 
 def _noted(report: CheckReport, note: str) -> CheckReport:
     """A passing report with the note on the finite-scale divergence it rests on."""
-    # re-marks a decided report, so there is no witness stream for verdict
-    return passed(report.check_id, report.corpus, note=note) if report.ok else report
+    return verdict(report.check_id, report.corpus, [report.witness], note)
 
 
 # ---------------------------------------------------------------------------
@@ -287,23 +286,20 @@ def _natural_homeo_reports(
     lam = _descent(gamma, reflector, target, bounds)
     runit = reflection_onto_composite(_reflector(reflector, bounds), _monad(ULTRA, bounds))
     source = _composite(reflector, ULTRA, bounds)
-    out = [
-        check_monad_morphism(lam, source, target, spaces, maps, f"{prefix}[monad-morphism]", desc)
+
+    def breaks():
+        for s in spaces:
+            if not is_homeomorphism(lam.at(s)):
+                yield f"{prefix}[homeomorphism]", f"component at {s!r}"
+            elif not composes_to(lam.at(s), runit.at(s), gamma.at(s)):
+                yield f"{prefix}[descends-gamma]", f"at {s!r}"
+            elif count_descents(gamma.at(s), runit.at(s)) != 1:
+                yield f"{prefix}[unique]", f"at {s!r}"
+
+    return [
+        check_monad_morphism(lam, source, target, spaces, maps, f"{prefix}[monad-morphism]", desc),
+        verdict(f"{prefix}[homeo-descends-uniquely]", desc, breaks()),
     ]
-    # the FAIL ids differ from the PASS id, and the fault pins of the tests hold them
-    for s in spaces:
-        if not is_homeomorphism(lam.at(s)):
-            out.append(failed(f"{prefix}[homeomorphism]", desc, f"component at {s!r}"))
-            break
-        if not composes_to(lam.at(s), runit.at(s), gamma.at(s)):
-            out.append(failed(f"{prefix}[descends-gamma]", desc, f"at {s!r}"))
-            break
-        if count_descents(gamma.at(s), runit.at(s)) != 1:
-            out.append(failed(f"{prefix}[unique]", desc, f"at {s!r}"))
-            break
-    else:
-        out.append(passed(f"{prefix}[homeo-descends-uniquely]", desc))
-    return out
 
 
 def suite_prop_3_6(bounds: RunBounds) -> list[CheckReport]:
@@ -321,18 +317,20 @@ def suite_prop_3_7(bounds: RunBounds) -> list[CheckReport]:
     spaces = spaces_up_to(bounds.max_points)
     desc = _desc(bounds.max_points)
     reflect = _reflector("t0", bounds).reflect
-    # the FAIL ids differ from the PASS id, and the fault pins of the tests hold them
-    for space in spaces:
-        rx, r = reflect(space)
-        for o in space.opens:
-            if r.preimage(r.image(o)) != o:
-                return [failed("prop3.7[lattice-iso]", desc, f"open {o} of {space!r}")]
-        for upstairs in rx.opens:
-            if r.image(r.preimage(upstairs)) != upstairs:
-                return [failed("prop3.7[lattice-iso]", desc, f"open {upstairs} of {rx!r}")]
-        if not is_proper(r):
-            return [failed("prop3.7[proper]", desc, f"quotient of {space!r}")]
-    return [passed("prop3.7[lattice-iso+proper]", desc)]
+
+    def breaks():
+        for space in spaces:
+            rx, r = reflect(space)
+            for o in space.opens:
+                if r.preimage(r.image(o)) != o:
+                    yield "prop3.7[lattice-iso]", f"open {o} of {space!r}"
+            for upstairs in rx.opens:
+                if r.image(r.preimage(upstairs)) != upstairs:
+                    yield "prop3.7[lattice-iso]", f"open {upstairs} of {rx!r}"
+            if not is_proper(r):
+                yield "prop3.7[proper]", f"quotient of {space!r}"
+
+    return [verdict("prop3.7[lattice-iso+proper]", desc, breaks())]
 
 
 def suite_thm_4_1(bounds: RunBounds) -> list[CheckReport]:
@@ -1003,8 +1001,7 @@ def run_suite(suite_id: str, bounds: RunBounds | None = None) -> list[CheckRepor
         try:
             reports.extend(SUITES[name](bounds))
         except _CONSTRUCTION_FAILURES as exc:
-            # a suite that could not be built has no witness stream to decide
-            reports.append(failed(name, "construction", f"{type(exc).__name__}: {exc}"))
+            reports.append(verdict(name, "construction", [f"{type(exc).__name__}: {exc}"]))
     if bounds.fault is not None and all(r.ok for r in reports):
         raise InvalidInput(f"fault {bounds.fault!r} failed no check of suite {suite_id!r}")
     return reports

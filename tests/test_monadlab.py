@@ -45,7 +45,7 @@ from topolab import (
 )
 from topolab import monadlab, suites
 from topolab.corpus import maps_between, spaces_up_to
-from topolab.spaces import classify, composes_to, is_proper, restriction_counts
+from topolab.spaces import classify, composes_to, is_proper
 from topolab.monadlab import (
     IDENTITY_FUNCTOR,
     EndofunctorSpec,
@@ -630,7 +630,7 @@ def test_memo_entry_costs_one_dict_slot():
 
 def test_restriction_injectivity_matches_the_tally(monkeypatch):
     # every (map, codomain) pair that prop4.10, lemma4.5 and divergences
-    # decide, against the tally it replaced: every count is 1
+    # decide, against the definition: as many restrictions as continuous phi
     real = monadlab._restriction_injective
     pairs = []
 
@@ -648,15 +648,19 @@ def test_restriction_injectivity_matches_the_tally(monkeypatch):
     distinct.update((pre, codomain) for pre in maps_between(small) for codomain in small)
     verdicts = set()
     for pre, codomain in distinct:
-        verdict = all(n == 1 for n in restriction_counts(pre, codomain).values())
+        phis = enumerate_continuous_maps(pre.cod, codomain)
+        verdict = len({tuple(phi.map[v] for v in pre.map) for phi in phis}) == len(phis)
         assert real(pre, codomain) == verdict
         verdicts.add(verdict)
     assert verdicts == {True, False}
 
 
-def test_restriction_injectivity_holds_on_an_empty_hom(monkeypatch, e1):
-    monkeypatch.setattr(monadlab, "enumerate_continuous_maps", lambda dom, cod: ())
-    assert monadlab._restriction_injective(identity_map(e1), e1)
+def test_restriction_injectivity_holds_on_an_empty_hom(monkeypatch, point, discrete2):
+    # the four self-maps of discrete2 restrict along a point to two maps
+    pre = ContinuousMap(point, discrete2, (0,))
+    assert not monadlab._restriction_injective(pre, discrete2)
+    monkeypatch.setattr("topolab.spaces.enumerate_continuous_maps", lambda dom, cod: ())
+    assert monadlab._restriction_injective(pre, discrete2)
 
 
 def test_prop_5_1_inverts_each_algebra_structure_once(monkeypatch):
@@ -671,6 +675,64 @@ def test_prop_5_1_inverts_each_algebra_structure_once(monkeypatch):
     reports = suites.run_suite("prop5.1")
     assert [(r.check_id, r.ok) for r in reports] == [("prop5.1", True)]
     assert len(inversions) == 13
+
+
+def _bent_at_call(real, k, value):
+    """``real``, except that its k-th call returns ``value``."""
+    calls = []
+
+    def bent(*args):
+        calls.append(args)
+        return value if len(calls) == k else real(*args)
+
+    return bent
+
+
+NATURAL_HOMEO_IDS = {
+    "prop3.6": ["prop3.6[composite-laws]", "prop3.6[monad-morphism]"],
+    "thm4.11": ["thm4.11[monad-morphism]"],
+    "prop5.7": ["prop5.7[monad-morphism]", "prop5.7[components]", "prop5.7[compact-hausdorff]"],
+}
+
+
+@pytest.mark.parametrize("suite", sorted(NATURAL_HOMEO_IDS))
+@pytest.mark.parametrize(
+    "predicate,value,sub_claim,witness",
+    [
+        ("is_homeomorphism", False, "homeomorphism", "component at {!r}"),
+        ("composes_to", False, "descends-gamma", "at {!r}"),
+        ("count_descents", 2, "unique", "at {!r}"),
+    ],
+    ids=["homeomorphism", "descends-gamma", "unique"],
+)
+def test_a_natural_homeomorphism_fails_under_the_sub_claim_it_breaks(
+    monkeypatch, suite, predicate, value, sub_claim, witness
+):
+    # each predicate is read once per space of the map corpus, in order, so
+    # bending its last call breaks the sub-claim at the last space only
+    spaces = spaces_up_to(suites.RunBounds().map_points)
+    monkeypatch.setattr(
+        suites, predicate, _bent_at_call(getattr(suites, predicate), len(spaces), value)
+    )
+    reports = suites.run_suite(suite)
+    fail_id = f"{suite}[{sub_claim}]"
+    ids = [r.check_id for r in reports]
+    assert sorted(ids) == sorted([*NATURAL_HOMEO_IDS[suite], fail_id])
+    assert ids.index(fail_id) == ids.index(f"{suite}[monad-morphism]") + 1
+    assert [(r.check_id, r.witness) for r in reports if not r.ok] == [
+        (fail_id, witness.format(spaces[-1]))
+    ]
+
+
+def test_prop_3_7_fails_as_improper_at_the_quotient_it_bends(monkeypatch):
+    # is_proper is read once per space of the law corpus, after its opens
+    points = suites.RunBounds().max_points
+    spaces = spaces_up_to(points)
+    monkeypatch.setattr(suites, "is_proper", _bent_at_call(is_proper, len(spaces), False))
+    [report] = suites.run_suite("prop3.7")
+    assert (report.check_id, report.corpus, report.witness) == (
+        "prop3.7[proper]", f"classes<={points} ({len(spaces)})", f"quotient of {spaces[-1]!r}"
+    )
 
 
 def test_prop_5_2_decides_each_hom_out_of_a_prime_open_filter_space_once(monkeypatch):

@@ -10,7 +10,7 @@ import pytest
 import topolab
 from topolab import InvalidInput, lift_space
 from topolab.filters import OPEN_PRIME
-from topolab.reports import CheckReport, failed, passed
+from topolab.reports import CheckReport, verdict
 from topolab.serialization import (
     lifted_dot,
     lifted_sidecar_to_json,
@@ -72,7 +72,7 @@ def test_lifted_sidecar(e1):
 
 
 def test_report_json_shape():
-    report = failed("x", "small corpus", "broken at 3")
+    report = verdict("x", "small corpus", ["broken at 3"])
     assert report.to_json() == {
         "id": "x",
         "corpus": "small corpus",
@@ -88,7 +88,19 @@ def test_report_witness_invariant():
         CheckReport("x", "c", "pass", witness="spurious")
     with pytest.raises(InvalidInput):
         CheckReport("x", "c", "maybe")
-    assert passed("x", "c").ok
+    assert verdict("x", "c", []).ok
+
+
+def test_verdict_names_a_failure_by_its_pair_and_a_pass_by_its_check():
+    def witnesses():
+        yield ""
+        yield ("x[sub]", "")  # a pair with no text is no failure
+        yield ("x[sub]", "broken at 3")
+        raise AssertionError("resumed after a failure")
+
+    report = verdict("x", "c", witnesses(), note="n")
+    assert report.line() == "[FAIL] x[sub] [c] witness: broken at 3"
+    assert verdict("x", "c", ["", ("x[sub]", "")], note="n").line() == "[PASS] x [c] (n)"
 
 
 def test_report_invariant_survives_optimized_mode():

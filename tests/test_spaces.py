@@ -716,6 +716,20 @@ def test_a_rejected_array_stays_out_of_the_shared_table(e1, sierpinski, indiscre
     assert _ARRAYS == before
 
 
+def test_float_entries_never_reach_the_shared_table(monkeypatch, e1):
+    monkeypatch.setattr("topolab.spaces._ARRAYS", {})
+    floats = (0.0, 1.0, 2.0)  # equal to the identity array, so the order test passes
+    with pytest.raises(InvalidInput, match="must be ints"):
+        ContinuousMap(e1, e1, floats)
+    ident = identity_map(e1)
+    assert [type(v) for v in ident.map] == [int] * 3
+    assert compose(ident, ident) == ident
+    # once the int array is stored, an equal float array is handed the ints
+    f = ContinuousMap(e1, e1, floats)
+    assert f.map is ident.map
+    assert compose(f, f) == ident
+
+
 def test_a_map_from_a_fresh_equal_tuple_is_the_same_map(e1, sierpinski):
     known = ContinuousMap(e1, sierpinski, (1, 0, 0))
     fresh = tuple([1, 0, 0])

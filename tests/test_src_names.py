@@ -12,9 +12,10 @@ An import made at module level counts as used when the name it binds appears
 on a line of its module outside the import statement. ``from __future__``
 imports and re-exports marked ``# noqa: F401`` are exempt.
 
-One rule turns a stream of witnesses into PASS or FAIL, ``reports.verdict``.
-The checkers of ``monadlab``, ``frames`` and ``reflectors`` go through it;
-only ``suites`` builds reports with ``failed`` and ``passed`` itself.
+One rule turns a stream of witnesses into PASS or FAIL, ``reports.verdict``,
+and it is the only code that builds a PASS or FAIL report: no module but
+``reports`` calls ``CheckReport``, and the one other helper of ``reports``,
+``not_applicable``, marks a check whose hypothesis fails (``fakir_test``).
 
 The process-long memos are pinned by name, so a new one shows up as a diff.
 """
@@ -87,15 +88,38 @@ def _names_imported_from_reports() -> dict[str, set[str]]:
     return imported
 
 
+def _functions_calling_check_report(tree: ast.Module) -> set[str]:
+    """Where ``CheckReport(...)`` is called in a module: each enclosing
+    module-level function by name, or ``<module>`` for a call outside one."""
+    where = set()
+    for top in tree.body:
+        for node in ast.walk(top):
+            if isinstance(node, ast.Call) and "CheckReport" in (
+                getattr(node.func, "id", None), getattr(node.func, "attr", None)
+            ):
+                where.add(top.name if isinstance(top, ast.FunctionDef) else "<module>")
+    return where
+
+
 def test_the_checkers_decide_through_the_verdict_rule():
+    callers = {
+        path.name: _functions_calling_check_report(ast.parse(path.read_text(encoding="utf-8")))
+        for path in sorted(SRC.glob("*.py"))
+    }
+    assert {name: where for name, where in callers.items() if where} == {
+        "reports.py": {"not_applicable", "verdict"}
+    }
     imported = _names_imported_from_reports()
-    deciding = sorted(name for name, names in imported.items() if names & {"failed", "passed"})
-    assert deciding == ["suites.py"]
-    for module in ("monadlab.py", "frames.py", "reflectors.py"):
+    for module in ("monadlab.py", "frames.py", "reflectors.py", "suites.py"):
         assert "verdict" in imported[module]
-        source = (SRC / module).read_text(encoding="utf-8")
-        assert not re.search(r"\b(failed|passed)\(", source), module
-    assert "not_applicable" in imported["monadlab.py"]
+    helpers = set().union(*imported.values()) - {"CheckReport"}
+    assert helpers == {"verdict", "not_applicable"}
+    assert [name for name, names in imported.items() if "not_applicable" in names] == [
+        "monadlab.py"
+    ]
+    reports = ast.parse((SRC / "reports.py").read_text(encoding="utf-8"))
+    defs = {node.name for node in reports.body if isinstance(node, ast.FunctionDef)}
+    assert defs == {"not_applicable", "verdict"}
 
 
 # Every process-long memo of ``src/topolab``: a module-level callable with
