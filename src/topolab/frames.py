@@ -34,6 +34,7 @@ from .spaces import (
     composes_to,
     enumerate_continuous_maps,
     mask_to_points,
+    require_ints,
 )
 
 LATTICE_ENUM_CAP = 16
@@ -107,11 +108,8 @@ def frame_from_leq(k: int, leq_rows) -> FiniteFrame:
 
     join = table(up, "least upper bound")
     meet = table(down, "greatest lower bound")
-    full = (1 << k) - 1
-    bottoms = [a for a in range(k) if up[a] == full]
-    tops = [a for a in range(k) if down[a] == full]
-    if len(bottoms) != 1 or len(tops) != 1:
-        raise InvalidInput("lattice is not bounded")
+    # with every binary join and meet, all elements have both: the lattice is bounded
+    bottom, top = up.index((1 << k) - 1), down.index((1 << k) - 1)
     # a ∧ (b ∨ c) = (a ∧ b) ∨ (a ∧ c), one row of c per (a, b) by two gathers
     after_join = [_gather(row) for row in join]
     after_meet = [_gather(row) for row in meet]
@@ -120,7 +118,7 @@ def frame_from_leq(k: int, leq_rows) -> FiniteFrame:
         for b in range(k):
             if after_join[b](meet_a) != gather_a(join[meet_a[b]]):
                 raise InvalidInput("lattice is not distributive")
-    return FiniteFrame(k, leq, join, meet, bottoms[0], tops[0])
+    return FiniteFrame(k, leq, join, meet, bottom, top)
 
 
 @dataclass(frozen=True, slots=True)
@@ -132,6 +130,7 @@ class FrameMap:
     map: tuple[int, ...]
 
     def __post_init__(self) -> None:
+        require_ints(self.map, "frame map values")
         if len(self.map) != self.dom.k:
             raise InvalidInput("frame map has the wrong length")
         f = self.map

@@ -176,26 +176,28 @@ def check_reflector_universal(
 
 
 def check_patch_couniversal(
-    space: FiniteSpace,
+    spaces: tuple[FiniteSpace, ...],
     sources: tuple[FiniteSpace, ...],
+    check_id: str = "patch-couniversal",
+    corpus_desc: str = "",
 ) -> CheckReport:
-    """Every proper map from a compact Hausdorff source lifts uniquely
-    through the patch counit."""
-    kx, counit = patch_coreflect(space)
-
+    """Every proper map from a compact Hausdorff source into a stably compact
+    space of the corpus lifts uniquely through that space's patch counit."""
     def witnesses():
-        for c in sources:
-            if not classify(c).is_hausdorff:
-                continue
-            for g in enumerate_continuous_maps(c, space):
-                if not is_proper(g):
+        for space in spaces:
+            kx, counit = patch_coreflect(space)
+            for c in sources:
+                if not classify(c).is_hausdorff:
                     continue
-                lifts = [
-                    h
-                    for h in enumerate_continuous_maps(c, kx)
-                    if composes_to(counit, h, g) and is_proper(h)
-                ]
-                if len(lifts) != 1:
-                    yield f"source {c!r}, g={g.map}: {len(lifts)} lifts"
+                for g in enumerate_continuous_maps(c, space):
+                    if not is_proper(g):
+                        continue
+                    lifts = [
+                        h
+                        for h in enumerate_continuous_maps(c, kx)
+                        if composes_to(counit, h, g) and is_proper(h)
+                    ]
+                    if len(lifts) != 1:
+                        yield f"source {c!r}, g={g.map}: {len(lifts)} lifts"
 
-    return verdict("patch-couniversal", f"{space!r}; {len(sources)} sources", witnesses())
+    return verdict(check_id, corpus_desc or f"{len(spaces)} spaces", witnesses())

@@ -30,11 +30,17 @@ BYTE_POINTS = 4
 _ARRAYS: dict[tuple[int, ...], tuple[int, ...]] = {}
 
 
+def require_ints(values: tuple[int, ...], what: str) -> None:
+    """Refuse anything but a tuple of ints; a bool is not taken for an int."""
+    if type(values) is not tuple or not all(type(v) is int for v in values):
+        raise InvalidInput(f"{what} must be ints in a tuple, got {values!r}")
+
+
 def mask_of(points: Iterable[int], n: int) -> int:
     m = 0
     for p in points:
-        if not 0 <= p < n:
-            raise InvalidInput(f"point {p} out of range for an {n}-point space")
+        if type(p) is not int or not 0 <= p < n:
+            raise InvalidInput(f"point {p!r} is not an int in 0..{n - 1}")
         m |= 1 << p
     return m
 
@@ -73,8 +79,9 @@ class FiniteSpace:
     _order_hi: Callable = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self.n < 1:
-            raise InvalidInput("spaces must have at least one point")
+        if type(self.n) is not int or self.n < 1:
+            raise InvalidInput(f"spaces must have at least one point, got {self.n!r}")
+        require_ints(self.opens, "opens")
         full = (1 << self.n) - 1
         if list(self.opens) != sorted(set(self.opens)):
             raise InvalidInput("opens must be strictly ascending and duplicate-free")
@@ -167,16 +174,19 @@ class ContinuousMap:
         if not _order_relation(self.cod.hoods).issuperset(
             zip(dom._order_lo(arr), dom._order_hi(arr))
         ):
+            require_ints(arr, "map values")
             if min(arr) < 0 or max(arr) >= self.cod.n:
                 raise InvalidInput("map value out of codomain range")
             # a broken pair (x, y) puts x but not y in the preimage of
             # U_f(x), which is then not open: some hood is always found
             bad = next(h for h in self.cod.hoods if not dom.is_open(self.preimage(h)))
             raise InvalidInput(f"not continuous: preimage of {mask_to_points(bad)} is not open")
-        shared = _ARRAYS.get(arr)
+        try:
+            shared = _ARRAYS.get(arr)
+        except TypeError:  # an unhashable array, such as a list
+            shared = None
         if shared is None:
-            if not all(type(v) is int for v in arr):
-                raise InvalidInput("map values must be ints")
+            require_ints(arr, "map values")
             shared = _ARRAYS[arr] = arr
         object.__setattr__(self, "map", shared)
 
@@ -377,10 +387,10 @@ def _unions(masks: Iterable[int]) -> frozenset[int]:
 def build_space(n: int, generators: Sequence[Iterable[int]] = ()) -> FiniteSpace:
     """Smallest topology on ``n`` points containing every generator set: the
     unions of the U_x, each the intersection of the generators containing x."""
-    if n < 1:
-        raise InvalidInput("spaces must have at least one point")
+    if type(n) is not int or n < 1:
+        raise InvalidInput(f"spaces must have at least one point, got {n!r}")
     full = (1 << n) - 1
-    masks = [g if isinstance(g, int) else mask_of(g, n) for g in generators]
+    masks = [g if type(g) is int else mask_of(g, n) for g in generators]
     for g in masks:
         if g & ~full:
             raise InvalidInput(f"generator {g:#x} mentions points outside the space")

@@ -41,7 +41,6 @@ from topolab import (
 from topolab.corpus import lattice_class_counts, maps_between, recount_lattices, spaces_up_to
 from topolab.divergences import DIVERGENCES
 from topolab.monadlab import count_descents, horizontal
-from topolab.suites import FAULT_TARGETS
 
 T0 = reflector_spec("t0")
 HAUSDORFF = reflector_spec("hausdorff")
@@ -82,7 +81,7 @@ def test_criterion_1_monad_laws(law_corpus):
         for kind in (ULTRA, OPEN_PRIME, CLOSED_PRIME)
     )
     injected = all(
-        any(not r.ok for r in run_suite(FAULT_TARGETS[fault], RunBounds(fault=fault)))
+        any(not r.ok for r in run_suite("monad-laws", RunBounds(fault=fault)))
         for fault in ("sigma-mult-swap", "ultra-mult-swap", "pcf-mult-swap")
     )
     elapsed = time.monotonic() - start

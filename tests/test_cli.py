@@ -18,16 +18,15 @@ from topolab.serialization import dumps, space_to_json
 from topolab import errors, spaces
 from topolab.errors import InvalidInput, NotWellDefined
 from topolab.corpus import MAX_POINTS, spaces_up_to
-from topolab.filters import ULTRA_MAX_POINTS
-from topolab.monadlab import compose_reflector_monad, filter_monad
-from topolab.reflectors import REFLECT_OPS
+from topolab.filters import CLOSED_PRIME, OPEN_PRIME, ULTRA_MAX_POINTS
+from topolab.monadlab import ReflectorSpec, compose_reflector_monad, filter_monad
+from topolab.reflectors import REFLECT_OPS, hausdorff_reflect
 from topolab.suites import (
-    _FAULT_KIND,
-    FAULT_TARGETS,
     FAULTS,
     PAIR_SCAN_SUITES,
     SUITES,
     RunBounds,
+    _lift_unswapped,
     _swap_first_two,
     run_suite,
 )
@@ -271,6 +270,17 @@ def test_check_unknown_fault(capsys):
     assert main(["check", "--suite", "monad-laws", "--inject-fault", "nope"]) == 2
 
 
+# which suite is expected to catch each fault
+FAULT_TARGETS = {
+    "sigma-mult-swap": "monad-laws",
+    "ultra-mult-swap": "monad-laws",
+    "pcf-mult-swap": "monad-laws",
+    "t0-coarsen": "reflector-universal",
+    "composite-mult-collapse": "lemma4.8",
+    "ultra-lift-unswap": "filter-naturality",
+}
+
+
 @pytest.mark.parametrize("fault,suite", sorted(FAULT_TARGETS.items()))
 def test_every_fault_is_caught_by_its_target_suite(fault, suite, capsys):
     assert main(["check", "--suite", suite, "--inject-fault", fault]) == 1
@@ -282,7 +292,7 @@ def test_every_fault_is_caught_by_its_target_suite(fault, suite, capsys):
 def test_mult_swap_fault_is_live(fault):
     # the swap falls back to the identity on one point or where it is not
     # continuous; on some lifted space of the monad-laws corpus it must move points
-    monad = filter_monad(_FAULT_KIND[fault])
+    monad = filter_monad(FAULTS[fault][0])
     lifted = [monad.obj(s) for s in spaces_up_to(RunBounds().max_points)]
     assert any(_swap_first_two(t).map != identity_map(t).map for t in lifted)
 
@@ -431,6 +441,51 @@ def test_the_checks_no_fault_fails_are_pinned():
     assert len(ids) == 87
     assert tuple(sorted(set(ids) - faulted)) == UNFAULTED_CHECKS
     assert len(UNFAULTED_CHECKS) == 58
+
+
+# Generated mutants, the seed of a kill matrix: bends that a test registers
+# in ``FAULTS`` and runs through ``run_suite``, with no edit to the suites.
+# Each is built from helpers already in ``src``.
+MUTANTS = {
+    "s-lift-unswap": (OPEN_PRIME, _lift_unswapped),
+    "p-lift-unswap": (CLOSED_PRIME, _lift_unswapped),
+    # the sobrification replaced by the component quotient
+    "sober-coarsen": (
+        "sober", lambda spec: ReflectorSpec("sober!", hausdorff_reflect, spec.in_class)
+    ),
+}
+
+# The exact FAIL ids of ``run_suite("all")`` under each registered mutant.
+MUTANT_MATRIX = {
+    "s-lift-unswap": {
+        "prop3.6[monad-morphism]", "prop5.4[morphism]", "prop5.7[monad-morphism]",
+        "filters[functor-S]", "filters[unit-natural-S]", "filters[mult-natural-S]",
+    },
+    "p-lift-unswap": {
+        "thm4.11[monad-morphism]", "prop5.4[morphism]", "filters[functor-P]",
+        "filters[unit-natural-P]", "filters[mult-natural-P]",
+    },
+    "sober-coarsen": {"reflector-universal[sober]"},
+}
+
+
+@pytest.mark.parametrize("mutant", sorted(MUTANT_MATRIX))
+def test_each_registered_mutant_fails_exactly_its_pinned_checks(mutant, monkeypatch):
+    assert set(MUTANTS) == set(MUTANT_MATRIX) and not set(MUTANTS) & set(FAULT_MATRIX)
+    monkeypatch.setitem(FAULTS, mutant, MUTANTS[mutant])
+    reports = run_suite("all", RunBounds(fault=mutant))
+    assert {r.check_id for r in reports if not r.ok} == MUTANT_MATRIX[mutant]
+
+
+def test_the_registered_mutants_reach_checks_that_no_fault_fails():
+    reached = set().union(*MUTANT_MATRIX.values()) & set(UNFAULTED_CHECKS)
+    assert reached == {
+        "filters[functor-S]",
+        "filters[functor-P]",
+        "filters[unit-natural-S]",
+        "filters[unit-natural-P]",
+        "reflector-universal[sober]",
+    }
 
 
 # on one-point spaces the swaps and the collapse fall back to the identity,

@@ -237,3 +237,18 @@ def test_refined_canonical_form_separates_what_the_full_form_separates(monkeypat
         refined, full = canonical(m, leq), _full_canonical(m, leq)
         assert refined_to_full.setdefault(refined, full) == full
         assert full_to_refined.setdefault(full, refined) == refined
+
+
+@pytest.mark.parametrize(
+    "call,error,message",
+    [
+        (lambda: recount_topologies(5), BoundExceeded, "affordable up to 4 points"),
+        (lambda: enumerate_lattices(0), InvalidInput, "must be positive"),
+        (lambda: enumerate_lattices(13), BoundExceeded, "capped at 12 elements"),
+        (lambda: recount_lattices(8), BoundExceeded, "affordable up to 7"),
+    ],
+    ids=["recount-topologies-5", "lattices-0", "lattices-13", "recount-lattices-8"],
+)
+def test_the_corpus_enumerators_refuse_their_caps(call, error, message):
+    with pytest.raises(error, match=message):
+        call()

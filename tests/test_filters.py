@@ -17,12 +17,14 @@ from topolab import (
     ContinuousMap,
     FilterNotWellFormed,
     FiniteSpace,
+    InvalidInput,
     alpha,
     build_space,
     classify,
     compose,
     closure,
     enumerate_continuous_maps,
+    filter_monad,
     find_homeomorphism,
     identity_map,
     is_homeomorphism,
@@ -510,3 +512,15 @@ def test_random_space_filters_match_oracle(space):
     for kind in (ULTRA, OPEN_PRIME, CLOSED_PRIME):
         got = set(map(frozenset, _filters(lift_space(kind, space))))
         assert got == oracle_prime_filters(kind, space)
+
+
+def test_an_unknown_filter_kind_is_refused(sierpinski):
+    with pytest.raises(InvalidInput, match="unknown filter kind 'x'"):
+        ambient_lattice("x", sierpinski)
+    with pytest.raises(InvalidInput, match="unknown filter kind 'x'"):
+        filter_monad("x")
+
+
+def test_alpha_refuses_the_ultrafilter_space_as_its_target(sierpinski):
+    with pytest.raises(InvalidInput, match="open-prime or closed-prime"):
+        alpha(ULTRA, sierpinski)

@@ -3,6 +3,7 @@ ideals, way-below."""
 
 import itertools
 from operator import attrgetter
+from types import SimpleNamespace
 
 import pytest
 
@@ -380,6 +381,58 @@ def test_ideal_comonad_laws_catch_a_broken_coassociativity(monkeypatch):
     )
     report = check_ideal_comonad_laws((square,))
     assert report.witness == f"coassociativity fails on {square!r}"
+
+
+@pytest.mark.parametrize("call,law", [(1, "outer"), (2, "inner")])
+def test_ideal_comonad_laws_name_the_counit_law_that_fails(monkeypatch, call, law):
+    # composes_to is read twice per frame, for the outer law first
+    calls = []
+
+    def bent(*maps):
+        calls.append(maps)
+        return len(calls) != call and composes_to(*maps)
+
+    monkeypatch.setattr(frames, "composes_to", bent)
+    lattices = enumerate_lattices(suites.LATTICE_CAP)
+    [laws, *_] = suites.run_suite("ideal-comonad")
+    assert (laws.check_id, laws.witness) == (
+        "ideal-comonad[laws]", f"counit law ({law}) fails on {lattices[0]!r}"
+    )
+
+
+@pytest.mark.parametrize(
+    "name,bent,first,witness",
+    [
+        (
+            "ideal_supremum",
+            lambda frame: SimpleNamespace(map=(frame.bottom,) * ideal_frame(frame).frame.k),
+            1,
+            "counit does not reflect bottom on {!r}",
+        ),
+        (
+            "_restrict_into",
+            lambda f, incl_dom, sub_cod, incl_cod: None,
+            0,
+            "counit does not restrict to the regular parts of {!r}",
+        ),
+        (
+            "_restrict_into",
+            lambda f, incl_dom, sub_cod, incl_cod: SimpleNamespace(
+                map=(sub_cod.bottom,) * incl_dom.dom.k
+            ),
+            1,
+            "restricted counit not dense on {!r}",
+        ),
+    ],
+    ids=["reflects-bottom", "restricts", "dense"],
+)
+def test_lemma_5_8_names_the_counit_property_that_fails(monkeypatch, name, bent, first, witness):
+    # a counit onto bottom, or a restriction onto bottom, first shows on the
+    # two-element chain; a missing restriction shows on the one-element frame
+    monkeypatch.setattr(frames, name, bent)
+    lattices = enumerate_lattices(suites.LATTICE_CAP)
+    [report] = suites.run_suite("lemma5.8")
+    assert (report.check_id, report.witness) == ("lemma5.8", witness.format(lattices[first]))
 
 
 def test_ideal_map_example():
@@ -764,6 +817,27 @@ def test_frame_tables_match_the_loops_they_replaced():
         assert _outcome(frame_from_leq, k, rows) == _outcome(_frame_from_leq_by_loops, k, rows)
 
 
+def test_no_reflexive_relation_with_all_joins_and_meets_is_unbounded():
+    # frame_from_leq has no bounded check: once every two elements have a
+    # join and a meet, so do all of them. Over every reflexive relation on
+    # at most 4 elements the loop reference, which keeps the check, never
+    # fires it, and the two agree message for message
+    seen = 0
+    for k in range(1, 5):
+        off = [(a, b) for a in range(k) for b in range(k) if a != b]
+        for bits in range(1 << len(off)):
+            rows = [[a == b for b in range(k)] for a in range(k)]
+            for i, (a, b) in enumerate(off):
+                rows[a][b] = bool(bits >> i & 1)
+            old = _outcome(_frame_from_leq_by_loops, k, rows)
+            assert old != "lattice is not bounded"
+            assert _outcome(frame_from_leq, k, rows) == (
+                old if isinstance(old, str) else FiniteFrame(*old)
+            )
+            seen += 1
+    assert seen == 4165
+
+
 def _regular_by_approximated(frame, members):
     """Regularity with a pseudocomplement per (element, member) pair."""
 
@@ -838,3 +912,19 @@ def test_ideal_preserves_monos_builds_only_the_maps_of_surjective_points(monkeyp
     reports = suites.run_suite("prop5.9")
     assert [(r.check_id, r.ok) for r in reports] == [("prop5.9", True)]
     assert len(built) == 240
+
+
+@pytest.mark.parametrize(
+    "arr,message",
+    [
+        ((0,), "wrong length"),
+        ((0, 1, 1), "wrong length"),
+        ((0, 1.0), "must be ints"),
+        ([0, 1], "must be ints"),
+        ((False, True), "must be ints"),
+    ],
+)
+def test_a_frame_map_refuses_an_array_of_the_wrong_length_or_type(arr, message):
+    two = chain_frame(2)
+    with pytest.raises(InvalidInput, match=message):
+        FrameMap(two, two, arr)

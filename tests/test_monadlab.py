@@ -1,5 +1,6 @@
 """Engine tests: law checkers, the composite pipeline, universality."""
 
+import dataclasses
 import gc
 import tracemalloc
 from collections import Counter
@@ -45,7 +46,8 @@ from topolab import (
 )
 from topolab import monadlab, suites
 from topolab.corpus import maps_between, spaces_up_to
-from topolab.spaces import classify, composes_to, is_proper
+from topolab.filters import LABELS
+from topolab.spaces import FiniteSpace, classify, composes_to, is_proper
 from topolab.monadlab import (
     IDENTITY_FUNCTOR,
     EndofunctorSpec,
@@ -930,3 +932,158 @@ def test_fakir_names_a_monic_unit_that_misses_a_point(point, sierpinski, opens, 
     monad = _unit_only_monad(lambda s: ContinuousMap(s, sierpinski, (1,)))
     report = fakir_test(monad, (point,), (build_space(2, opens),))
     assert report.line() == f"[FAIL] fakir [1 spaces] witness: {witness} at {point!r}"
+
+
+# ---------------------------------------------------------------------------
+# the FAIL branches of the suites: each test bends the predicate or object
+# one branch reads, through a name the suite looks up, and pins the FAIL id
+# and its witness
+
+
+def _failures(reports):
+    return [(r.check_id, r.witness) for r in reports if not r.ok]
+
+
+def _with_an_isolated_point(space):
+    """The sum of ``space`` and one point, the new point last."""
+    opens = {o | extra for o in space.opens for extra in (0, 1 << space.n)}
+    return FiniteSpace(space.n + 1, tuple(sorted(opens)))
+
+
+def test_prop_3_7_fails_on_the_quotient_side_when_the_quotient_misses_a_point(monkeypatch):
+    # the T0 quotient followed by the inclusion into a sum with one more
+    # point: every open downstairs still comes back, the lone point upstairs does not
+    def reflect(space):
+        rx, r = t0_reflect(space)
+        bigger = _with_an_isolated_point(rx)
+        return bigger, ContinuousMap(space, bigger, r.map)
+
+    bent = ReflectorSpec("t0+", reflect, T0.in_class)
+    monkeypatch.setattr(suites, "reflector_spec", lambda name: bent)
+    first = spaces_up_to(suites.RunBounds().max_points)[0]
+    upstairs = _with_an_isolated_point(t0_reflect(first)[0])
+    assert _failures(suites.run_suite("prop3.7")) == [
+        ("prop3.7[lattice-iso]", f"open {1 << first.n} of {upstairs!r}")
+    ]
+
+
+def test_thm_4_6_names_a_unit_without_a_splitting(monkeypatch):
+    monkeypatch.setattr(suites, "find_splitting", lambda eta: None)
+    first = spaces_up_to(suites.RunBounds().map_points)[0]
+    witness = "unit at {!r} does not split"
+    assert _failures(suites.run_suite("thm4.6")) == [
+        (f"thm4.6[{LABELS[kind]}]", witness.format(T0.obj(filter_monad(kind).obj(first))))
+        for kind in LABELS
+    ]
+
+
+def test_thm_4_6_names_a_structure_map_that_fails_the_multiplication_square(monkeypatch):
+    monkeypatch.setattr(suites, "commutes", lambda *maps: False)
+    first = spaces_up_to(suites.RunBounds().map_points)[0]
+    assert _failures(suites.run_suite("thm4.6")) == [
+        (f"thm4.6[{label}]", f"b not a structure at {first!r}") for label in LABELS.values()
+    ]
+
+
+def test_prop_5_2_counts_the_mediators_through_a_unit_into_a_larger_space(monkeypatch):
+    # past the isolated point the mediators are free: one per target point
+    def unit_with_a_point(kind, space):
+        e = unit(kind, space)
+        return ContinuousMap(space, _with_an_isolated_point(e.cod), e.map)
+
+    monkeypatch.setattr(suites, "unit", unit_with_a_point)
+    spaces = spaces_up_to(suites.RunBounds().map_points)
+    target = next(s for s in spaces_up_to(4) if s.n > 1 and classify(s).is_stably_compact)
+    f = enumerate_continuous_maps(spaces[0], target)[0]
+    assert _failures(suites.run_suite("prop5.2")) == [
+        (
+            "prop5.2[universal]",
+            f"{target.n} mediators for f={f.map} on {spaces[0]!r} -> {target!r}",
+        )
+    ]
+
+
+def test_prop_5_2_names_a_space_whose_t0_reading_disagrees_with_the_unit(monkeypatch):
+    monkeypatch.setattr(
+        suites, "classify", lambda s: dataclasses.replace(classify(s), is_T0=not classify(s).is_T0)
+    )
+    [universal, embedding] = suites.run_suite("prop5.2")
+    assert universal.ok
+    first = spaces_up_to(suites.RunBounds().map_points)[0]
+    assert (embedding.check_id, embedding.witness) == (
+        "prop5.2[embedding-iff-T0]", f"at {first!r}"
+    )
+
+
+def test_prop_5_7_names_a_composite_that_is_not_the_components(monkeypatch):
+    monkeypatch.setattr(suites, "find_homeomorphism", lambda a, b: None)
+    first = spaces_up_to(suites.RunBounds().map_points)[0]
+    name = compose_reflector_monad(reflector_spec("hausdorff"), filter_monad(ULTRA)).name
+    assert _failures(suites.run_suite("prop5.7")) == [
+        ("prop5.7[components]", f"{name} at {first!r}")
+    ]
+
+
+def test_prop_5_7_names_a_unit_whose_fibers_split_a_component(monkeypatch):
+    # the component quotient replaced by the identity on points: the first
+    # space with a component of two points splits a fiber of the unit
+    monkeypatch.setattr(
+        suites, "hausdorff_reflect", lambda space: (hausdorff_reflect(space)[0], lambda x: x)
+    )
+    spaces = spaces_up_to(suites.RunBounds().map_points)
+    space = next(s for s in spaces if hausdorff_reflect(s)[0].n < s.n)
+    assert _failures(suites.run_suite("prop5.7")) == [
+        ("prop5.7[components]", f"unit fibers at {space!r}")
+    ]
+
+
+def test_continuous_equals_monotone_names_the_pair_whose_maps_disagree(monkeypatch):
+    monkeypatch.setattr(
+        suites, "enumerate_continuous_maps", lambda a, b: enumerate_continuous_maps(a, b)[1:]
+    )
+    first = spaces_up_to(suites.RunBounds().map_points)[0]
+    assert _failures(suites.run_suite("topo-invariants")) == [
+        ("invariants[continuous=monotone]", f"{first!r}->{first!r}")
+    ]
+
+
+@pytest.mark.parametrize(
+    "recount,check_id,witness",
+    [
+        ("recount_topologies", "corpus[labeled]", "n=1: 1 vs recount 0"),
+        ("_recount_classes", "corpus[classes]", "n=1: 1 vs recount 0"),
+    ],
+)
+def test_corpus_counts_name_the_first_size_whose_recount_disagrees(
+    monkeypatch, recount, check_id, witness
+):
+    monkeypatch.setattr(suites, recount, lambda n: 0)
+    assert _failures(suites.run_suite("corpus-counts")) == [(check_id, witness)]
+
+
+def test_corpus_counts_name_the_lattice_recount_that_disagrees(monkeypatch):
+    monkeypatch.setattr(suites, "recount_lattices", lambda k: {1: 1})
+    [(check_id, witness)] = _failures(suites.run_suite("corpus-counts"))
+    assert check_id == "corpus[lattices]"
+    assert witness == f"{suites.lattice_class_counts(6)} vs {{1: 1}}"
+
+
+def test_universal_separation_refuses_a_monad_that_does_not_preserve_an_epimorphism(monkeypatch):
+    # U with every map lifted to a constant: the first surjection onto two
+    # points lifts to a map that is not onto, and the descent of thm4.11,
+    # built before any square is checked, fails as a construction
+    u = filter_monad(ULTRA)
+    constant = EndofunctorSpec("C", u.obj, lambda f: _constant(u.obj(f.dom), u.obj(f.cod)))
+    bent = MonadSpec("C", constant, u.unit, u.mult)
+    monkeypatch.setattr(
+        suites, "filter_monad", lambda kind: bent if kind == ULTRA else filter_monad(kind)
+    )
+    _, maps, _ = suites._map_corpus(suites.RunBounds())
+    epi = next(f for f in maps if f.is_surjective and f.cod.n > 1)
+    witness = f"HypothesisViolated: C does not preserve the epimorphism {epi.map}"
+    assert _failures(suites.run_suite("thm4.11")) == [("thm4.11", witness)]
+    with pytest.raises(HypothesisViolated, match=r"C does not preserve the epimorphism"):
+        universal_separation(
+            alpha_transformation(CLOSED_PRIME), T0, bent, filter_monad(CLOSED_PRIME),
+            spaces_up_to(2), maps_between(spaces_up_to(2)),
+        )

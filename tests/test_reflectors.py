@@ -19,6 +19,7 @@ from topolab import (
     identity_map,
     patch_coreflect,
     reflector_spec,
+    run_suite,
     sobrify,
     t0_reflect,
 )
@@ -177,9 +178,8 @@ def test_patch_coreflect_rejects_non_stably_compact(e1):
 
 def test_patch_couniversal(classes3):
     sources = tuple(s for s in classes3 if classify(s).is_hausdorff)
-    for space in classes3:
-        if classify(space).is_stably_compact:
-            assert check_patch_couniversal(space, sources).ok
+    spaces = tuple(s for s in classes3 if classify(s).is_stably_compact)
+    assert check_patch_couniversal(spaces, sources).ok
 
 
 def test_patch_couniversal_names_the_first_proper_map_without_one_lift(
@@ -190,9 +190,17 @@ def test_patch_couniversal_names_the_first_proper_map_without_one_lift(
     source = sources[0]
     g = next(g for g in enumerate_continuous_maps(source, sierpinski) if is_proper(g))
     monkeypatch.setattr(reflectors, "composes_to", lambda *maps: False)
-    report = check_patch_couniversal(sierpinski, sources)
-    assert not report.ok
+    report = check_patch_couniversal((sierpinski,), sources)
+    assert (report.check_id, report.corpus) == ("patch-couniversal", "1 spaces")
     assert report.witness == f"source {source!r}, g={g.map}: 0 lifts"
+
+
+def test_lemma_2_6_is_one_verdict_over_its_stably_compact_spaces(monkeypatch):
+    monkeypatch.setattr(reflectors, "composes_to", lambda *maps: False)
+    [report] = run_suite("lemma2.6")
+    assert report.check_id == "lemma2.6" and not report.ok
+    assert report.corpus == "8 stably compact spaces, 3 compact Hausdorff sources"
+    assert report.witness.startswith("source Space(1; {},{0}), g=(0,): 0 lifts")
 
 
 def test_reflector_universal_t0(classes3):
@@ -312,3 +320,21 @@ def test_quotient_is_the_specialization_matrix_route(reflect, reference):
         expected, expected_unit = reference(space)
         assert quotient == expected, space
         assert unit_map.map == expected_unit.map, space
+
+
+def test_an_unknown_reflector_is_refused():
+    with pytest.raises(InvalidInput, match="unknown reflector 'x'"):
+        reflector_spec("x")
+
+
+def test_factoring_refuses_a_map_and_a_quotient_with_different_domains(e1, sierpinski):
+    _, r = t0_reflect(e1)
+    with pytest.raises(HypothesisViolated, match="must share their domain"):
+        factor_through_reflection(identity_map(sierpinski), r, in_t0)
+
+
+def test_factoring_refuses_a_quotient_that_misses_a_point(point, discrete2):
+    # the fibers of r carry one value each, but the point 1 of discrete2 has none
+    r = ContinuousMap(point, discrete2, (0,))
+    with pytest.raises(NotWellDefined, match="quotient map is not surjective"):
+        factor_through_reflection(identity_map(point), r, in_t0)

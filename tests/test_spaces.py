@@ -27,6 +27,7 @@ from topolab import (
     find_homeomorphism,
     hausdorff_reflect,
     identity_map,
+    inverse_map,
     is_homeomorphism,
     is_proper,
     patch_topology,
@@ -1142,3 +1143,64 @@ def test_commutes_rejects_a_non_composable_pair(side, discrete2, indiscrete2):
     square = (g, f, ident, ident) if side == "left" else (ident, ident, g, f)
     with pytest.raises(InvalidInput, match="composition mismatch"):
         commutes(*square)
+
+
+# ---------------------------------------------------------------------------
+# the public constructors refuse data of the wrong type with InvalidInput
+
+
+# a list passes the order test and fails the shared-table lookup, or fails
+# the order test; either way its type is named, and nothing is stored
+@pytest.mark.parametrize(
+    "arr",
+    [("a", "b"), (0.5, 1), (True, 1), [0, 1], [1, 0]],
+    ids=["str", "float", "bool", "list", "list-not-monotone"],
+)
+def test_a_map_of_non_int_values_is_refused(monkeypatch, arr):
+    table = {}
+    monkeypatch.setattr("topolab.spaces._ARRAYS", table)
+    s = build_space(2, [{0}])
+    with pytest.raises(InvalidInput, match="map values must be ints"):
+        ContinuousMap(s, s, arr)
+    assert table == {}
+
+
+@pytest.mark.parametrize("opens", [(0, 1.0, 3), [0, 1, 3]], ids=["float", "list"])
+def test_a_space_whose_opens_are_not_a_tuple_of_ints_is_refused(opens):
+    with pytest.raises(InvalidInput, match="opens must be ints"):
+        FiniteSpace(2, opens)
+
+
+def test_a_space_of_bool_points_is_refused():
+    with pytest.raises(InvalidInput, match="at least one point, got True"):
+        FiniteSpace(True, (False, True))
+
+
+def test_a_generator_of_non_int_points_is_refused():
+    with pytest.raises(InvalidInput, match=r"point 0.0 is not an int in 0\.\.1"):
+        build_space(2, [{0.0}])
+
+
+@pytest.mark.parametrize(
+    "build,message",
+    [
+        (lambda: FiniteSpace(0, (0,)), "at least one point"),
+        (lambda: build_space(0), "at least one point"),
+        (lambda: FiniteSpace(2, (0, 3, 4)), "open 0x4 mentions points outside the space"),
+    ],
+    ids=["no-points", "build-no-points", "open-outside"],
+)
+def test_a_space_without_points_or_with_an_open_outside_it_is_refused(build, message):
+    with pytest.raises(InvalidInput, match=message):
+        build()
+
+
+def test_only_a_homeomorphism_is_inverted(sierpinski, discrete2):
+    # a constant is not a bijection; the identity onto a finer space is one,
+    # but its inverse is not continuous
+    for f in (
+        ContinuousMap(sierpinski, sierpinski, (0, 0)),
+        ContinuousMap(discrete2, build_space(2, []), (0, 1)),
+    ):
+        with pytest.raises(InvalidInput, match="only homeomorphisms can be inverted"):
+            inverse_map(f)

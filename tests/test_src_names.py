@@ -17,11 +17,17 @@ and it is the only code that builds a PASS or FAIL report: no module but
 ``reports`` calls ``CheckReport``, and the one other helper of ``reports``,
 ``not_applicable``, marks a check whose hypothesis fails (``fakir_test``).
 
+A fault is one ``(site, bend)`` entry of ``suites.FAULTS``, the only fault
+table of ``src/topolab``, and the run's fault is read only by
+``suites._bent``, which looks the table up, and by ``suites.run_suite``. A
+new fault cannot be wired in through a string compare elsewhere.
+
 The process-long memos are pinned by name, so a new one shows up as a diff.
 """
 
 import ast
 import importlib
+import itertools
 import re
 import types
 from pathlib import Path
@@ -88,24 +94,25 @@ def _names_imported_from_reports() -> dict[str, set[str]]:
     return imported
 
 
-def _functions_calling_check_report(tree: ast.Module) -> set[str]:
-    """Where ``CheckReport(...)`` is called in a module: each enclosing
-    module-level function by name, or ``<module>`` for a call outside one."""
+def _where(path: Path, hit) -> set[str]:
+    """Where a node that ``hit`` accepts sits in a module: each enclosing
+    module-level function by name, or ``<module>`` for a node outside one."""
     where = set()
-    for top in tree.body:
+    for top in ast.parse(path.read_text(encoding="utf-8"), str(path)).body:
         for node in ast.walk(top):
-            if isinstance(node, ast.Call) and "CheckReport" in (
-                getattr(node.func, "id", None), getattr(node.func, "attr", None)
-            ):
+            if hit(node):
                 where.add(top.name if isinstance(top, ast.FunctionDef) else "<module>")
     return where
 
 
+def _calls_check_report(node: ast.AST) -> bool:
+    return isinstance(node, ast.Call) and "CheckReport" in (
+        getattr(node.func, "id", None), getattr(node.func, "attr", None)
+    )
+
+
 def test_the_checkers_decide_through_the_verdict_rule():
-    callers = {
-        path.name: _functions_calling_check_report(ast.parse(path.read_text(encoding="utf-8")))
-        for path in sorted(SRC.glob("*.py"))
-    }
+    callers = {path.name: _where(path, _calls_check_report) for path in sorted(SRC.glob("*.py"))}
     assert {name: where for name, where in callers.items() if where} == {
         "reports.py": {"not_applicable", "verdict"}
     }
@@ -120,6 +127,38 @@ def test_the_checkers_decide_through_the_verdict_rule():
     reports = ast.parse((SRC / "reports.py").read_text(encoding="utf-8"))
     defs = {node.name for node in reports.body if isinstance(node, ast.FunctionDef)}
     assert defs == {"not_applicable", "verdict"}
+
+
+def test_the_run_fault_is_read_only_by_the_fault_table_lookup():
+    # a fault is wired in through ``suites.FAULTS`` alone: no string compare
+    # on ``bounds.fault`` anywhere else
+    def reads_fault(node: ast.AST) -> bool:
+        return isinstance(node, ast.Attribute) and node.attr == "fault"
+
+    readers = {path.name: _where(path, reads_fault) for path in sorted(SRC.glob("*.py"))}
+    assert {name: where for name, where in readers.items() if where} == {
+        "suites.py": {"_bent", "run_suite"}
+    }
+
+
+def test_every_fault_is_a_site_and_a_bend():
+    from topolab import filters, reflectors, suites
+
+    kinds, names = set(filters.KINDS), set(reflectors.REFLECT_OPS)
+    sites = kinds | names | set(itertools.product(names, kinds))
+    for entry in suites.FAULTS.values():
+        assert type(entry) is tuple and len(entry) == 2
+        site, bend = entry
+        assert site in sites and callable(bend)
+    tables = [
+        f"{path.name}:{target.id}"
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.parse(path.read_text(encoding="utf-8")).body
+        if isinstance(node, (ast.Assign, ast.AnnAssign))
+        for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+        if isinstance(target, ast.Name) and "FAULT" in target.id.upper()
+    ]
+    assert tables == ["suites.py:FAULTS"]
 
 
 # Every process-long memo of ``src/topolab``: a module-level callable with
